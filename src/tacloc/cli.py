@@ -279,6 +279,10 @@ def cmd_latency(args) -> CommandOutcome:
         params = replace(params, h=tuned.h)
         roc = tuned.roc
         log.info("tuned h = %.4g (tpr %.1f%%)", tuned.h, 100 * tuned.tpr)
+        if tuned.h >= max(r.h for r in roc):
+            log.warning("tuned h = %.4g is the largest value of the tuning "
+                        "grid; a larger h may also reach the TPR target",
+                        tuned.h)
     else:
         params = replace(params, h=float(args.h))
     with timer.stage("report"):

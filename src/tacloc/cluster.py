@@ -19,8 +19,11 @@ Clustering semantics (shared by every implementation path):
 Two accelerated paths implement these semantics: a pixel-grid path for
 integer coordinates (prefix-summed disk counts on the count image) and
 a bucket-grid path for general coordinates (eps-sized cells, neighbor
-candidates from the 3x3 block). ``dbscan_brute`` is the independent
-O(n^2) reference used in tests.
+candidates from the 3x3 block). ``dbscan`` picks the path from the raw
+points, before removing duplicates: the pixel path compresses through
+one packed int64 key per point, the bucket path through a row-wise
+``np.unique``. ``dbscan_brute`` is the independent O(n^2) reference
+used in tests.
 """
 
 from __future__ import annotations
@@ -69,9 +72,28 @@ class ClusterResult:
 
 def _compress(pts):
     """Unique coordinates, inverse map, multiplicities, first input index."""
-    n = pts.shape[0]
     uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
+    return _with_counts(uniq, inverse.ravel(), pts.shape[0])
+
+
+def _compress_pixels(pts):
+    """:func:`_compress` for integral points whose padded span fits the grid.
+
+    Each point packs into the int64 key ``(u - u0) * h + (v - v0)`` with
+    ``h`` the v extent; the span bound keeps keys below
+    ``_GRID_MAX_CELLS``. Ascending keys are the lexicographic (u, v)
+    order, so a 1-D unique yields the same rows as the row-wise one.
+    """
+    u0, v0 = pts.min(axis=0)
+    du = (pts[:, 0] - u0).astype(np.int64)
+    dv = (pts[:, 1] - v0).astype(np.int64)
+    h = int(dv.max()) + 1
+    keys, inverse = np.unique(du * h + dv, return_inverse=True)
+    uniq = np.column_stack([keys // h + u0, keys % h + v0])
+    return _with_counts(uniq, inverse, pts.shape[0])
+
+
+def _with_counts(uniq, inverse, n):
     m = uniq.shape[0]
     mult = np.bincount(inverse, minlength=m).astype(np.int64)
     first_index = np.full(m, n, dtype=np.int64)
@@ -299,13 +321,15 @@ def dbscan(points, params: DbscanParams) -> np.ndarray:
         raise ValueError("points must be an (n, 2) array")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    uniq, inverse, mult, first_index = _compress(pts)
-    span = (uniq[:, 0].max() - uniq[:, 0].min() + 2 * params.eps + 2) \
-        * (uniq[:, 1].max() - uniq[:, 1].min() + 2 * params.eps + 2)
-    integral = np.all(np.rint(uniq) == uniq)
+    # the test gives the same answer on the points as on their unique rows
+    span = (np.ptp(pts[:, 0]) + 2 * params.eps + 2) \
+        * (np.ptp(pts[:, 1]) + 2 * params.eps + 2)
+    integral = np.all(np.rint(pts) == pts)
     if integral and params.eps >= _GRID_MIN_EPS and span <= _GRID_MAX_CELLS:
+        uniq, inverse, mult, first_index = _compress_pixels(pts)
         labels_u = _dbscan_pixel_grid(uniq, mult, first_index, params)
     else:
+        uniq, inverse, mult, first_index = _compress(pts)
         labels_u = _dbscan_bucket_grid(uniq, mult, first_index, params)
     return labels_u[inverse]
 

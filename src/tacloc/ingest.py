@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from pathlib import Path
 
@@ -365,7 +365,11 @@ def load_config(path) -> RunConfig:
 
 def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     layout = _layout_from_dict(doc.get("layout", {}))
-    sync = SyncSpec(**{k: v for k, v in doc.get("sync", {}).items()})
+    sync_doc = doc.get("sync", {})
+    unknown = sorted(set(sync_doc) - {f.name for f in fields(SyncSpec)})
+    if unknown:
+        raise FormatError(f"unknown key sync.{unknown[0]}")
+    sync = SyncSpec(**sync_doc)
     schedule = _schedule_from_dict(doc.get("schedule", {}), layout)
     cams = doc.get("cameras")
     if cams is not None:

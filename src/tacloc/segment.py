@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,9 +129,3 @@ def trial_manifest(trials: list[PressTrial]) -> list[dict]:
             "missing": tr.missing,
         })
     return out
-
-
-def write_trial_manifest(trials: list[PressTrial], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trial_manifest(trials), fh, indent=1, sort_keys=True)
-        fh.write("\n")

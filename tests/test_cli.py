@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tacloc import latency
 from tacloc.cli import main
 
 
@@ -85,6 +88,19 @@ class TestLocalize:
         cfgp = base_config(tmp_path)
         assert main(["localize", "--config", str(cfgp),
                      "--out", str(tmp_path / "out")]) == 2
+
+    def test_unknown_sync_key_exit_2(self, sim_dir, tmp_path, caplog):
+        tmp, cfgp = sim_dir
+        doc = json.loads(cfgp.read_text())
+        doc["sync"] = {"tap_interval": 1.0}
+        bad = tmp / "bad_sync.json"
+        bad.write_text(json.dumps(doc))
+        caplog.set_level(logging.INFO, logger="tacloc")
+        assert main(["localize", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert [r.getMessage() for r in errors] == ["unknown key sync.tap_interval"]
+        assert errors[0].exc_info is None
 
     def test_determinism_and_threads(self, sim_dir, tmp_path):
         tmp, cfgp = sim_dir
@@ -168,3 +184,32 @@ class TestLatencyCmd:
         assert len(roc) > 10
         rep = json.loads((out / "latency.json").read_text())
         assert rep["tpr"] >= 0.95
+
+    def test_tuned_h_at_grid_edge_warns(self, sim_dir, tmp_path, caplog):
+        tmp, cfgp = sim_dir
+        out = tmp_path / "lat_edge"
+        caplog.set_level(logging.INFO, logger="tacloc")
+        assert main(["latency", "--config", str(cfgp), "--out", str(out),
+                     "--tune"]) == 0
+        rep = json.loads((out / "latency.json").read_text())
+        last_h = float((out / "roc.csv").read_text().strip().splitlines()[-1]
+                       .split(",")[0])
+        assert rep["h_used"] == last_h
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "largest value of the tuning grid" in warnings[0]
+
+    def test_tuned_h_inside_grid_does_not_warn(self, sim_dir, tmp_path,
+                                               caplog, monkeypatch):
+        # a grid point far past any detectable burst keeps the pick interior
+        tune = latency.tune_threshold
+        grid = np.append(np.geomspace(0.1, 1000.0, 60), 1e9)
+        monkeypatch.setattr(latency, "tune_threshold",
+                            lambda *a, **kw: tune(*a, h_grid=grid, **kw))
+        tmp, cfgp = sim_dir
+        out = tmp_path / "lat_inside"
+        caplog.set_level(logging.INFO, logger="tacloc")
+        assert main(["latency", "--config", str(cfgp), "--out", str(out),
+                     "--tune"]) == 0
+        assert json.loads((out / "latency.json").read_text())["h_used"] < 1e9
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]

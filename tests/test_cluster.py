@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tacloc.cluster import (NOISE, DbscanParams, dbscan, dbscan_brute,
+from tacloc import cluster
+from tacloc.cluster import (_GRID_MAX_CELLS, NOISE, DbscanParams, _compress,
+                            _compress_pixels, dbscan, dbscan_brute,
                             exclude_press, extract_centroid)
 
 PARAMS = DbscanParams(eps=10.0, min_samples=10)
@@ -95,6 +99,59 @@ class TestOracleEquivalence:
             p = DbscanParams(eps=eps, min_samples=ms)
             pts = random_point_set(rng, 300, 1)
             assert np.array_equal(dbscan(pts, p), dbscan_brute(pts, p))
+
+
+def _compress_cases():
+    rng = np.random.default_rng(31)
+    cases = {}
+    for i in range(4):
+        n = int(rng.integers(2, 400))
+        lo = int(rng.integers(-1000, 1000))
+        cases[f"random{i}"] = rng.integers(lo, lo + 60, (n, 2)).astype(float)
+    cases["single"] = np.array([[-3.0, 7.0]])
+    cases["all_duplicate"] = np.tile([[-12.0, -5.0]], (25, 1))
+    cases["one_column"] = np.column_stack([np.full(50, 4.0),
+                                           rng.integers(-9, 9, 50)]).astype(float)
+    cases["one_row"] = np.column_stack([rng.integers(-9, 9, 50),
+                                        np.full(50, -4.0)]).astype(float)
+    return cases
+
+
+class TestCompress:
+    @pytest.mark.parametrize("pts", [pytest.param(pts, id=name) for name, pts
+                                     in _compress_cases().items()])
+    def test_packed_key_matches_row_unique(self, pts):
+        for got, want in zip(_compress_pixels(pts), _compress(pts)):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_wide_integral_span_takes_bucket_path(self, monkeypatch):
+        def no_pixel_grid(*args):
+            raise AssertionError("pixel path taken")
+
+        monkeypatch.setattr(cluster, "_dbscan_pixel_grid", no_pixel_grid)
+        rng = np.random.default_rng(32)
+        corners = np.array([[0, 0], [4000, 0], [0, 2500], [4000, 2500]])
+        pts = np.rint(np.vstack([c + rng.normal(0, 3, (40, 2)) for c in corners]
+                                + [rng.uniform(0, 4000, (40, 2))]))
+        span = (np.ptp(pts[:, 0]) + 2 * PARAMS.eps + 2) \
+            * (np.ptp(pts[:, 1]) + 2 * PARAMS.eps + 2)
+        assert span > _GRID_MAX_CELLS
+        labels = dbscan(pts, PARAMS)
+        assert labels.max() == 3
+        assert np.array_equal(labels, dbscan_brute(pts, PARAMS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)),
+                min_size=1, max_size=60),
+       st.integers(-1_000_000, 0), st.integers(-1_000_000, 0),
+       st.sampled_from([1.0, 1.5, 2.0, 3.0, 5.0]), st.integers(1, 6))
+def test_dbscan_matches_brute_on_offset_pixels(cells, u0, v0, eps, min_samples):
+    pts = np.array(cells, dtype=float) + [u0, v0]
+    p = DbscanParams(eps=eps, min_samples=min_samples)
+    assert np.array_equal(dbscan(pts, p), dbscan_brute(pts, p))
 
 
 class TestDbscanProperties:
