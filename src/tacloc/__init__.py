@@ -11,7 +11,7 @@ test oracle.
 from .ablate import AblationSweep, run_sweep, thin
 from .cluster import ClusterResult, DbscanParams, dbscan, dbscan_brute, \
     exclude_press, extract_centroid
-from .events import (CameraId, Event, EventStream, RateSeries, SensorLayout,
+from .events import (CameraId, EventStream, RateSeries, SensorLayout,
                      bit_rate, crop_roi, event_rate_histogram, meander_grid)
 from .geometry import (CameraModel, CalibrationResult, FreeParams,
                        Triangulation, calibrate, default_models,
@@ -24,7 +24,7 @@ from .latency import (CusumParams, LatencyReport, cusum_onsets,
                       latency_report, smoothed_rate, tune_threshold)
 from .metrics import (EvaluationReport, cmre, effective_taxels, evaluate,
                       pass_rate, repeatability, rmse)
-from .segment import PressTrial, refine_onset, segment_by_schedule
+from .segment import PressTrial, segment_by_schedule
 from .synth import RateProfile, SynthSpec, TruthManifest, generate
 
 __version__ = "0.1.0"

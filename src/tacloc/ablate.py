@@ -16,8 +16,8 @@ import numpy as np
 from .events import EventStream
 from .ingest import RunConfig
 from .metrics import EvaluationReport, UndefinedMetricError, empty_report
-from .pipeline import PreparedRun, evaluate_results, localize_trials, \
-    cluster_params
+from .pipeline import (PreparedRun, TrialTable, cluster_params,
+                       evaluate_results, localize_trials)
 from .segment import segment_by_schedule
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -104,10 +104,9 @@ class AblationSweep:
         } for c in self.cells]
 
 
-def _mean_cluster_size(results) -> float:
-    sizes = [0.5 * (r.cluster_size1 + r.cluster_size2)
-             for r in results if r.valid]
-    return float(np.mean(sizes)) if sizes else 0.0
+def _mean_cluster_size(table: TrialTable) -> float:
+    sizes = 0.5 * table.cluster_size[table.valid].sum(axis=1)
+    return float(np.mean(sizes)) if len(sizes) else 0.0
 
 
 def run_sweep(prepared: PreparedRun, cfg: RunConfig, models,
@@ -130,14 +129,14 @@ def run_sweep(prepared: PreparedRun, cfg: RunConfig, models,
         trials = segment_by_schedule(s1, s2, cfg.schedule,
                                      baseline_s=cfg.baseline_s,
                                      anchor_s=prepared.anchor_s)
-        results = localize_trials(trials, models, params, threads)
+        table = localize_trials(trials, models, params, threads)
         try:
-            report = evaluate_results(results, cfg,
+            report = evaluate_results(table, cfg,
                                       reference_p95_mm=reference_p95_mm)
         except UndefinedMetricError:
             # a cell may lose every press; record it instead of aborting
-            report = empty_report(len(results), reference_p95_mm)
-        return SweepCell(k, seed, report, _mean_cluster_size(results))
+            report = empty_report(len(table), reference_p95_mm)
+        return SweepCell(k, seed, report, _mean_cluster_size(table))
 
     cells = []
     baseline_cell = None

@@ -11,9 +11,11 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +23,9 @@ import numpy as np
 from . import ablate as ablate_mod
 from . import latency as latency_mod
 from . import pipeline, synth
-from .geometry import CalibrationError, CameraModel
-from .ingest import (IngestError, RunConfig, SyncError, load_config,
-                     read_events, write_events)
+from .geometry import CalibrationError
+from .ingest import (FormatError, IngestError, RunConfig, SyncError,
+                     camera_pair, load_config, read_events, write_events)
 from .metrics import UndefinedMetricError
 
 log = logging.getLogger("tacloc")
@@ -36,32 +38,14 @@ EXIT_NO_PRESSES = 4
 EXIT_CALIBRATION = 5
 
 
-@dataclass
-class CommandOutcome:
-    exit_code: int
-    report_paths: list[str] = field(default_factory=list)
-    stage_timings_s: dict = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-
-
-class _Timer:
-    def __init__(self, outcome: CommandOutcome):
-        self.outcome = outcome
-
-    def stage(self, name):
-        outer = self
-
-        class _Ctx:
-            def __enter__(self_inner):
-                self_inner.t0 = time.perf_counter()
-
-            def __exit__(self_inner, *exc):
-                dt = time.perf_counter() - self_inner.t0
-                outer.outcome.stage_timings_s[name] = round(dt, 3)
-                log.info("stage %-12s %.3fs", name, dt)
-                return False
-
-        return _Ctx()
+@contextmanager
+def _stage(name: str):
+    """Log the wall time of a command stage, also when the stage raises."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        log.info("stage %-12s %.3fs", name, time.perf_counter() - t0)
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -87,12 +71,15 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _load_streams(cfg: RunConfig):
+def _prepare(cfg: RunConfig) -> pipeline.PreparedRun:
+    """Read both camera files, then crop and align them."""
     if not cfg.cam1_path or not cfg.cam2_path:
         raise IngestError("config must point at both camera files")
-    s1 = read_events(cfg.cam1_path, 1, cfg.file_format)
-    s2 = read_events(cfg.cam2_path, 2, cfg.file_format)
-    return s1, s2
+    with _stage("read"):
+        s1 = read_events(cfg.cam1_path, 1, cfg.file_format)
+        s2 = read_events(cfg.cam2_path, 2, cfg.file_format)
+    with _stage("align"):
+        return pipeline.prepare_run(s1, s2, cfg)
 
 
 def _synth_spec(cfg: RunConfig) -> synth.SynthSpec:
@@ -101,46 +88,45 @@ def _synth_spec(cfg: RunConfig) -> synth.SynthSpec:
                                   cfg.synth)
 
 
-def cmd_simulate(args) -> CommandOutcome:
-    out = CommandOutcome(EXIT_OK)
-    timer = _Timer(out)
+def cmd_simulate(args) -> list[Path]:
     cfg = _load_run_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = _synth_spec(cfg)
     log.info("simulating %d presses with seed %d", len(spec.schedule), spec.seed)
-    with timer.stage("generate"):
+    with _stage("generate"):
         s1, s2, manifest = synth.generate(spec)
     fmt = cfg.file_format
     suffix = ".evt" if fmt == "bin" else ".csv"
     p1 = out_dir / f"cam1{suffix}"
     p2 = out_dir / f"cam2{suffix}"
     pm = out_dir / "truth_manifest.json"
-    with timer.stage("write"):
+    with _stage("write"):
         write_events(s1, p1, fmt)
         write_events(s2, p2, fmt)
         synth.write_manifest(manifest, pm)
-    out.report_paths = [str(p1), str(p2), str(pm)]
-    return out
+    return [p1, p2, pm]
 
 
-def _result_rows(results) -> list[dict]:
-    rows = []
-    for r in results:
-        rows.append({
-            "press_index": r.press_index,
-            "repetition": r.repetition,
-            "gt_x_mm": r.gt_x_mm, "gt_y_mm": r.gt_y_mm,
-            "est_x_mm": None if not r.valid else r.est_x_mm,
-            "est_y_mm": None if not r.valid else r.est_y_mm,
-            "centroid_u1": None if np.isnan(r.centroid_u1) else r.centroid_u1,
-            "centroid_u2": None if np.isnan(r.centroid_u2) else r.centroid_u2,
-            "cluster_size1": r.cluster_size1,
-            "cluster_size2": r.cluster_size2,
-            "valid": int(r.valid),
-            "reason": r.reason,
-        })
-    return rows
+def _result_rows(table: pipeline.TrialTable) -> list[dict]:
+    def blank_nan(col):
+        return [None if math.isnan(x) else x for x in col.tolist()]
+
+    cols = {
+        "press_index": table.press_index.tolist(),
+        "repetition": table.repetition.tolist(),
+        "gt_x_mm": table.gt_mm[:, 0].tolist(),
+        "gt_y_mm": table.gt_mm[:, 1].tolist(),
+        "est_x_mm": blank_nan(table.est_mm[:, 0]),
+        "est_y_mm": blank_nan(table.est_mm[:, 1]),
+        "centroid_u1": blank_nan(table.centroid_u[:, 0]),
+        "centroid_u2": blank_nan(table.centroid_u[:, 1]),
+        "cluster_size1": table.cluster_size[:, 0].tolist(),
+        "cluster_size2": table.cluster_size[:, 1].tolist(),
+        "valid": table.valid.astype(int).tolist(),
+        "reason": list(table.reason),
+    }
+    return [dict(zip(cols, row)) for row in zip(*cols.values())]
 
 
 _RESULT_COLUMNS = ["press_index", "repetition", "gt_x_mm", "gt_y_mm",
@@ -148,51 +134,44 @@ _RESULT_COLUMNS = ["press_index", "repetition", "gt_x_mm", "gt_y_mm",
                    "cluster_size1", "cluster_size2", "valid", "reason"]
 
 
-def cmd_localize(args) -> CommandOutcome:
-    out = CommandOutcome(EXIT_OK)
-    timer = _Timer(out)
+def cmd_localize(args) -> list[Path]:
     cfg = _load_run_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with timer.stage("read"):
-        s1, s2 = _load_streams(cfg)
-    with timer.stage("align"):
-        prepared = pipeline.prepare_run(s1, s2, cfg)
+    models = _models_override(args)
+    prepared = _prepare(cfg)
     log.info("tap onsets: %s", [round(t, 3) for t in prepared.tap_onsets_s])
-    models = _models_override(args, cfg)
-    with timer.stage("localize"):
-        report, results, _ = pipeline.run_localization(
+    with _stage("localize"):
+        report, table, _ = pipeline.run_localization(
             prepared, cfg, models=models, threads=args.threads)
     p_csv = out_dir / "localization.csv"
     p_json = out_dir / "evaluation.json"
-    _write_csv(p_csv, _result_rows(results), _RESULT_COLUMNS)
+    _write_csv(p_csv, _result_rows(table), _RESULT_COLUMNS)
     _write_json(p_json, report.to_json_dict())
-    out.report_paths = [str(p_csv), str(p_json)]
     log.info("rmse %.3f mm, pass rate %.1f%% (%d/%d valid)", report.rmse_mm,
              report.pass_rate_percent, report.n_valid, report.n_presses)
-    return out
+    return [p_csv, p_json]
 
 
-def _models_override(args, cfg):
+def _models_override(args):
+    """Camera models from ``--models`` (a calibrate report or a bare list)."""
     path = getattr(args, "models", None)
     if not path:
         return None
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    cams = doc["cameras"] if isinstance(doc, dict) else doc
-    return (CameraModel.from_dict(cams[0]), CameraModel.from_dict(cams[1]))
+    if isinstance(doc, dict):
+        if "cameras" not in doc:
+            raise FormatError(f"{path}: missing key cameras")
+        doc = doc["cameras"]
+    return camera_pair(doc)
 
 
-def cmd_calibrate(args) -> CommandOutcome:
-    out = CommandOutcome(EXIT_OK)
-    timer = _Timer(out)
+def cmd_calibrate(args) -> list[Path]:
     cfg = _load_run_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with timer.stage("read"):
-        s1, s2 = _load_streams(cfg)
-    with timer.stage("align"):
-        prepared = pipeline.prepare_run(s1, s2, cfg)
-    with timer.stage("calibrate"):
+    prepared = _prepare(cfg)
+    with _stage("calibrate"):
         fit, _ = pipeline.run_calibration(prepared, cfg, threads=args.threads)
     res = fit.residuals_mm
     finite = res[~np.isnan(res[:, 0])]
@@ -216,29 +195,23 @@ def cmd_calibrate(args) -> CommandOutcome:
     }
     p = out_dir / "calibrated_models.json"
     _write_json(p, doc)
-    out.report_paths = [str(p)]
     log.info("calibration rmse %.4f mm (was %.4f) in %d iterations",
              fit.rmse_mm, fit.initial_rmse_mm, fit.iterations)
-    return out
+    return [p]
 
 
-def cmd_ablate(args) -> CommandOutcome:
-    out = CommandOutcome(EXIT_OK)
-    timer = _Timer(out)
+def cmd_ablate(args) -> list[Path]:
     cfg = _load_run_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     factors = [int(x) for x in args.factors.split(",")]
     seeds = [int(x) for x in args.seeds.split(",")]
-    with timer.stage("read"):
-        s1, s2 = _load_streams(cfg)
-    with timer.stage("align"):
-        prepared = pipeline.prepare_run(s1, s2, cfg)
-    models = _models_override(args, cfg) or cfg.camera_models
-    with timer.stage("baseline"):
+    models = _models_override(args) or cfg.camera_models
+    prepared = _prepare(cfg)
+    with _stage("baseline"):
         report, _, _ = pipeline.run_localization(
             prepared, cfg, models=models, threads=args.threads)
-    with timer.stage("sweep"):
+    with _stage("sweep"):
         sweep = ablate_mod.run_sweep(prepared, cfg, models, factors, seeds,
                                      reference_p95_mm=report.reference_p95_mm,
                                      threads=args.threads)
@@ -250,20 +223,14 @@ def cmd_ablate(args) -> CommandOutcome:
     _write_json(p_json, {"schema_version": 1,
                          "reference_p95_mm": sweep.reference_p95_mm,
                          "curve": sweep.curve()})
-    out.report_paths = [str(p_csv), str(p_json)]
-    return out
+    return [p_csv, p_json]
 
 
-def cmd_latency(args) -> CommandOutcome:
-    out = CommandOutcome(EXIT_OK)
-    timer = _Timer(out)
+def cmd_latency(args) -> list[Path]:
     cfg = _load_run_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with timer.stage("read"):
-        s1, s2 = _load_streams(cfg)
-    with timer.stage("align"):
-        prepared = pipeline.prepare_run(s1, s2, cfg)
+    prepared = _prepare(cfg)
     from .segment import segment_by_schedule
     trials = segment_by_schedule(prepared.s1, prepared.s2, cfg.schedule,
                                  baseline_s=cfg.baseline_s,
@@ -274,7 +241,7 @@ def cmd_latency(args) -> CommandOutcome:
     snippets = latency_mod.trial_background_snippets(trials)
     roc = []
     if args.tune or args.h is None:
-        with timer.stage("tune"):
+        with _stage("tune"):
             tuned = latency_mod.tune_threshold(trials, snippets, params)
         params = replace(params, h=tuned.h)
         roc = tuned.roc
@@ -285,7 +252,7 @@ def cmd_latency(args) -> CommandOutcome:
                         tuned.h)
     else:
         params = replace(params, h=float(args.h))
-    with timer.stage("report"):
+    with _stage("report"):
         rep = latency_mod.latency_report(trials, params, snippets)
     p_json = out_dir / "latency.json"
     p_onsets = out_dir / "onsets.csv"
@@ -299,10 +266,9 @@ def cmd_latency(args) -> CommandOutcome:
                [{"h": r.h, "tpr": r.tpr, "false_alarms_per_s": r.false_alarms_per_s}
                 for r in roc],
                ["h", "tpr", "false_alarms_per_s"])
-    out.report_paths = [str(p_json), str(p_onsets), str(p_roc)]
     log.info("latency width %.1f ms, tpr %.1f%%, fa %.3f/s",
              rep.latency_width_ms, 100 * rep.tpr, rep.false_alarm_rate_per_s)
-    return out
+    return [p_json, p_onsets, p_roc]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,7 +321,7 @@ def main(argv=None) -> int:
         level=getattr(logging, args.log_level.upper()),
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
-        outcome = args.func(args)
+        paths = args.func(args)
     except SyncError as exc:
         log.error("sync failure: %s", exc)
         return EXIT_SYNC
@@ -374,9 +340,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         log.error("unexpected failure: %s", exc, exc_info=True)
         return EXIT_OTHER
-    for p in outcome.report_paths:
+    for p in paths:
         log.info("wrote %s", p)
-    return outcome.exit_code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

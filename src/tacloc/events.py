@@ -18,16 +18,6 @@ class CameraId(IntEnum):
     CAM2 = 2
 
 
-@dataclass(frozen=True)
-class Event:
-    """A single brightness-change report from one camera pixel."""
-
-    t_us: int
-    u: int
-    v: int
-    polarity: int  # 1 = ON (brightness increase), 0 = OFF
-
-
 def meander_grid(cols: int = 25, rows: int = 10, spacing_mm: float = 4.0,
                  origin_mm: tuple[float, float] = (2.0, 32.0)) -> np.ndarray:
     """Serpentine press grid: left-to-right on even rows, reversed on odd rows.
@@ -151,10 +141,6 @@ class EventStream:
     def __repr__(self) -> str:
         return (f"EventStream(camera={self.camera_id.name}, n={len(self)}, "
                 f"roi={self.roi}, offset_us={self.time_offset_us})")
-
-    def event(self, i: int) -> Event:
-        return Event(int(self.t[i]), int(self.u[i]), int(self.v[i]),
-                     int(self.polarity[i]))
 
     def times_s(self) -> np.ndarray:
         """Aligned event times in seconds (offset applied)."""

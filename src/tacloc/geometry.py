@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-SENSOR_WIDTH = 640
+from .events import SENSOR_WIDTH
+
 DEGENERACY_MIN_SIN = 1e-6
 BOUNDS_MARGIN_MM = 10.0
 

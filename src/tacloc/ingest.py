@@ -310,6 +310,39 @@ class RunConfig:
             self.schedule = make_schedule(self.layout)
 
 
+_LAYOUT_KEYS = ("side_mm", "thickness_mm", "grid_points_mm", "grid_cols",
+                "grid_rows", "grid_spacing_mm", "grid_origin_mm", "repetitions",
+                "press_duration_s", "bits_per_event")
+_SCHEDULE_KEYS = ("onsets_s", "press_duration_s", "ground_truth_mm",
+                  "press_index", "repetition", "onset0_s", "period_s",
+                  "repetitions")
+_TOP_KEYS = ("files", "layout", "sync", "schedule", "cameras", "roi",
+             "baseline_s", "cluster", "calibration", "exclude_presses", "seed",
+             "synth", "latency")
+
+
+def _section(doc: dict, name: str, allowed) -> dict:
+    """The object at JSON path ``name`` (empty when absent), checked to hold
+    only ``allowed`` keys."""
+    sub = doc
+    for part in filter(None, name.split(".")):
+        sub = sub.get(part, {})
+    if not isinstance(sub, dict):
+        raise FormatError(f"{name or 'config'} must be a JSON object")
+    unknown = sorted(set(sub) - set(allowed))
+    if unknown:
+        key = f"{name}.{unknown[0]}" if name else unknown[0]
+        raise FormatError(f"unknown key {key}")
+    return sub
+
+
+def camera_pair(cams) -> tuple[CameraModel, CameraModel]:
+    """The two camera models of a ``cameras`` list."""
+    if not isinstance(cams, list) or len(cams) != 2:
+        raise FormatError("cameras must list exactly 2 camera models")
+    return CameraModel.from_dict(cams[0]), CameraModel.from_dict(cams[1])
+
+
 def _layout_from_dict(d: dict) -> SensorLayout:
     grid = None
     if "grid_points_mm" in d:
@@ -334,6 +367,9 @@ def _layout_from_dict(d: dict) -> SensorLayout:
 
 def _schedule_from_dict(d: dict, layout: SensorLayout) -> PressSchedule:
     if "onsets_s" in d:
+        for key in ("ground_truth_mm", "press_index", "repetition"):
+            if key not in d:
+                raise FormatError(f"missing key schedule.{key}")
         return PressSchedule(
             np.asarray(d["onsets_s"], dtype=np.float64),
             float(d.get("press_duration_s", layout.press_duration_s)),
@@ -364,28 +400,28 @@ def load_config(path) -> RunConfig:
 
 
 def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
-    layout = _layout_from_dict(doc.get("layout", {}))
-    sync_doc = doc.get("sync", {})
-    unknown = sorted(set(sync_doc) - {f.name for f in fields(SyncSpec)})
-    if unknown:
-        raise FormatError(f"unknown key sync.{unknown[0]}")
-    sync = SyncSpec(**sync_doc)
-    schedule = _schedule_from_dict(doc.get("schedule", {}), layout)
+    """Build a RunConfig; unknown keys raise FormatError with their path."""
+    from .latency import CusumParams  # latency imports this module
+
+    _section(doc, "", _TOP_KEYS)
+    layout = _layout_from_dict(_section(doc, "layout", _LAYOUT_KEYS))
+    sync = SyncSpec(**_section(doc, "sync", [f.name for f in fields(SyncSpec)]))
+    schedule = _schedule_from_dict(_section(doc, "schedule", _SCHEDULE_KEYS),
+                                   layout)
     cams = doc.get("cameras")
-    if cams is not None:
-        if len(cams) != 2:
-            raise FormatError("config must define exactly 2 cameras")
-        models = (CameraModel.from_dict(cams[0]), CameraModel.from_dict(cams[1]))
-    else:
-        models = default_models(layout.side_mm)
-    files = doc.get("files", {})
+    models = (default_models(layout.side_mm) if cams is None
+              else camera_pair(cams))
+    files = _section(doc, "files", ("cam1", "cam2", "format"))
     cam1 = files.get("cam1", "")
     cam2 = files.get("cam2", "")
     if base_dir is not None:
         cam1 = str(base_dir / cam1) if cam1 else ""
         cam2 = str(base_dir / cam2) if cam2 else ""
-    clu = doc.get("cluster", {})
-    cal = doc.get("calibration", {}).get("free", {})
+    clu = _section(doc, "cluster", ("eps_px", "min_samples",
+                                    "min_cluster_points"))
+    _section(doc, "calibration", ("free",))
+    cal = _section(doc, "calibration.free", ("position", "skew", "k1", "focal"))
+    latency = _section(doc, "latency", [f.name for f in fields(CusumParams)])
     return RunConfig(
         cam1_path=cam1,
         cam2_path=cam2,
@@ -409,5 +445,5 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
         exclude_presses=tuple(doc.get("exclude_presses", ())),
         seed=int(doc.get("seed", 0)),
         synth=doc.get("synth", {}),
-        latency=doc.get("latency", {}),
+        latency=latency,
     )

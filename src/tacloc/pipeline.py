@@ -1,46 +1,55 @@
 """End-to-end wiring of the localization stages.
 
 Stages: align (three-tap sync) -> ROI crop -> schedule segmentation ->
-per-trial DBSCAN centroids -> two-ray triangulation -> evaluation.
-Per-trial work is independent; an optional thread pool processes trials
-concurrently with results merged back in trial order, so the thread
-count never changes any output.
+(a) per-trial DBSCAN centroids -> (b) two-ray triangulation ->
+evaluation. Stage (a) does not depend on the camera models; its output
+is a :class:`TrialTable` of per-trial columns, and stage (b) fills the
+estimates with one vectorized triangulation over the whole table. Trials
+are independent in stage (a); an optional thread pool processes them
+concurrently with rows kept in trial order, so the thread count never
+changes any output.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cluster import DbscanParams, exclude_press, extract_centroid
+from .cluster import (ClusterResult, DbscanParams, exclude_press,
+                      extract_centroid)
 from .events import EventStream, crop_roi
-from .geometry import (CalibrationResult, DegenerateGeometryError,
-                       calibrate, triangulate)
+from .geometry import CalibrationResult, calibrate, triangulate_many
 from .ingest import RunConfig, align_streams, detect_sync_taps
 from .metrics import EvaluationReport, evaluate
 from .segment import PressTrial, press_events, segment_by_schedule
 
+_NO_CLUSTER = ClusterResult(np.zeros(0, dtype=np.int64), 0, 0,
+                            float("nan"), float("nan"), False)
+
 
 @dataclass(frozen=True)
-class TrialResult:
-    """Localization outcome for one press trial."""
+class TrialTable:
+    """Localization outcome of every press trial, one row per trial.
 
-    press_index: int
-    repetition: int
-    gt_x_mm: float
-    gt_y_mm: float
-    est_x_mm: float  # nan when not localized
-    est_y_mm: float
-    centroid_u1: float
-    centroid_u2: float
-    centroid_v1: float
-    centroid_v2: float
-    cluster_size1: int
-    cluster_size2: int
-    valid: bool
-    reason: str  # why the press was excluded; empty when valid
+    Camera columns hold camera 1 then camera 2. ``clustered`` marks rows
+    where both cameras yield a dominant cluster; ``reason`` says why a
+    row is not ``valid`` (empty when it is), and ``est_mm`` is nan there.
+    """
+
+    press_index: np.ndarray   # (n,) int64
+    repetition: np.ndarray    # (n,) int64
+    gt_mm: np.ndarray         # (n, 2)
+    centroid_u: np.ndarray    # (n, 2), nan without a cluster
+    cluster_size: np.ndarray  # (n, 2) int64, largest cluster
+    clustered: np.ndarray     # (n,) bool
+    est_mm: np.ndarray        # (n, 2)
+    valid: np.ndarray         # (n,) bool
+    reason: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.reason)
 
 
 @dataclass(frozen=True)
@@ -68,42 +77,66 @@ def cluster_params(cfg: RunConfig) -> DbscanParams:
                         min_cluster_points=cfg.cluster_min_points)
 
 
-def localize_trial(trial: PressTrial, models, params: DbscanParams) -> TrialResult:
-    """Cluster both camera views of one trial and triangulate the press."""
-    gx, gy = trial.ground_truth_mm
+def localize_trial(trial: PressTrial, params: DbscanParams,
+                   ) -> tuple[ClusterResult, ClusterResult, str]:
+    """Stage (a): both cameras' dominant clusters and the exclusion reason."""
     if trial.missing:
-        return TrialResult(trial.press_index, trial.repetition, gx, gy,
-                           float("nan"), float("nan"), float("nan"),
-                           float("nan"), float("nan"), float("nan"),
-                           0, 0, False, "missing")
+        return _NO_CLUSTER, _NO_CLUSTER, "missing"
     ev1 = press_events(trial, 1)
     ev2 = press_events(trial, 2)
     r1 = extract_centroid(ev1.u, ev1.v, params)
     r2 = extract_centroid(ev2.u, ev2.v, params)
-    check = exclude_press(r1, r2)
-    est = (float("nan"), float("nan"))
-    valid = check.passed
-    reason = check.reason
-    if check.passed:
-        try:
-            tri = triangulate(models[0], r1.centroid_u, models[1], r2.centroid_u)
-            est = (tri.x_mm, tri.y_mm)
-        except DegenerateGeometryError:
-            valid = False
-            reason = "degenerate triangulation"
-    return TrialResult(trial.press_index, trial.repetition, gx, gy,
-                       est[0], est[1], r1.centroid_u, r2.centroid_u,
-                       r1.centroid_v, r2.centroid_v,
-                       r1.largest_cluster_size, r2.largest_cluster_size,
-                       valid, reason)
+    return r1, r2, exclude_press(r1, r2).reason
+
+
+def triangulate_trials(table: TrialTable, models) -> TrialTable:
+    """Stage (b): triangulate every clustered row with one batched call.
+
+    Rows that are not clustered keep their reason; clustered rows whose
+    rays are too close to parallel become invalid as degenerate.
+    """
+    rows = np.flatnonzero(table.clustered)
+    est = np.full((len(table), 2), np.nan)
+    valid = np.zeros(len(table), dtype=bool)
+    est_rows, _, ok = triangulate_many(models[0], table.centroid_u[rows, 0],
+                                       models[1], table.centroid_u[rows, 1])
+    est[rows] = est_rows
+    valid[rows] = ok
+    reason = list(table.reason)
+    for i, row_ok in zip(rows.tolist(), ok.tolist()):
+        reason[i] = "" if row_ok else "degenerate triangulation"
+    return replace(table, est_mm=est, valid=valid, reason=tuple(reason))
 
 
 def localize_trials(trials, models, params: DbscanParams,
-                    threads: int = 1) -> list[TrialResult]:
+                    threads: int = 1) -> TrialTable:
+    """Run stage (a) on every trial, then stage (b) on the whole table."""
+    def row(trial):
+        # keep only the columns, not each trial's per-event labels
+        r1, r2, reason = localize_trial(trial, params)
+        return (r1.centroid_u, r2.centroid_u, r1.largest_cluster_size,
+                r2.largest_cluster_size, reason)
+
     if threads <= 1:
-        return [localize_trial(t, models, params) for t in trials]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda t: localize_trial(t, models, params), trials))
+        rows = [row(t) for t in trials]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(row, trials))
+    n = len(rows)
+    reason = tuple(r[4] for r in rows)
+    table = TrialTable(
+        press_index=np.array([t.press_index for t in trials], dtype=np.int64),
+        repetition=np.array([t.repetition for t in trials], dtype=np.int64),
+        gt_mm=np.array([t.ground_truth_mm for t in trials],
+                       dtype=np.float64).reshape(n, 2),
+        centroid_u=np.array([r[:2] for r in rows],
+                            dtype=np.float64).reshape(n, 2),
+        cluster_size=np.array([r[2:4] for r in rows],
+                              dtype=np.int64).reshape(n, 2),
+        clustered=np.array([not r for r in reason], dtype=bool),
+        est_mm=np.full((n, 2), np.nan), valid=np.zeros(n, dtype=bool),
+        reason=reason)
+    return triangulate_trials(table, models)
 
 
 def probed_area_mm2(cfg: RunConfig) -> float:
@@ -113,14 +146,10 @@ def probed_area_mm2(cfg: RunConfig) -> float:
     return float((np.ptp(pts[:, 0]) + pad) * (np.ptp(pts[:, 1]) + pad))
 
 
-def evaluate_results(results: list[TrialResult], cfg: RunConfig,
+def evaluate_results(table: TrialTable, cfg: RunConfig,
                      reference_p95_mm: float | None = None) -> EvaluationReport:
-    est = np.array([[r.est_x_mm, r.est_y_mm] for r in results])
-    gt = np.array([[r.gt_x_mm, r.gt_y_mm] for r in results])
-    valid = np.array([r.valid for r in results], dtype=bool)
-    pidx = np.array([r.press_index for r in results], dtype=np.int64)
-    reps = np.array([r.repetition for r in results], dtype=np.int64)
-    return evaluate(est, gt, valid, pidx, reps,
+    return evaluate(table.est_mm, table.gt_mm, table.valid,
+                    table.press_index, table.repetition,
                     diagonal_mm=cfg.layout.diagonal_mm,
                     full_area_mm2=cfg.layout.area_mm2,
                     probed_area_mm2=probed_area_mm2(cfg),
@@ -130,68 +159,34 @@ def evaluate_results(results: list[TrialResult], cfg: RunConfig,
 def run_localization(prepared: PreparedRun, cfg: RunConfig,
                      models=None, threads: int = 1,
                      reference_p95_mm: float | None = None,
-                     ) -> tuple[EvaluationReport, list[TrialResult], list[PressTrial]]:
+                     ) -> tuple[EvaluationReport, TrialTable, list[PressTrial]]:
     """Segment, localize, and score one prepared recording."""
     models = cfg.camera_models if models is None else models
     trials = segment_by_schedule(prepared.s1, prepared.s2, cfg.schedule,
                                  baseline_s=cfg.baseline_s,
                                  anchor_s=prepared.anchor_s)
-    results = localize_trials(trials, models, cluster_params(cfg), threads)
-    report = evaluate_results(results, cfg, reference_p95_mm)
-    return report, results, trials
+    table = localize_trials(trials, models, cluster_params(cfg), threads)
+    report = evaluate_results(table, cfg, reference_p95_mm)
+    return report, table, trials
 
 
-def calibration_observations(results: list[TrialResult], cfg: RunConfig,
+def calibration_observations(table: TrialTable, cfg: RunConfig,
                              repetition: int = 0):
     """(u1, u2, ground truth) from one repetition's valid, non-excluded trials."""
-    banned = set(cfg.exclude_presses)
-    rows = [r for r in results
-            if r.valid and r.repetition == repetition
-            and r.press_index not in banned]
-    u1 = np.array([r.centroid_u1 for r in rows])
-    u2 = np.array([r.centroid_u2 for r in rows])
-    gt = np.array([[r.gt_x_mm, r.gt_y_mm] for r in rows])
-    return u1, u2, gt
+    rows = (table.valid & (table.repetition == repetition)
+            & ~np.isin(table.press_index, list(cfg.exclude_presses)))
+    return table.centroid_u[rows, 0], table.centroid_u[rows, 1], table.gt_mm[rows]
 
 
 def run_calibration(prepared: PreparedRun, cfg: RunConfig,
-                    threads: int = 1) -> tuple[CalibrationResult, list[TrialResult]]:
+                    threads: int = 1) -> tuple[CalibrationResult, TrialTable]:
     """Fit camera parameters on repetition 0 of a prepared recording."""
     trials = segment_by_schedule(prepared.s1, prepared.s2, cfg.schedule,
                                  baseline_s=cfg.baseline_s,
                                  anchor_s=prepared.anchor_s)
     rep0 = [t for t in trials if t.repetition == 0]
-    results = localize_trials(rep0, cfg.camera_models, cluster_params(cfg),
-                              threads)
-    u1, u2, gt = calibration_observations(results, cfg, repetition=0)
+    table = localize_trials(rep0, cfg.camera_models, cluster_params(cfg),
+                            threads)
+    u1, u2, gt = calibration_observations(table, cfg, repetition=0)
     fit = calibrate(cfg.camera_models, u1, u2, gt, free=cfg.calibration_free)
-    return fit, results
-
-
-def retriangulate(results: list[TrialResult], models) -> list[TrialResult]:
-    """Re-run only the triangulation stage with different camera models.
-
-    Centroids are model-independent, so sensitivity studies can reuse the
-    clustering work.
-    """
-    out = []
-    for r in results:
-        if not r.valid and r.reason != "degenerate triangulation":
-            out.append(r)
-            continue
-        try:
-            tri = triangulate(models[0], r.centroid_u1, models[1], r.centroid_u2)
-            out.append(TrialResult(r.press_index, r.repetition, r.gt_x_mm,
-                                   r.gt_y_mm, tri.x_mm, tri.y_mm,
-                                   r.centroid_u1, r.centroid_u2,
-                                   r.centroid_v1, r.centroid_v2,
-                                   r.cluster_size1, r.cluster_size2,
-                                   True, ""))
-        except DegenerateGeometryError:
-            out.append(TrialResult(r.press_index, r.repetition, r.gt_x_mm,
-                                   r.gt_y_mm, float("nan"), float("nan"),
-                                   r.centroid_u1, r.centroid_u2,
-                                   r.centroid_v1, r.centroid_v2,
-                                   r.cluster_size1, r.cluster_size2,
-                                   False, "degenerate triangulation"))
-    return out
+    return fit, table

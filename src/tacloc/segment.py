@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .events import EventStream, merge_times_s
+from .events import EventStream
 from .ingest import PressSchedule
 
 
@@ -83,49 +81,3 @@ def press_events(trial: PressTrial, camera: int) -> EventStream:
 def baseline_events(trial: PressTrial, camera: int) -> EventStream:
     s = trial.events_cam1 if camera == 1 else trial.events_cam2
     return s.slice_time_s(trial.baseline_t0_s, trial.baseline_t1_s)
-
-
-def refine_onset(trial: PressTrial, bin_s: float = 0.010,
-                 search_s: float = 0.5,
-                 threshold_multiple: float = 3.0) -> float:
-    """Snap the nominal onset to the first bin of clear combined activity.
-
-    Scans +-search_s around the nominal onset for the first bin whose
-    combined-camera rate exceeds the trial baseline mean by the given
-    multiple; returns the nominal onset unchanged when nothing qualifies.
-    """
-    lo = trial.t0_s - search_s
-    hi = trial.t0_s + search_s
-    times = merge_times_s(trial.events_cam1.slice_time_s(lo, hi),
-                          trial.events_cam2.slice_time_s(lo, hi))
-    if not len(times):
-        return trial.t0_s
-    base_dur = trial.baseline_t1_s - trial.baseline_t0_s
-    if base_dur <= 0:
-        return trial.t0_s
-    b = merge_times_s(baseline_events(trial, 1), baseline_events(trial, 2))
-    base_rate = len(b) / base_dur
-    n_bins = int(np.ceil((hi - lo) / bin_s))
-    idx = np.clip(((times - lo) / bin_s).astype(np.int64), 0, n_bins - 1)
-    rates = np.bincount(idx, minlength=n_bins) / bin_s
-    hot = np.flatnonzero(rates > threshold_multiple * max(base_rate, 1.0 / base_dur))
-    if not len(hot):
-        return trial.t0_s
-    return lo + float(hot[0]) * bin_s
-
-
-def trial_manifest(trials: list[PressTrial]) -> list[dict]:
-    """Plot- and diff-friendly summary of a segmentation, one dict per trial."""
-    out = []
-    for tr in trials:
-        out.append({
-            "press_index": tr.press_index,
-            "repetition": tr.repetition,
-            "window_s": [tr.t0_s, tr.t1_s],
-            "baseline_s": [tr.baseline_t0_s, tr.baseline_t1_s],
-            "n_events_cam1": len(press_events(tr, 1)),
-            "n_events_cam2": len(press_events(tr, 2)),
-            "ground_truth_mm": list(tr.ground_truth_mm),
-            "missing": tr.missing,
-        })
-    return out

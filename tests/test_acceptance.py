@@ -183,7 +183,7 @@ class TestCriterion4CalibrationRecovery:
                                            pipeline.cluster_params(cfg))
         rep_cal = pipeline.evaluate_results(results, cfg)
         rep_true = pipeline.evaluate_results(
-            pipeline.retriangulate(results, true_models), cfg)
+            pipeline.triangulate_trials(results, true_models), cfg)
         ratio = rep_cal.rmse_mm / rep_true.rmse_mm
         elapsed = time.perf_counter() - t0
         ok = fit.converged and ratio < 1.5 and elapsed < 120.0

@@ -42,6 +42,51 @@ def sim_dir(tmp_path_factory):
     return tmp, cfgp
 
 
+CAMERA = {"x_mm": 0.0, "y_mm": 0.0, "orientation_rad": 0.7853981633974483,
+          "skew_rad": 0.0, "focal_px": 320.0, "u_center": 319.5, "k1": 0.0}
+
+
+def explicit_schedule_without(key):
+    def edit(doc):
+        doc["schedule"] = {"onsets_s": [5.0, 6.5],
+                           "ground_truth_mm": [[50.0, 50.0], [54.0, 50.0]],
+                           "press_index": [0, 1], "repetition": [0, 0]}
+        del doc["schedule"][key]
+    return edit
+
+
+# config edit, --models document, the one error message
+BAD_INPUTS = [
+    pytest.param(lambda d: d.update(seeds=[1]), None, "unknown key seeds",
+                 id="top-level"),
+    pytest.param(lambda d: d["layout"].update(grid_col=4), None,
+                 "unknown key layout.grid_col", id="layout"),
+    pytest.param(lambda d: d["schedule"].update(period=2.0), None,
+                 "unknown key schedule.period", id="schedule"),
+    pytest.param(lambda d: d.update(cluster={"eps": 5}), None,
+                 "unknown key cluster.eps", id="cluster"),
+    pytest.param(lambda d: d.update(calibration={"fixed": {}}), None,
+                 "unknown key calibration.fixed", id="calibration"),
+    pytest.param(lambda d: d.update(calibration={"free": {"skw": 0}}), None,
+                 "unknown key calibration.free.skw", id="calibration.free"),
+    pytest.param(lambda d: d["files"].update(cam3="cam3.evt"), None,
+                 "unknown key files.cam3", id="files"),
+    pytest.param(lambda d: d.update(latency={"sigma": 0.001}), None,
+                 "unknown key latency.sigma", id="latency"),
+    *[pytest.param(explicit_schedule_without(key), None,
+                   f"missing key schedule.{key}", id=f"schedule-without-{key}")
+      for key in ("ground_truth_mm", "press_index", "repetition")],
+    pytest.param(None, {"models": []}, "missing key cameras",
+                 id="models-without-cameras"),
+    pytest.param(None, {"cameras": [CAMERA]},
+                 "cameras must list exactly 2 camera models",
+                 id="models-one-camera"),
+    pytest.param(None, [CAMERA] * 3,
+                 "cameras must list exactly 2 camera models",
+                 id="models-three-cameras"),
+]
+
+
 class TestSimulate:
     def test_writes_streams_and_manifest(self, sim_dir):
         tmp, _ = sim_dir
@@ -101,6 +146,29 @@ class TestLocalize:
         errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert [r.getMessage() for r in errors] == ["unknown key sync.tap_interval"]
         assert errors[0].exc_info is None
+
+    @pytest.mark.parametrize("edit, models, message", BAD_INPUTS)
+    def test_bad_input_exit_2(self, sim_dir, tmp_path, caplog, edit, models,
+                              message):
+        tmp, cfgp = sim_dir
+        doc = json.loads(cfgp.read_text())
+        if edit is not None:
+            edit(doc)
+        bad = tmp / f"bad_{tmp_path.name}.json"
+        bad.write_text(json.dumps(doc))
+        args = ["localize", "--config", str(bad), "--out", str(tmp_path / "out")]
+        if models is not None:
+            mp = tmp_path / "models.json"
+            mp.write_text(json.dumps(models))
+            args += ["--models", str(mp)]
+        caplog.set_level(logging.INFO, logger="tacloc")
+        assert main(args) == 2
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0].getMessage().endswith(message)
+        assert errors[0].exc_info is None
+        # rejected before any event file is read
+        assert not [r for r in caplog.records if "stage read" in r.getMessage()]
 
     def test_determinism_and_threads(self, sim_dir, tmp_path):
         tmp, cfgp = sim_dir

@@ -20,8 +20,7 @@ class TestEventFiles:
         p = tmp_path / "a.csv"
         p.write_text("t_us,u,v,polarity\n1000,320,240,1\n")
         s = read_events(p, 1)
-        ev = s.event(0)
-        assert (ev.t_us, ev.u, ev.v, ev.polarity) == (1000, 320, 240, 1)
+        assert (s.t[0], s.u[0], s.v[0], s.polarity[0]) == (1000, 320, 240, 1)
 
     def test_csv_headerless(self, tmp_path):
         p = tmp_path / "a.csv"

@@ -5,8 +5,7 @@ import pytest
 
 from tacloc.events import EventStream
 from tacloc.ingest import PressSchedule, make_schedule
-from tacloc.segment import (press_events, refine_onset,
-                            segment_by_schedule, trial_manifest)
+from tacloc.segment import press_events, segment_by_schedule
 from tacloc.synth import SynthSpec, generate
 
 from .conftest import small_layout
@@ -92,50 +91,3 @@ class TestSegmentBySchedule:
         trials = segment_by_schedule(empty, empty, schedule, baseline_s=0.3)
         for prev, tr in zip(trials, trials[1:]):
             assert tr.baseline_t0_s >= prev.t1_s - 1e-12
-
-
-class TestRefineOnset:
-    def _trial_with_burst(self, start_offset_s, seed):
-        from tacloc.synth import RateProfile
-        # sharp-onset burst so the rate step sits at the true start
-        layout, schedule, spec, s1, s2, man = simulated(
-            seed=seed, cols=2, rows=1, period=3.0,
-            burst_events_per_press_per_camera=4000.0,
-            background_rate_per_camera=300.0,
-            rate_profile=RateProfile(0.0, 0.8, 0.2))
-        trials = segment_by_schedule(s1, s2, schedule, baseline_s=0.3,
-                                     anchor_s=spec.tap_start_s + start_offset_s)
-        return trials[0]
-
-    def test_late_burst_recovered(self):
-        # nominal onset placed 80 ms before the true burst start
-        tr = self._trial_with_burst(-0.080, seed=3)
-        refined = refine_onset(tr, bin_s=0.010)
-        true_t0 = tr.t0_s + 0.080
-        assert abs(refined - true_t0) <= 0.011
-
-    def test_no_burst_unchanged(self):
-        layout = small_layout(2, 1)
-        schedule = make_schedule(layout, repetitions=1)
-        rng = np.random.default_rng(1)
-        n = 60_000  # dense enough that Poisson noise stays under 3x mean
-        t = np.sort(rng.integers(0, 20_000_000, n))
-        s = EventStream(1, t, rng.integers(0, 640, n),
-                        rng.integers(200, 361, n), rng.integers(0, 2, n))
-        trials = segment_by_schedule(s, s, schedule, baseline_s=0.3, anchor_s=2.0)
-        assert refine_onset(trials[0]) == trials[0].t0_s
-
-    def test_aligned_burst_within_one_bin(self):
-        tr = self._trial_with_burst(0.0, seed=4)
-        assert abs(refine_onset(tr, bin_s=0.010) - tr.t0_s) <= 0.010
-
-
-def test_trial_manifest_shape():
-    layout, schedule, spec, s1, s2, man = simulated(seed=9)
-    trials = segment_by_schedule(s1, s2, schedule, baseline_s=0.3,
-                                 anchor_s=spec.tap_start_s)
-    rows = trial_manifest(trials)
-    assert len(rows) == len(trials)
-    assert rows[0]["press_index"] == 0
-    assert rows[0]["n_events_cam1"] > 0
-    assert rows[0]["window_s"][1] > rows[0]["window_s"][0]

@@ -170,6 +170,6 @@ def test_end_to_end_small_grid_oracle():
     prepared = pipeline.prepare_run(s1, s2, cfg)
     report, results, _ = pipeline.run_localization(prepared, cfg)
     assert report.n_valid == 20
-    errs = [np.hypot(r.est_x_mm - r.gt_x_mm, r.est_y_mm - r.gt_y_mm)
-            for r in results if r.valid]
+    d = results.est_mm[results.valid] - results.gt_mm[results.valid]
+    errs = np.hypot(d[:, 0], d[:, 1])
     assert max(errs) < 1.0
