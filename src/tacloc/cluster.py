@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
 
 NOISE = -1
 
@@ -137,6 +136,8 @@ def _dbscan_pixel_grid(uniq, mult, first_index, params: DbscanParams):
     core components start from 8-connected labeling and components whose
     point sets still come within eps of each other are merged exactly.
     """
+    from scipy import ndimage  # here, not at import: latency never clusters
+
     m = uniq.shape[0]
     ui = uniq[:, 0].astype(np.int64)
     vi = uniq[:, 1].astype(np.int64)

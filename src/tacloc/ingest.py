@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import (DEFAULT_ROI, US_PER_S, EventStream, SensorLayout,
-                     event_rate_histogram, meander_grid)
+from .events import (DEFAULT_ROI, SENSOR_HEIGHT, SENSOR_WIDTH, US_PER_S,
+                     EventStream, SensorLayout, event_rate_histogram,
+                     meander_grid)
 from .geometry import CameraModel, FreeParams, default_models
 
 log = logging.getLogger(__name__)
@@ -128,42 +129,128 @@ def read_events(path, camera_id, fmt: str | None = None) -> EventStream:
     raise ValueError(f"unknown event format: {fmt}")
 
 
-def _read_csv(path: Path, camera_id) -> EventStream:
-    cols = [[], [], [], []]
-    malformed = 0
-    total = 0
+CSV_HEADER = "t_us,u,v,polarity"
+# every value a CSV column may hold: what EventStream stores and accepts
+CSV_RANGES = (("t_us", 0, 2**63 - 1), ("u", 0, SENSOR_WIDTH - 1),
+              ("v", 0, SENSOR_HEIGHT - 1), ("polarity", 0, 255))
+_NL, _COMMA, _MINUS = ord("\n"), ord(","), ord("-")
+_LINES_PER_BLOCK = 1 << 16
+_MAX_PLAIN_FIELD = 18  # digits and sign; any such value fits int64
 
-    def take(line):
-        nonlocal malformed, total
+
+def _plain_lines(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Which lines of ``buf`` are four plain decimals, ``-?[0-9]+`` joined
+    by commas, each at most ``_MAX_PLAIN_FIELD`` characters long.
+
+    ``buf`` holds whole lines, each ending in a newline, and ``starts``
+    the first byte of each. int() and np.fromstring read such a line the
+    same way. A byte is at fault when it is none of digit, comma, minus
+    or newline, a comma not between a digit and a field start, a minus
+    not between a field start and a digit, or a separator that ends a
+    field longer than the limit.
+    """
+    digit = (buf >= ord("0")) & (buf <= ord("9"))
+    comma = buf == _COMMA
+    minus = buf == _MINUS
+    newline = buf == _NL
+    fault = ~(digit | comma | minus | newline)
+    fault[0] |= comma[0]
+    fault[1:] |= comma[1:] & ~digit[:-1]
+    fault[:-1] |= comma[:-1] & ~(digit[1:] | minus[1:])
+    fault[1:] |= minus[1:] & ~(comma[:-1] | newline[:-1])
+    fault[:-1] |= minus[:-1] & ~digit[1:]
+    sep = np.flatnonzero(comma | newline)
+    fault[sep[np.diff(sep, prepend=-1) > _MAX_PLAIN_FIELD + 1]] = True
+    # separators per line: its commas and its newline
+    n_sep = np.diff(np.searchsorted(sep, np.append(starts[1:], len(buf))),
+                    prepend=0)
+    # each reduced segment is a line and its newline, so none is empty
+    return ~np.logical_or.reduceat(fault, starts) & (n_sep == 4)
+
+
+def _read_csv(path: Path, camera_id) -> EventStream:
+    """Events of a CSV file, by the line rule.
+
+    Each line is stripped and blank lines are skipped; the first line may
+    be the exact header; every other line must be four comma-separated
+    fields that int() accepts, or it counts as malformed. Lines of plain
+    decimals (see ``_plain_lines``), all of a file this module writes,
+    are parsed in C by np.fromstring; the rule runs in Python only on the
+    other lines.
+    """
+    raw = path.read_bytes()
+    if not raw.isascii():
+        raw.decode("utf-8")  # undecodable files fail as in text mode
+    # universal newlines, as text-mode reading translates them
+    data = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    del raw
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    edges = np.concatenate(([0], np.flatnonzero(buf == _NL) + 1))
+    n_lines = len(edges) - 1
+    # in blocks of lines, so that per-byte masks and copies stay small
+    fast = np.empty((n_lines, 4), dtype=np.int64)
+    n_fast = 0
+    plain = []
+    for i in range(0, n_lines, _LINES_PER_BLOCK):
+        e = edges[i:i + _LINES_PER_BLOCK + 1]
+        chunk = buf[e[0]:e[-1]]
+        ok = _plain_lines(chunk, e[:-1] - e[0])
+        if not ok.all():
+            chunk = chunk[np.repeat(ok, np.diff(e))]
+        vals = np.fromstring(chunk.tobytes().replace(b"\n", b","),
+                             dtype=np.int64, sep=",").reshape(-1, 4)
+        fast[n_fast:n_fast + len(vals)] = vals
+        n_fast += len(vals)
+        plain.append(ok)
+    fast = fast[:n_fast]
+    plain = np.concatenate(plain)
+    other = np.flatnonzero(~plain)
+    # the header line is optional; a bare data row is accepted
+    if len(other) and other[0] == 0 and (
+            data[:edges[1]].decode("utf-8").strip() == CSV_HEADER):
+        other = other[1:]
+
+    rows, row_lines = [], []
+    malformed = 0
+    total = len(fast)
+    for i in other.tolist():
+        line = data[edges[i]:edges[i + 1]].decode("utf-8").strip()
+        if not line:
+            continue
         total += 1
-        parts = line.split(",")
         try:
-            vals = [int(p) for p in parts]
+            vals = [int(p) for p in line.split(",")]
         except ValueError:
             malformed += 1
-            return
+            continue
         if len(vals) != 4:
             malformed += 1
-            return
-        for c, v in zip(cols, vals):
-            c.append(v)
-
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        # header line is optional; a bare data row is accepted
-        if first and first != "t_us,u,v,polarity":
-            take(first)
-        for line in fh:
-            line = line.strip()
-            if line:
-                take(line)
+            continue
+        rows.append(vals)
+        row_lines.append(i)
     if total and malformed / total > 0.01:
         raise FormatError(f"{path}: {malformed}/{total} malformed lines")
     if malformed:
         log.warning("%s: skipped %d malformed lines", path, malformed)
     if not total:
         log.warning("%s: empty event file", path)
-    return EventStream(camera_id, cols[0], cols[1], cols[2], cols[3])
+
+    for k, (name, lo, hi) in enumerate(CSV_RANGES):
+        col = [r[k] for r in rows]
+        if len(fast):
+            col += [int(fast[:, k].min()), int(fast[:, k].max())]
+        bad = [x for x in col if not lo <= x <= hi]
+        if bad:
+            raise FormatError(f"{path}: column {name} value {bad[0]} "
+                              f"outside [{lo}, {hi}]")
+    if rows:
+        lines = np.concatenate((np.flatnonzero(plain), row_lines))
+        fast = np.concatenate((fast, np.array(rows, dtype=np.int64)))
+        fast = fast[np.argsort(lines)]
+    return EventStream(camera_id, fast[:, 0], fast[:, 1], fast[:, 2],
+                       fast[:, 3])
 
 
 def _read_binary(path: Path, camera_id) -> EventStream:
@@ -192,7 +279,7 @@ def write_events(stream: EventStream, path, fmt: str = "bin") -> None:
     path = Path(path)
     if fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t_us,u,v,polarity\n")
+            fh.write(CSV_HEADER + "\n")
             for t, u, v, p in zip(stream.t, stream.u, stream.v, stream.polarity):
                 fh.write(f"{t},{u},{v},{p}\n")
         return
@@ -337,9 +424,16 @@ def _section(doc: dict, name: str, allowed) -> dict:
 
 
 def camera_pair(cams) -> tuple[CameraModel, CameraModel]:
-    """The two camera models of a ``cameras`` list."""
+    """The two camera models of a ``cameras`` list, each entry giving
+    every CameraModel parameter."""
     if not isinstance(cams, list) or len(cams) != 2:
         raise FormatError("cameras must list exactly 2 camera models")
+    for i, cam in enumerate(cams):
+        if not isinstance(cam, dict):
+            raise FormatError(f"cameras[{i}] must be a JSON object")
+        for f in fields(CameraModel):
+            if f.name not in cam:
+                raise FormatError(f"missing key cameras[{i}].{f.name}")
     return CameraModel.from_dict(cams[0]), CameraModel.from_dict(cams[1])
 
 

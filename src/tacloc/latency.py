@@ -166,23 +166,75 @@ def cusum_onsets(series, baseline: BaselineStats,
     return np.asarray(onsets)
 
 
-def trial_onset(trial: PressTrial, params: CusumParams) -> float | None:
-    """First detected onset inside the trial window, in seconds after t0."""
-    base_times = merge_times_s(baseline_events(trial, 1), baseline_events(trial, 2))
-    press_times = merge_times_s(press_events(trial, 1), press_events(trial, 2))
+def _trial_series(trial: PressTrial,
+                  params: CusumParams) -> tuple[SmoothedSeries, BaselineStats]:
+    """A trial's smoothed press-window series and its baseline statistics.
+
+    A zero-length baseline window falls back to one event per bin.
+    """
     if trial.baseline_t1_s - trial.baseline_t0_s <= 0:
         base = BaselineStats(1.0 / params.bin_s, math.sqrt(1.0 / params.bin_s))
     else:
+        base_times = merge_times_s(baseline_events(trial, 1),
+                                   baseline_events(trial, 2))
         base_series = smoothed_rate(base_times, trial.baseline_t0_s,
                                     trial.baseline_t1_s, params.bin_s,
                                     params.sigma_s)
         base = baseline_stats(base_series)
+    press_times = merge_times_s(press_events(trial, 1), press_events(trial, 2))
     series = smoothed_rate(press_times, trial.t0_s, trial.t1_s,
                            params.bin_s, params.sigma_s)
+    return series, base
+
+
+def trial_onset(trial: PressTrial, params: CusumParams) -> float | None:
+    """First detected onset inside the trial window, in seconds after t0."""
+    series, base = _trial_series(trial, params)
     onsets = cusum_onsets(series, base, params)
     if not len(onsets):
         return None
     return float(onsets[0]) - trial.t0_s
+
+
+def _first_alarms(series, baseline: BaselineStats, params: CusumParams,
+                  hs: np.ndarray) -> np.ndarray:
+    """The bin of ``cusum_onsets``' first alarm at every h in ``hs``, -1
+    where there is none.
+
+    The first alarm is the first bin i whose statistic exceeds h * sd for
+    m bins in a row, i.e. where the minimum over bins i..i+m-1 exceeds
+    it. The running maximum of that minimum is non-decreasing and does not
+    depend on h, so one searchsorted places every threshold.
+    """
+    mu0 = baseline.mean
+    mu1 = params.rate_multiplier * mu0
+    drift = 0.5 * (mu0 + mu1)
+    c = np.cumsum(series.rates - drift)
+    s = c - np.minimum.accumulate(np.minimum(c, 0.0))
+    m = params.min_consecutive_bins
+    if len(s) < m:
+        return np.full(len(hs), -1)
+    if m > 1:
+        s = np.lib.stride_tricks.sliding_window_view(s, m).min(axis=1)
+    envelope = np.maximum.accumulate(s)
+    idx = np.searchsorted(envelope, hs * baseline.sd, side="right")
+    return np.where(idx < len(envelope), idx, -1)
+
+
+def _grid_onsets(press_trials, params: CusumParams,
+                 hs: np.ndarray) -> np.ndarray:
+    """``trial_onset`` of every trial at every h, nan where none.
+
+    Rows follow ``hs``, columns the trials; each trial is binned,
+    smoothed and run through the CUSUM once.
+    """
+    onsets = np.full((len(hs), len(press_trials)), np.nan)
+    for j, trial in enumerate(press_trials):
+        series, base = _trial_series(trial, params)
+        first = _first_alarms(series, base, params, hs)
+        hit = first >= 0
+        onsets[hit, j] = (series.t0_s + first[hit] * series.bin_s) - trial.t0_s
+    return onsets
 
 
 def _tpr_at(onsets: list[float | None], window_s: float) -> tuple[float, float]:
@@ -210,21 +262,29 @@ class TuneResult:
     roc: list[RocPoint]
 
 
-def background_alarm_rate(snippets, params: CusumParams) -> float:
-    """Alarms per second over background-only snippets, with cooldown.
+def _snippet_series(snippets, params: CusumParams):
+    """(series, baseline) of every non-empty background snippet, and the
+    snippets' total duration in seconds.
 
     Each snippet provides its own baseline statistics (it contains no
     stimulus by construction).
     """
-    total_alarms = 0
+    out = []
     total_s = 0.0
     for t0, t1, times in snippets:
         if t1 - t0 <= 0:
             continue
         series = smoothed_rate(times, t0, t1, params.bin_s, params.sigma_s)
-        base = baseline_stats(series)
-        total_alarms += len(cusum_onsets(series, base, params))
+        out.append((series, baseline_stats(series)))
         total_s += t1 - t0
+    return out, total_s
+
+
+def background_alarm_rate(snippets, params: CusumParams) -> float:
+    """Alarms per second over background-only snippets, with cooldown."""
+    background, total_s = _snippet_series(snippets, params)
+    total_alarms = sum(len(cusum_onsets(series, base, params))
+                       for series, base in background)
     return total_alarms / total_s if total_s > 0 else 0.0
 
 
@@ -246,22 +306,33 @@ def tune_threshold(press_trials, background_snippets, params: CusumParams,
     The TPR counts trials whose detected onset falls within the
     acceptance window of the population median onset at that h. The ROC
     (h, TPR, background false-alarm rate) is reported for every grid
-    point.
+    point. Binning, smoothing, baselines and the CUSUM statistic do not
+    depend on h, so they are computed once per trial and snippet; the
+    results equal a per-h loop over ``trial_onset`` and
+    ``background_alarm_rate``.
     """
     if len(press_trials) < 20:
         raise ValueError("need at least 20 press trials to tune")
     if h_grid is None:
         h_grid = np.geomspace(0.1, 1000.0, 60)
+    hs = np.array([float(h) for h in h_grid], dtype=np.float64)
+    onsets = _grid_onsets(press_trials, params, hs)
+    # only a snippet with a first alarm at h needs the full CUSUM run
+    background, total_s = _snippet_series(background_snippets, params)
+    alarmed = [_first_alarms(series, base, params, hs) >= 0
+               for series, base in background]
     roc = []
     best = None
-    for h in h_grid:
-        p = replace(params, h=float(h))
-        onsets = [trial_onset(t, p) for t in press_trials]
-        tpr, _ = _tpr_at(onsets, p.detect_window_s)
-        fa = background_alarm_rate(background_snippets, p)
-        roc.append(RocPoint(float(h), tpr, fa))
+    for i, h in enumerate(hs.tolist()):
+        p = replace(params, h=h)
+        detected = [None if math.isnan(o) else o for o in onsets[i].tolist()]
+        tpr, _ = _tpr_at(detected, p.detect_window_s)
+        alarms = sum(len(cusum_onsets(series, base, p))
+                     for (series, base), a in zip(background, alarmed) if a[i])
+        fa = alarms / total_s if total_s > 0 else 0.0
+        roc.append(RocPoint(h, tpr, fa))
         if tpr >= min_tpr:
-            best = RocPoint(float(h), tpr, fa)
+            best = roc[-1]
     if best is None:
         top = max(roc, key=lambda r: r.tpr)
         raise TuningError(

@@ -3,11 +3,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tacloc
 from tacloc import latency
 from tacloc.cli import main
 
@@ -84,6 +88,11 @@ BAD_INPUTS = [
     pytest.param(None, [CAMERA] * 3,
                  "cameras must list exactly 2 camera models",
                  id="models-three-cameras"),
+    pytest.param(lambda d: d.update(cameras=[{"x_mm": 0}, {"x_mm": 100}]),
+                 None, "missing key cameras[0].y_mm",
+                 id="cameras-missing-parameter"),
+    pytest.param(None, [CAMERA, {k: v for k, v in CAMERA.items() if k != "k1"}],
+                 "missing key cameras[1].k1", id="models-missing-parameter"),
 ]
 
 
@@ -169,6 +178,21 @@ class TestLocalize:
         assert errors[0].exc_info is None
         # rejected before any event file is read
         assert not [r for r in caplog.records if "stage read" in r.getMessage()]
+
+    def test_out_of_range_csv_value_exit_2(self, tmp_path, caplog):
+        cfgp = base_config(tmp_path, files={"cam1": "cam1.csv",
+                                            "cam2": "cam2.csv",
+                                            "format": "csv"})
+        (tmp_path / "cam1.csv").write_text(
+            "t_us,u,v,polarity\n1000,320,240,1\n2000,40000,240,1\n")
+        (tmp_path / "cam2.csv").write_text("t_us,u,v,polarity\n1000,1,2,1\n")
+        caplog.set_level(logging.INFO, logger="tacloc")
+        assert main(["localize", "--config", str(cfgp),
+                     "--out", str(tmp_path / "out")]) == 2
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert [r.getMessage() for r in errors] == [
+            f"{tmp_path / 'cam1.csv'}: column u value 40000 outside [0, 639]"]
+        assert errors[0].exc_info is None
 
     def test_determinism_and_threads(self, sim_dir, tmp_path):
         tmp, cfgp = sim_dir
@@ -281,3 +305,14 @@ class TestLatencyCmd:
                      "--tune"]) == 0
         assert json.loads((out / "latency.json").read_text())["h_used"] < 1e9
         assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+
+
+def test_cli_import_leaves_out_scipy_ndimage():
+    # commands that never cluster do not pay for importing scipy.ndimage
+    src = str(Path(tacloc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, tacloc.cli; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

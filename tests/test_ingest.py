@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tacloc.ablate import thin
 from tacloc.events import EventStream, US_PER_S
-from tacloc.ingest import (FormatError, PressSchedule, SyncError, SyncSpec,
-                           align_streams, detect_sync_taps, load_config,
-                           make_schedule, read_events, write_events)
+from tacloc.ingest import (CSV_RANGES, FormatError, PressSchedule, SyncError,
+                           SyncSpec, align_streams, detect_sync_taps,
+                           load_config, make_schedule, read_events,
+                           write_events)
 from tacloc.synth import SynthSpec, generate
 
 from .conftest import small_layout, uniform_stream
@@ -93,6 +98,122 @@ class TestEventFiles:
             p = tmp_path / f"e.{fmt}"
             write_events(s, p, fmt)
             assert len(read_events(p, 1, fmt)) == 0
+
+
+def _line_rule(path):
+    """Columns, malformed and non-blank line counts of a CSV file by the
+    documented line rule, one line at a time."""
+    cols = [[], [], [], []]
+    malformed = total = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for i, line in enumerate(fh):
+            line = line.strip()
+            if not line or (i == 0 and line == "t_us,u,v,polarity"):
+                continue
+            total += 1
+            try:
+                vals = [int(p) for p in line.split(",")]
+            except ValueError:
+                malformed += 1
+                continue
+            if len(vals) != 4:
+                malformed += 1
+                continue
+            for c, v in zip(cols, vals):
+                c.append(v)
+    return cols, malformed, total
+
+
+def _assert_rule_columns(stream, cols):
+    """The stream holds the rule's rows, stably sorted by timestamp."""
+    order = np.argsort(np.asarray(cols[0], dtype=np.int64), kind="stable")
+    for got, want in zip((stream.t, stream.u, stream.v, stream.polarity),
+                         cols):
+        assert np.array_equal(got, np.asarray(want, dtype=np.int64)[order])
+
+
+_ODD_LINES = ["", "   ", "\t", "# comment", "t_us,u,v,polarity", "1,2,3,4,",
+              ",1,2,3", "1,,2,3", "1,2,3,-", "-1,2,3,4-", "1,2,3", "1,2,3,4,5",
+              " 1 , 2 , 3 , 4 ", "1,2,3,+4", "1_000,2,3,4", "1,2,3,4#",
+              "\u0661,2,3,4", "0,2,3," + "0" * 30 + "1", "-0,2,3,4"]
+_ODD_FIELDS = [" 7", "7 ", "\t12", "+3", "-0", "007", "1_000", "\u0661",
+               "#", "# 5", "", "-", "--1", "1-2", "1.0", "0x10", "9" * 19,
+               "9" * 25, "-" + "9" * 19, "0" * 30 + "5", "40000", "480"]
+
+
+@st.composite
+def _csv_documents(draw):
+    """CSV text mixing plain rows with lines the plain-decimal test must
+    leave to the line rule."""
+    plain = st.tuples(st.integers(0, 2**40), st.integers(0, 639),
+                      st.integers(0, 479), st.integers(0, 1)).map(
+        lambda r: ",".join(map(str, r)))
+    field = st.one_of(st.integers(-10, 10**6).map(str),
+                      st.sampled_from(_ODD_FIELDS))
+    odd = st.one_of(
+        st.lists(field, min_size=3, max_size=5).map(",".join),
+        st.sampled_from(_ODD_LINES))
+    lines = draw(st.lists(plain, max_size=250))
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(odd))
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(
+            ["t_us,u,v,polarity", " t_us,u,v,polarity\t", "t_us,u,v"])))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines)
+    return text + newline if draw(st.booleans()) else text
+
+
+class TestCsvLineRule:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_csv_documents())
+    def test_matches_line_rule(self, tmp_path, caplog, doc):
+        p = tmp_path / "f.csv"
+        p.write_bytes(doc.encode("utf-8"))
+        cols, malformed, total = _line_rule(p)
+        too_many = total and malformed / total > 0.01
+        out_of_range = any(not lo <= x <= hi for (_, lo, hi), col
+                           in zip(CSV_RANGES, cols) for x in col)
+        caplog.clear()
+        if too_many or out_of_range:
+            with pytest.raises(FormatError):
+                read_events(p, 1)
+            return
+        with caplog.at_level(logging.WARNING, logger="tacloc.ingest"):
+            s = read_events(p, 1)
+        _assert_rule_columns(s, cols)
+        skipped = [r.getMessage() for r in caplog.records
+                   if "malformed" in r.getMessage()]
+        assert skipped == ([f"{p}: skipped {malformed} malformed lines"]
+                           if malformed else [])
+
+    @pytest.mark.parametrize("odd", _ODD_LINES)
+    def test_one_odd_line_in_many_matches_line_rule(self, tmp_path, odd):
+        p = tmp_path / "a.csv"
+        rows = [f"{i},{i % 640},{i % 480},1" for i in range(150)]
+        rows.insert(70, odd)
+        p.write_text("\n".join(rows) + "\n")
+        _assert_rule_columns(read_events(p, 1), _line_rule(p)[0])
+
+    @pytest.mark.parametrize("row, column", [
+        ("1000,40000,240,1", "u"), ("1000,640,240,1", "u"),
+        ("1000,320,-1,1", "v"), ("1000,320,240,256", "polarity"),
+        (f"{2**63},320,240,1", "t_us"), ("-5,320,240,1", "t_us")])
+    def test_out_of_range_value_names_file_and_column(self, tmp_path, row,
+                                                      column):
+        p = tmp_path / "a.csv"
+        p.write_text(f"t_us,u,v,polarity\n0,1,2,1\n{row}\n")
+        with pytest.raises(FormatError,
+                           match=re.escape(f"{p}: column {column} value")):
+            read_events(p, 1)
+
+    def test_plain_and_odd_lines_keep_file_order(self, tmp_path):
+        # equal timestamps keep the file order across both parse paths
+        p = tmp_path / "a.csv"
+        rows = [f"5,{u},1,0" if u % 3 else f" 5 , {u} ,1,0" for u in range(90)]
+        p.write_text("\n".join(rows) + "\n")
+        assert read_events(p, 1).u.tolist() == list(range(90))
 
 
 def _tap_run(seed=0, cam2_offset=0.0, background=800.0, taps_at=2.0):

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from tacloc.events import EventStream
-from tacloc.latency import (BaselineStats, CusumParams, TuningError,
-                            UndefinedReportError, baseline_stats, bin_times,
-                            cusum_onsets, gaussian_kernel, latency_report,
-                            smoothed_rate, trial_background_snippets,
+from tacloc.latency import (BaselineStats, CusumParams, RocPoint,
+                            SmoothedSeries, TuneResult, TuningError,
+                            UndefinedReportError, _first_alarms,
+                            _grid_onsets, _tpr_at, background_alarm_rate,
+                            baseline_stats, bin_times, cusum_onsets,
+                            gaussian_kernel, latency_report, smoothed_rate,
+                            trial_background_snippets, trial_onset,
                             tune_threshold)
 from tacloc.segment import PressTrial
 
@@ -162,6 +165,110 @@ class TestTuneThreshold:
         trials, _ = jittered_trials(rng, 5, idle_rate=1000.0, press_rate=9000.0)
         with pytest.raises(ValueError):
             tune_threshold(trials, [], PARAMS)
+
+
+def tune_by_h(trials, snippets, params, h_grid, min_tpr=0.95):
+    """The per-h loop over trial_onset and background_alarm_rate: the
+    oracle for tune_threshold. Returns (result or TuningError, onsets)."""
+    roc, best, onsets = [], None, []
+    for h in h_grid:
+        p = replace(params, h=float(h))
+        row = [trial_onset(t, p) for t in trials]
+        tpr, _ = _tpr_at(row, p.detect_window_s)
+        point = RocPoint(float(h), tpr, background_alarm_rate(snippets, p))
+        roc.append(point)
+        onsets.append(row)
+        if tpr >= min_tpr:
+            best = point
+    if best is None:
+        top = max(roc, key=lambda r: r.tpr)
+        return TuningError("", best_tpr=top.tpr, best_h=top.h), onsets
+    return TuneResult(best.h, best.tpr, roc), onsets
+
+
+def without_baseline(trial):
+    """The trial with a zero-length baseline window."""
+    return PressTrial(trial.press_index, trial.repetition, trial.t0_s,
+                      trial.t1_s, trial.t0_s, trial.t0_s, trial.events_cam1,
+                      trial.events_cam2, trial.ground_truth_mm)
+
+
+class TestTuneOracle:
+    GRID = np.geomspace(0.1, 1000.0, 60)
+
+    @staticmethod
+    def bursty_snippets(rng, n=8, duration_s=1.0, idle_rate=3000.0):
+        """Snippets with a few short bursts each, so that alarm counts,
+        resets and cooldowns vary along the grid."""
+        out = []
+        for i in range(n):
+            t0 = 1000.0 + 10.0 * i
+            parts = [rng.uniform(t0, t0 + duration_s,
+                                 rng.poisson(idle_rate * duration_s))]
+            for b in rng.uniform(t0, t0 + duration_s - 0.05, 1 + i % 4):
+                parts.append(rng.uniform(b, b + 0.02,
+                                         rng.poisson(rng.uniform(100, 800))))
+            out.append((t0, t0 + duration_s, np.sort(np.concatenate(parts))))
+        return out
+
+    def check(self, trials, params, h_grid):
+        rng = np.random.default_rng(len(trials))
+        snippets = (trial_background_snippets(trials)
+                    + self.bursty_snippets(rng))
+        want, want_onsets = tune_by_h(trials, snippets, params, h_grid)
+        got_onsets = _grid_onsets(trials, params,
+                                  np.array([float(h) for h in h_grid]))
+        assert [[None if np.isnan(o) else o for o in row]
+                for row in got_onsets.tolist()] == want_onsets
+        if isinstance(want, TuningError):
+            with pytest.raises(TuningError) as err:
+                tune_threshold(trials, snippets, params, h_grid=h_grid)
+            assert (err.value.best_tpr, err.value.best_h) == (want.best_tpr,
+                                                              want.best_h)
+        else:
+            assert tune_threshold(trials, snippets, params,
+                                  h_grid=h_grid) == want
+        return want_onsets
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_equals_per_h_loop(self, m):
+        rng = np.random.default_rng(20 + m)
+        trials, _ = jittered_trials(rng, 22, idle_rate=3000.0,
+                                    press_rate=7000.0)
+        trials[5] = without_baseline(trials[5])
+        onsets = self.check(trials, replace(PARAMS, min_consecutive_bins=m),
+                            self.GRID)
+        # every trial is detected at small h, most are missed at large h
+        assert all(o is not None for o in onsets[0])
+        assert sum(o is None for o in onsets[-1]) > 15
+
+    def test_unsorted_grid(self):
+        rng = np.random.default_rng(23)
+        trials, _ = jittered_trials(rng, 20, idle_rate=3000.0,
+                                    press_rate=7000.0)
+        self.check(trials, PARAMS, list(rng.permutation(self.GRID[::3])))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_first_alarm_at_exact_ties(self, m):
+        # integer rates make the statistic hit h * sd exactly
+        rates = np.array([3.5, 3.5, 1.0, 3.5, 4.5, 3.5, 3.5, 6.5, 2.5, 3.5])
+        series = SmoothedSeries(0.0, 0.5, np.zeros(10, dtype=np.int64),
+                                rates * 0.5)
+        base = BaselineStats(1.0, 1.0)
+        params = replace(PARAMS, min_consecutive_bins=m)
+        hs = np.arange(0.0, 8.0, 0.5)
+        first = _first_alarms(series, base, params, hs)
+        for h, i in zip(hs.tolist(), first.tolist()):
+            want = cusum_onsets(series, base, replace(params, h=h))
+            assert (i * 0.5 if i >= 0 else None) == (
+                float(want[0]) if len(want) else None)
+
+    def test_tuning_error_matches(self):
+        rng = np.random.default_rng(24)
+        trials, _ = jittered_trials(rng, 20, idle_rate=2000.0,
+                                    press_rate=2000.0)
+        trials[0] = without_baseline(trials[0])
+        self.check(trials, PARAMS, self.GRID[::4])
 
 
 class TestLatencyReport:
