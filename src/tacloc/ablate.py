@@ -110,20 +110,26 @@ def _mean_cluster_size(table: TrialTable) -> float:
 
 
 def run_sweep(prepared: PreparedRun, cfg: RunConfig, models,
-              factors, seeds, reference_p95_mm: float,
+              factors, seeds, baseline: tuple[EvaluationReport, TrialTable],
               threads: int = 1) -> AblationSweep:
     """Re-run the evaluation pipeline at each (factor, seed) cell.
 
-    Models and the reference error percentile stay fixed at their
-    unthinned (k = 1) values; k = 1 cells are computed once since
-    thinning with k = 1 is the identity. Per-press failures inside a
-    cell are recorded as exclusions, never raised.
+    ``baseline`` is the unthinned run's ``(report, table)`` with the same
+    models; since thinning with k = 1 is the identity, every k = 1 cell is
+    that run. Models and the reference error percentile stay fixed at
+    their unthinned values. Per-press failures inside a cell are recorded
+    as exclusions, never raised.
     """
     factors = tuple(int(k) for k in factors)
     seeds = tuple(int(s) for s in seeds)
     params = cluster_params(cfg)
+    base_report, base_table = baseline
+    reference_p95_mm = base_report.reference_p95_mm
+    base_size = _mean_cluster_size(base_table)
 
     def evaluate_cell(k: int, seed: int) -> SweepCell:
+        if k == 1:
+            return SweepCell(1, seed, base_report, base_size)
         s1 = thin(prepared.s1, k, seed)
         s2 = thin(prepared.s2, k, seed)
         trials = segment_by_schedule(s1, s2, cfg.schedule,
@@ -138,15 +144,5 @@ def run_sweep(prepared: PreparedRun, cfg: RunConfig, models,
             report = empty_report(len(table), reference_p95_mm)
         return SweepCell(k, seed, report, _mean_cluster_size(table))
 
-    cells = []
-    baseline_cell = None
-    for k in factors:
-        for seed in seeds:
-            if k == 1:
-                if baseline_cell is None:
-                    baseline_cell = evaluate_cell(1, seeds[0] if seeds else 0)
-                cells.append(SweepCell(1, seed, baseline_cell.report,
-                                       baseline_cell.mean_cluster_size))
-            else:
-                cells.append(evaluate_cell(k, seed))
+    cells = [evaluate_cell(k, seed) for k in factors for seed in seeds]
     return AblationSweep(factors, seeds, cells, reference_p95_mm)

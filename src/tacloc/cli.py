@@ -209,12 +209,11 @@ def cmd_ablate(args) -> list[Path]:
     models = _models_override(args) or cfg.camera_models
     prepared = _prepare(cfg)
     with _stage("baseline"):
-        report, _, _ = pipeline.run_localization(
+        report, table, _ = pipeline.run_localization(
             prepared, cfg, models=models, threads=args.threads)
     with _stage("sweep"):
         sweep = ablate_mod.run_sweep(prepared, cfg, models, factors, seeds,
-                                     reference_p95_mm=report.reference_p95_mm,
-                                     threads=args.threads)
+                                     (report, table), threads=args.threads)
     p_csv = out_dir / "ablation.csv"
     p_json = out_dir / "ablation_curve.json"
     _write_csv(p_csv, sweep.csv_rows(),

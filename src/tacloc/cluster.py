@@ -17,13 +17,31 @@ Clustering semantics (shared by every implementation path):
   numbered by the smallest input index among their core points.
 
 Two accelerated paths implement these semantics: a pixel-grid path for
-integer coordinates (prefix-summed disk counts on the count image) and
-a bucket-grid path for general coordinates (eps-sized cells, neighbor
-candidates from the 3x3 block). ``dbscan`` picks the path from the raw
-points, before removing duplicates: the pixel path compresses through
-one packed int64 key per point, the bucket path through a row-wise
-``np.unique``. ``dbscan_brute`` is the independent O(n^2) reference
-used in tests.
+integer coordinates and a bucket-grid path for general coordinates
+(eps-sized cells, neighbor candidates from the 3x3 block). ``dbscan``
+picks the path from the raw points, before removing duplicates: the
+pixel path compresses through one packed int64 key per point, the
+bucket path through a row-wise ``np.unique``. ``dbscan_brute`` is the
+independent O(n^2) reference used in tests.
+
+The pixel path has no Python loop over components or disk offsets, in
+the spirit of de Berg, Gunawan & Roeloffzen (2017): merge what is
+surely connected, then test distances only where components may touch.
+
+1. Core counts: prefix sums along u of the multiplicity image, summed
+   over the 2e + 1 disk rows (e = floor(eps)).
+2. Crop: later images cover the core bounding box +- 2e; non-core
+   points beyond +- e of it are noise.
+3. Pre-merge: the core image is dilated by the integer disk of radius
+   r = floor((eps - sqrt(2)) / 2) and labeled with 8-connectivity; cores
+   of one label are at most 2r + sqrt(2) <= eps apart link by link.
+4. Frontier: one prefix-summed stack of (core, label, label^2) gives
+   sum (l - L)^2 over each core's disk; where it is nonzero, a core of
+   another label is within eps. Half-disk gathers from these cores give
+   the label pairs to join, and connected components close them.
+5. Border: each non-core point near the cores gathers every disk offset
+   in (d^2, du, dv) order at once; the first core hit is the nearest,
+   with the canonical tie-break.
 """
 
 from __future__ import annotations
@@ -117,108 +135,146 @@ def _renumber(comp, core_mask, first_index, m):
 
 @lru_cache(maxsize=16)
 def _disk(eps: float):
-    """Integer offsets within eps, sorted by (d^2, du, dv), plus halfwidths."""
+    """Integer offsets ``(d^2, du, dv)`` within eps in that order, the
+    row span ``dv_range`` and its halfwidths, and ``e = floor(eps)``."""
     e = int(math.floor(eps))
     e2 = eps * eps
-    offs = sorted((du * du + dv * dv, du, dv)
-                  for du in range(-e, e + 1) for dv in range(-e, e + 1)
-                  if du * du + dv * dv <= e2)
+    offs = np.array(sorted((du * du + dv * dv, du, dv)
+                           for du in range(-e, e + 1) for dv in range(-e, e + 1)
+                           if du * du + dv * dv <= e2), dtype=np.int64)
     dv_range = np.arange(-e, e + 1)
     halfwidth = np.floor(np.sqrt(np.maximum(e2 - dv_range.astype(float) ** 2, 0.0))
                          ).astype(np.int64)
     return offs, dv_range, halfwidth, e
 
 
-def _dbscan_pixel_grid(uniq, mult, first_index, params: DbscanParams):
-    """Exact DBSCAN on integer pixels via prefix-summed disk counts.
+def _disk_sum(pu, pv, values, shape, dv_range, halfwidth):
+    """Sums of ``values`` (one row per point, or one value) over the disk
+    around each point (pu, pv) of an image of ``shape``, from prefix sums
+    along u. Every disk must lie inside the image."""
+    w, h = shape
+    prefix = np.zeros((w + 1, h) + values.shape[1:], dtype=values.dtype)
+    prefix[pu + 1, pv] = values
+    np.cumsum(prefix, axis=0, out=prefix, dtype=prefix.dtype)
+    hi = (halfwidth + 1) * h + dv_range
+    lo = dv_range - halfwidth * h
+    total = np.empty(values.shape, dtype=np.int64)
+    for i, g in _gather_rows(prefix.reshape((-1,) + values.shape[1:]), pu * h + pv,
+                             np.concatenate([hi, lo])):
+        total[i:i + len(g)] = g[:, :len(hi)].sum(axis=1) - g[:, len(hi):].sum(axis=1)
+    return total
 
-    Neighbor totals come from row prefix sums of the multiplicity image;
-    core components start from 8-connected labeling and components whose
-    point sets still come within eps of each other are merged exactly.
-    """
+
+def _dilate(img, r: int):
+    """``img`` dilated by the integer disk of radius r; its outer r rows
+    and columns must be empty."""
+    _, dv_range, halfwidth, _ = _disk(float(r))
+    w, h = img.shape
+    prefix = np.zeros((w + 1, h), dtype=np.int32)
+    np.cumsum(img, axis=0, out=prefix[1:], dtype=np.int32)
+    out = np.zeros_like(img)
+    for dv, hw in zip(dv_range, halfwidth):
+        hit = prefix[2 * hw + 1:] > prefix[:w - 2 * hw]  # rows hw .. w - hw - 1
+        out[hw:w - hw, max(0, -dv):h - max(0, dv)] |= hit[:, max(0, dv):h + min(0, dv)]
+    return out
+
+
+def _gather_rows(flat, at, steps):
+    """``flat[at[i] + steps]`` for each i, in chunks of about 2^18 cells."""
+    chunk = max(1, (1 << 18) // len(steps))
+    for i in range(0, len(at), chunk):
+        yield i, flat[at[i:i + chunk, None] + steps]
+
+
+def _components(n, src, dst):
+    """Smallest node of each node's connected component in the graph on
+    0..n-1 with edges (src, dst): roots hook to the smaller root across
+    each edge, then pointer jumping flattens the trees."""
+    comp = np.arange(n)
+    while True:
+        a, b = comp[src], comp[dst]
+        if np.array_equal(a, b):
+            return comp
+        np.minimum.at(comp, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(comp[comp], comp):
+            comp = comp[comp]
+
+
+def _dbscan_pixel_grid(uniq, mult, first_index, params: DbscanParams):
+    """Exact DBSCAN on integer pixels; see the module docstring."""
     from scipy import ndimage  # here, not at import: latency never clusters
 
     m = uniq.shape[0]
-    ui = uniq[:, 0].astype(np.int64)
-    vi = uniq[:, 1].astype(np.int64)
     offs, dv_range, halfwidth, e = _disk(params.eps)
-    u0, v0 = ui.min(), vi.min()
-    pu = ui - u0 + e
-    pv = vi - v0 + e
-    height = int(pv.max()) + e + 1
-    width = int(pu.max()) + e + 1
+    pu = uniq[:, 0].astype(np.int64)
+    pv = uniq[:, 1].astype(np.int64)
+    pu += e - pu.min()
+    pv += e - pv.min()
+    # images are indexed [u, v]; int32 counts halve the prefix image
+    counts = mult.astype(np.int32 if mult.sum() < 2**31 else np.int64)
+    core = _disk_sum(pu, pv, counts, (int(pu.max()) + e + 1, int(pv.max()) + e + 1),
+                     dv_range, halfwidth) >= params.min_samples
+    labels = np.full(m, NOISE, dtype=np.int64)
+    if not np.any(core):
+        return labels
 
-    img = np.zeros((height, width), dtype=np.int64)
-    img[pv, pu] = mult
-    prefix = np.zeros((height, width + 1), dtype=np.int64)
-    np.cumsum(img, axis=1, out=prefix[:, 1:])
-    pf = prefix.ravel()
+    # crop to the core bounding box +- 2e: non-core points beyond +- e of
+    # it are noise, and the outer e keeps their disks inside the crop
+    pu -= pu[core].min() - 2 * e
+    pv -= pv[core].min() - 2 * e
+    cu, cv = pu[core], pv[core]
+    width, height = int(cu.max()) + 2 * e + 1, int(cv.max()) + 2 * e + 1
+    core_img = np.zeros((width, height), dtype=bool)
+    core_img[cu, cv] = True
 
-    weight = np.zeros(m, dtype=np.int64)
-    stride = width + 1
-    for dv, w in zip(dv_range, halfwidth):
-        row = (pv + dv) * stride + pu
-        weight += pf[row + w + 1] - pf[row - w]
-    core = weight >= params.min_samples
+    # pre-merge: cores whose radius-r disks touch or are 8-adjacent lie
+    # at most 2r + sqrt(2) <= eps apart, so they share a cluster
+    r = int(math.floor((params.eps - _GRID_MIN_EPS) / 2))
+    grown = _dilate(core_img, r) if r else core_img
+    lab_img, n_lab = ndimage.label(grown, structure=np.ones((3, 3), dtype=np.int8))
+    lab = lab_img[cu, cv].astype(np.int64)
+    comp = lab - 1
+    if n_lab > 1:
+        # frontier: cores with a core of another label L' within eps, where
+        # sum (L' - L)^2 = S2 - 2 L S1 + L^2 N over the disk is nonzero; if
+        # that sum could leave int64, every core is on the frontier
+        front = np.arange(len(lab))
+        if len(offs) * n_lab ** 2 < 2**63:
+            planes = np.column_stack([np.ones_like(lab), lab, lab * lab])
+            n, s1, s2 = _disk_sum(cu, cv, planes, (width, height),
+                                  dv_range, halfwidth).T
+            front = np.flatnonzero(s2 - 2 * lab * s1 + lab * lab * n)
+        if len(front):
+            # each cross pair is seen from its first end in the half disk
+            half = offs[(offs[:, 1] > 0) | ((offs[:, 1] == 0) & (offs[:, 2] > 0))]
+            lab_flat = (lab_img * core_img).ravel()
+            src, dst = [], []
+            for i, hit in _gather_rows(lab_flat, cu[front] * height + cv[front],
+                                       half[:, 1] * height + half[:, 2]):
+                own = lab[front[i:i + len(hit)], None]
+                cross = (hit != 0) & (hit != own)
+                src.append(np.broadcast_to(own, hit.shape)[cross])
+                dst.append(hit[cross])
+            comp = _components(n_lab, np.concatenate(src) - 1,
+                                np.concatenate(dst) - 1)[comp]
+    full = np.full(m, -1, dtype=np.int64)
+    full[core] = comp
+    labels = _renumber(full, core, first_index, m)
 
-    comp = np.full(m, -1, dtype=np.int64)
-    if np.any(core):
-        core_img = np.zeros((height, width), dtype=bool)
-        core_img[pv[core], pu[core]] = True
-        lab, n_lab = ndimage.label(core_img, structure=np.ones((3, 3), dtype=np.int8))
-        comp_raw = lab[pv, pu] - 1  # -1 for non-core
-
-        parent = list(range(n_lab))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        if n_lab > 1:
-            # merge 8-disconnected components that still have point pairs
-            # within eps of each other
-            boxes = ndimage.find_objects(lab)
-            pts_of = [np.flatnonzero(core & (comp_raw == i)) for i in range(n_lab)]
-            for i in range(n_lab):
-                bi = boxes[i]
-                for j in range(i + 1, n_lab):
-                    if find(i) == find(j):
-                        continue
-                    bj = boxes[j]
-                    if (bi[0].start > bj[0].stop + e or bj[0].start > bi[0].stop + e
-                            or bi[1].start > bj[1].stop + e
-                            or bj[1].start > bi[1].stop + e):
-                        continue
-                    a = pts_of[i]
-                    b = pts_of[j]
-                    du = pu[a][:, None] - pu[b][None, :]
-                    dv = pv[a][:, None] - pv[b][None, :]
-                    if np.any(du * du + dv * dv <= params.eps * params.eps):
-                        parent[find(i)] = find(j)
-            roots = np.array([find(i) for i in range(n_lab)], dtype=np.int64)
-            comp[core] = roots[comp_raw[core]]
-        else:
-            comp[core] = comp_raw[core]
-
-    labels = _renumber(comp, core, first_index, m)
-
-    # border points: walk the disk offsets in (d^2, du, dv) order so the
-    # first core hit is the nearest one with the canonical tie-break
-    label_img = np.full((height, width), NOISE, dtype=np.int64)
-    if np.any(core):
-        label_img[pv[core], pu[core]] = labels[core]
-    unresolved = np.flatnonzero(~core)
-    for d2, du, dv in offs:
-        if not len(unresolved):
-            break
-        if d2 == 0:
-            continue
-        hit = label_img[pv[unresolved] + dv, pu[unresolved] + du]
-        got = hit != NOISE
-        labels[unresolved[got]] = hit[got]
-        unresolved = unresolved[~got]
+    # border points within e of the core box: gather every disk offset in
+    # (d^2, du, dv) order, so the first hit is the nearest core with the
+    # canonical tie-break
+    label_img = np.full((width, height), NOISE, dtype=np.int64)
+    label_img[cu, cv] = labels[core]
+    cand = np.flatnonzero(~core & (pu >= e) & (pu < width - e)
+                          & (pv >= e) & (pv < height - e))
+    for i, hit in _gather_rows(label_img.ravel(), pu[cand] * height + pv[cand],
+                               offs[1:, 1] * height + offs[1:, 2]):
+        found = hit != NOISE
+        first = found.argmax(axis=1)
+        rows = np.arange(len(hit))
+        got = found[rows, first]
+        labels[cand[i:i + len(hit)][got]] = hit[rows, first][got]
     return labels
 
 

@@ -130,7 +130,8 @@ def read_events(path, camera_id, fmt: str | None = None) -> EventStream:
 
 
 CSV_HEADER = "t_us,u,v,polarity"
-# every value a CSV column may hold: what EventStream stores and accepts
+# every value an event column may hold (CSV names): what EventStream
+# stores and accepts
 CSV_RANGES = (("t_us", 0, 2**63 - 1), ("u", 0, SENSOR_WIDTH - 1),
               ("v", 0, SENSOR_HEIGHT - 1), ("polarity", 0, 255))
 _NL, _COMMA, _MINUS = ord("\n"), ord(","), ord("-")
@@ -267,6 +268,11 @@ def _read_binary(path: Path, camera_id) -> EventStream:
         raise FormatError(f"{path}: header count {count} != {len(body)} records")
     if not count:
         log.warning("%s: empty event file", path)
+    cols = (body["t"], body["u"], body["v"], body["polarity"])
+    for (name, lo, hi), col in zip(CSV_RANGES, cols):
+        if count and not lo <= col.min() <= col.max() <= hi:
+            bad = col[(col < lo) | (col > hi)][0]
+            raise FormatError(f"{path}: column {name} value {bad} outside [{lo}, {hi}]")
     return EventStream(camera_id, body["t"], body["u"].astype(np.int16),
                        body["v"].astype(np.int16), body["polarity"])
 
@@ -278,10 +284,13 @@ def write_events(stream: EventStream, path, fmt: str = "bin") -> None:
     """
     path = Path(path)
     if fmt == "csv":
+        rows = np.column_stack([stream.t, stream.u, stream.v, stream.polarity])
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            for t, u, v, p in zip(stream.t, stream.u, stream.v, stream.polarity):
-                fh.write(f"{t},{u},{v},{p}\n")
+            # one C-level format per block of rows
+            for i in range(0, len(rows), _LINES_PER_BLOCK):
+                block = rows[i:i + _LINES_PER_BLOCK]
+                fh.write("%d,%d,%d,%d\n" * len(block) % tuple(block.ravel().tolist()))
         return
     if fmt == "bin":
         rec = np.zeros(len(stream), dtype=_RECORD_DTYPE)

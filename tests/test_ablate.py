@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from tacloc import ablate
 from tacloc.ablate import keep_mask, run_sweep, thin
 from tacloc.events import EventStream, crop_roi
 from tacloc.ingest import RunConfig, make_schedule
+from tacloc.segment import segment_by_schedule
 from tacloc.synth import SynthSpec, generate
 from tacloc import pipeline
 
@@ -87,24 +91,39 @@ def sweep_setup():
                      background_rate_per_camera=0.0)
     s1, s2, _ = generate(spec)
     prepared = pipeline.prepare_run(s1, s2, cfg)
-    report, _, _ = pipeline.run_localization(prepared, cfg)
-    return prepared, cfg, report
+    report, table, _ = pipeline.run_localization(prepared, cfg)
+    return prepared, cfg, report, table
 
 
 class TestRunSweep:
     def test_single_factor_equals_baseline(self, sweep_setup):
-        prepared, cfg, base = sweep_setup
+        prepared, cfg, base, table = sweep_setup
         sweep = run_sweep(prepared, cfg, cfg.camera_models, [1], [0, 1],
-                          reference_p95_mm=base.reference_p95_mm)
+                          (base, table))
         for cell in sweep.cells:
             assert cell.report.rmse_mm == base.rmse_mm
             assert cell.report.pass_rate_percent == base.pass_rate_percent
 
+    def test_k1_cell_is_the_unthinned_run(self, sweep_setup):
+        # the sweep takes its k = 1 cells from the baseline: thinning at
+        # k = 1 and re-scoring with the baseline's p95 reproduces it
+        prepared, cfg, base, table = sweep_setup
+        trials = segment_by_schedule(thin(prepared.s1, 1, 3), thin(prepared.s2, 1, 3),
+                                     cfg.schedule, baseline_s=cfg.baseline_s,
+                                     anchor_s=prepared.anchor_s)
+        again = pipeline.localize_trials(trials, cfg.camera_models,
+                                         pipeline.cluster_params(cfg))
+        rescored = pipeline.evaluate_results(
+            again, cfg, reference_p95_mm=base.reference_p95_mm)
+        assert json.dumps([rescored.to_json_dict(), rescored.per_press]) \
+            == json.dumps([base.to_json_dict(), base.per_press])
+        assert ablate._mean_cluster_size(again) == ablate._mean_cluster_size(table)
+
     def test_curve_non_increasing_within_noise(self, sweep_setup):
-        prepared, cfg, base = sweep_setup
+        prepared, cfg, base, table = sweep_setup
         sweep = run_sweep(prepared, cfg, cfg.camera_models,
                           [1, 4, 16, 64], [0, 1, 2],
-                          reference_p95_mm=base.reference_p95_mm)
+                          (base, table))
         curve = sweep.curve()
         base_rate = curve[0]["pass_rate_mean"]
         for row in curve[1:]:
@@ -112,9 +131,9 @@ class TestRunSweep:
             assert row["pass_rate_mean"] <= base_rate + slack
 
     def test_csv_rows_complete(self, sweep_setup):
-        prepared, cfg, base = sweep_setup
+        prepared, cfg, base, table = sweep_setup
         sweep = run_sweep(prepared, cfg, cfg.camera_models, [1, 8], [0],
-                          reference_p95_mm=base.reference_p95_mm)
+                          (base, table))
         rows = sweep.csv_rows()
         assert len(rows) == 2
         assert {r["k"] for r in rows} == {1, 8}
@@ -123,18 +142,18 @@ class TestRunSweep:
     def test_all_excluded_cell_recorded_not_raised(self, sweep_setup):
         # a factor harsh enough to kill every cluster must still produce
         # a sweep row (pass rate 0), not abort the sweep
-        prepared, cfg, base = sweep_setup
+        prepared, cfg, base, table = sweep_setup
         sweep = run_sweep(prepared, cfg, cfg.camera_models, [1, 4096], [0],
-                          reference_p95_mm=base.reference_p95_mm)
+                          (base, table))
         dead = [c for c in sweep.cells if c.k == 4096][0]
         assert dead.report.n_valid == 0
         assert dead.report.pass_rate_percent == 0.0
         assert np.isnan(dead.report.rmse_mm)
 
     def test_mean_cluster_size_scales_inversely(self, sweep_setup):
-        prepared, cfg, base = sweep_setup
+        prepared, cfg, base, table = sweep_setup
         sweep = run_sweep(prepared, cfg, cfg.camera_models, [1, 4], [0],
-                          reference_p95_mm=base.reference_p95_mm)
+                          (base, table))
         sizes = {c.k: c.mean_cluster_size for c in sweep.cells}
         ratio = sizes[1] / sizes[4]
         sigma = 4 / np.sqrt(sizes[4])

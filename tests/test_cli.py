@@ -194,6 +194,23 @@ class TestLocalize:
             f"{tmp_path / 'cam1.csv'}: column u value 40000 outside [0, 639]"]
         assert errors[0].exc_info is None
 
+    def test_out_of_range_binary_value_exit_2(self, sim_dir, tmp_path, caplog):
+        tmp, cfgp = sim_dir
+        raw = bytearray((tmp / "cam1.evt").read_bytes())
+        u5 = 16 + 16 * 5 + 8  # u of record 5, after the header and its t_us
+        raw[u5:u5 + 2] = (40000).to_bytes(2, "little")
+        (tmp_path / "cam1.evt").write_bytes(bytes(raw))
+        (tmp_path / "cam2.evt").write_bytes((tmp / "cam2.evt").read_bytes())
+        bad = tmp_path / "run.json"
+        bad.write_text(cfgp.read_text())
+        caplog.set_level(logging.INFO, logger="tacloc")
+        assert main(["localize", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert [r.getMessage() for r in errors] == [
+            f"{tmp_path / 'cam1.evt'}: column u value 40000 outside [0, 639]"]
+        assert errors[0].exc_info is None
+
     def test_determinism_and_threads(self, sim_dir, tmp_path):
         tmp, cfgp = sim_dir
         outs = []

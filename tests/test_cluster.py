@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,86 @@ def test_dbscan_matches_brute_on_offset_pixels(cells, u0, v0, eps, min_samples):
     pts = np.array(cells, dtype=float) + [u0, v0]
     p = DbscanParams(eps=eps, min_samples=min_samples)
     assert np.array_equal(dbscan(pts, p), dbscan_brute(pts, p))
+
+
+def _nearest_lattice_vector(length):
+    """Integer (a, b), 0 <= b <= a, whose norm is closest to ``length``."""
+    cands = [(a, b) for a in range(int(length) + 2) for b in range(a + 1)]
+    return min(cands, key=lambda ab: (abs(np.hypot(*ab) - length), ab))
+
+
+@st.composite
+def _pixel_cases(draw):
+    """Pixel sets that stress the pixel path: strips of many 8-connected
+    pieces, two blobs at about eps apart, border points exactly floor(eps)
+    beyond the outermost core, and a border point tied between two
+    clusters; mirrored, transposed and shifted at random."""
+    eps = draw(st.sampled_from([1.5, 2.0, 2.5, 3.0, 4.3, 10.0, 10.7]))
+    e = int(np.floor(eps))
+    min_samples = draw(st.sampled_from([1, 2, 3, 5, 10, 60]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["strip", "blobs", "edge", "tie"]))
+    if shape == "strip":
+        n = draw(st.integers(5, 200))
+        pts = np.column_stack([rng.integers(0, 4, n),
+                               rng.integers(0, max(2, n * e // 2), n)])
+    elif shape == "blobs":
+        # every pair across the blobs is at least as far apart as the
+        # two anchor points, which are the chosen gap apart
+        gap = np.array(_nearest_lattice_vector(
+            eps + draw(st.sampled_from([-0.5, 0.0, 0.5]))))
+        n = draw(st.integers(2, 120))
+        a = rng.integers(-2 * e, 2 * e + 1, (n, 2))
+        a = a[a @ gap <= 0]
+        b = rng.integers(-2 * e, 2 * e + 1, (n, 2))
+        b = b[b @ gap >= 0] + gap
+        pts = np.vstack([[[0, 0]], a, [gap], b])
+    elif shape == "edge":
+        # a line of cores along u with border points exactly e off its
+        # ends and sides; min_samples e + 1 makes every line pixel core
+        length = draw(st.integers(1, 4 * e))
+        line = np.column_stack([np.arange(length + 1), np.zeros(length + 1)])
+        edge = [[-e, 0], [length + e, 0], [0, e], [0, -e], [length, e],
+                [length, -e], [length + e, 1]]
+        pts = np.vstack([line, edge])
+        min_samples = draw(st.sampled_from([min_samples, e + 1]))
+    else:
+        # a border point at the origin, equally far from the cores (-a, b)
+        # and (b, -a) of two clusters; tails of 4 make them core at
+        # min_samples 5
+        a, b = max(((a, b) for a in range(e + 1) for b in range(a)
+                    if a * a + b * b <= eps * eps), key=lambda ab: np.hypot(*ab))
+        tail = np.arange(5)
+        pts = np.vstack([[[0, 0]],
+                         np.column_stack([-a - tail, np.full(5, b)]),
+                         np.column_stack([np.full(5, b), -a - tail])])
+        min_samples = draw(st.sampled_from([min_samples, 5]))
+    dup = rng.integers(0, len(pts), draw(st.integers(0, len(pts))))
+    pts = np.vstack([pts, pts[dup]]) * rng.choice([-1, 1], 2)
+    if draw(st.booleans()):
+        pts = pts[:, ::-1]
+    pts = pts + rng.integers(-300, 300, 2)
+    return pts.astype(float), DbscanParams(eps=eps, min_samples=min_samples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pixel_cases())
+def test_pixel_path_matches_brute(case):
+    pts, p = case
+    assert np.array_equal(dbscan(pts, p), dbscan_brute(pts, p))
+
+
+@pytest.mark.parametrize("eps", [10.0, 2.5])
+def test_isolated_pixel_lattice_is_linear(eps):
+    # 10,000 pixels, none 8-adjacent to another, all core: the pixel path
+    # must join them without visiting pairs of 8-connected pieces
+    g = np.arange(100) * 2.0
+    pts = np.repeat(np.array([(u, v) for u in g for v in g]), 10, axis=0)
+    dbscan(pts[:20], DbscanParams(eps=eps, min_samples=10))  # imports scipy.ndimage
+    t0 = time.perf_counter()
+    labels = dbscan(pts, DbscanParams(eps=eps, min_samples=10))
+    assert time.perf_counter() - t0 < 5.0
+    assert np.all(labels == 0)
 
 
 class TestDbscanProperties:

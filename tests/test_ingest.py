@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from tacloc.ablate import thin
 from tacloc.events import EventStream, US_PER_S
-from tacloc.ingest import (CSV_RANGES, FormatError, PressSchedule, SyncError,
-                           SyncSpec, align_streams, detect_sync_taps,
-                           load_config, make_schedule, read_events,
-                           write_events)
+from tacloc.ingest import (_RECORD_DTYPE, CSV_RANGES, FormatError,
+                           PressSchedule, SyncError, SyncSpec, align_streams,
+                           detect_sync_taps, load_config, make_schedule,
+                           read_events, write_events)
 from tacloc.synth import SynthSpec, generate
 
 from .conftest import small_layout, uniform_stream
@@ -91,6 +91,38 @@ class TestEventFiles:
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.v, b.v)
         assert np.array_equal(a.polarity, b.polarity)
+
+    @pytest.mark.parametrize("n", [0, 1, 70_000])
+    def test_csv_bytes_match_line_format(self, tmp_path, n):
+        # the block writer must write what one f-string per event writes,
+        # across block boundaries and at every column's largest value
+        rng = np.random.default_rng(n)
+        s = uniform_stream(rng, n)
+        if n:
+            s = EventStream(1, np.append(s.t[:-1], 2**63 - 1),
+                            np.append(s.u[:-1], 639), np.append(s.v[:-1], 479),
+                            np.append(s.polarity[:-1], 255))
+        p = tmp_path / "a.csv"
+        write_events(s, p, "csv")
+        want = "t_us,u,v,polarity\n" + "".join(
+            f"{t},{u},{v},{q}\n" for t, u, v, q in zip(s.t, s.u, s.v, s.polarity))
+        assert p.read_bytes() == want.encode("ascii")
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("u", 40000, "column u value 40000 outside [0, 639]"),
+        ("u", 640, "column u value 640 outside [0, 639]"),
+        ("v", 480, "column v value 480 outside [0, 479]"),
+        ("t", -5, "column t_us value -5 outside [0, 9223372036854775807]")])
+    def test_binary_out_of_range_names_file_and_value(self, tmp_path, column,
+                                                      value, message):
+        p = tmp_path / "a.evt"
+        write_events(EventStream(1, [10, 20], [1, 2], [3, 4], [0, 1]), p, "bin")
+        raw = bytearray(p.read_bytes())
+        rec = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=16)
+        rec[column][1] = value
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=re.escape(f"{p}: {message}")):
+            read_events(p, 1)
 
     def test_empty_round_trip(self, tmp_path):
         s = EventStream(1, [], [], [], [])
