@@ -34,7 +34,10 @@ surely connected, then test distances only where components may touch.
    points beyond +- e of it are noise.
 3. Pre-merge: the core image is dilated by the integer disk of radius
    r = floor((eps - sqrt(2)) / 2) and labeled with 8-connectivity; cores
-   of one label are at most 2r + sqrt(2) <= eps apart link by link.
+   of one label are at most 2r + sqrt(2) <= eps apart link by link. The
+   labeling is run-based (He, Chao & Suzuki 2008): runs of set pixels
+   along v, one pair per run of the next u row that touches a run,
+   diagonals included, and connected components over those pairs.
 4. Frontier: one prefix-summed stack of (core, label, label^2) gives
    sum (l - L)^2 over each core's disk; where it is nonzero, a core of
    another label is within eps. Half-disk gathers from these cores give
@@ -200,10 +203,35 @@ def _components(n, src, dst):
             comp = comp[comp]
 
 
+def _label8(img):
+    """8-connected component labels of a 2-D boolean image, numbered
+    1..n in raster order of their first pixel (0 is background), and n."""
+    w, h = img.shape
+    # a zero pad column ends every run inside its row; flat indices of
+    # neighboring rows are h + 1 apart
+    padded = np.zeros((w, h + 1), dtype=np.int8)
+    padded[:, :h] = img
+    step = np.diff(padded.ravel(), prepend=np.int8(0))
+    start = np.flatnonzero(step == 1)
+    end = np.flatnonzero(step == -1)  # exclusive
+    # run b of the next row touches run a when b.start <= a.end and
+    # b.end >= a.start: for each a, a contiguous range lo..hi of b's
+    lo = np.searchsorted(end, start + h + 1)
+    hi = np.searchsorted(start, end + h + 1, side="right")
+    n_pairs = hi - lo
+    a = np.repeat(np.arange(len(start)), n_pairs)
+    b = np.arange(len(a)) + np.repeat(lo - (np.cumsum(n_pairs) - n_pairs), n_pairs)
+    comp = _components(len(start), a, b)
+    ids = np.cumsum(comp == np.arange(len(start)))[comp]
+    flat = np.zeros(w * (h + 1), dtype=np.int64)
+    flat[start] = ids
+    flat[end] = -ids
+    labels = np.cumsum(flat).reshape(w, h + 1)[:, :h]
+    return labels, int(ids.max(initial=0))
+
+
 def _dbscan_pixel_grid(uniq, mult, first_index, params: DbscanParams):
     """Exact DBSCAN on integer pixels; see the module docstring."""
-    from scipy import ndimage  # here, not at import: latency never clusters
-
     m = uniq.shape[0]
     offs, dv_range, halfwidth, e = _disk(params.eps)
     pu = uniq[:, 0].astype(np.int64)
@@ -231,8 +259,8 @@ def _dbscan_pixel_grid(uniq, mult, first_index, params: DbscanParams):
     # at most 2r + sqrt(2) <= eps apart, so they share a cluster
     r = int(math.floor((params.eps - _GRID_MIN_EPS) / 2))
     grown = _dilate(core_img, r) if r else core_img
-    lab_img, n_lab = ndimage.label(grown, structure=np.ones((3, 3), dtype=np.int8))
-    lab = lab_img[cu, cv].astype(np.int64)
+    lab_img, n_lab = _label8(grown)
+    lab = lab_img[cu, cv]
     comp = lab - 1
     if n_lab > 1:
         # frontier: cores with a core of another label L' within eps, where
@@ -285,9 +313,6 @@ def _dbscan_bucket_grid(uniq, mult, first_index, params: DbscanParams):
     distances, core status, core connectivity, and border assignment are
     derived from that pair list.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     m = uniq.shape[0]
     eps2 = params.eps * params.eps
     ux = uniq[:, 0]
@@ -350,11 +375,7 @@ def _dbscan_bucket_grid(uniq, mult, first_index, params: DbscanParams):
         core_ids = np.full(m, -1, dtype=np.int64)
         core_ids[core] = np.arange(n_core)
         cc = core[pi] & core[pj]
-        adj = coo_matrix((np.ones(int(cc.sum()), dtype=np.int8),
-                          (core_ids[pi[cc]], core_ids[pj[cc]])),
-                         shape=(n_core, n_core))
-        _, comp_core = connected_components(adj, directed=False)
-        comp[core] = comp_core
+        comp[core] = _components(n_core, core_ids[pi[cc]], core_ids[pj[cc]])
     labels = _renumber(comp, core, first_index, m)
 
     # border points: nearest core, ties by the core's (u, v) rank

@@ -17,7 +17,6 @@ import numpy as np
 from .events import SENSOR_WIDTH
 
 DEGENERACY_MIN_SIN = 1e-6
-BOUNDS_MARGIN_MM = 10.0
 
 
 class GeometryError(ValueError):
@@ -100,7 +99,6 @@ class Triangulation:
     theta1_rad: float
     theta2_rad: float
     condition: float  # |sin(bearing difference)|
-    in_bounds: bool
 
     @property
     def estimate(self) -> np.ndarray:
@@ -182,11 +180,7 @@ def triangulate(m1: CameraModel, u1: float, m2: CameraModel, u2: float) -> Trian
     if cond < DEGENERACY_MIN_SIN:
         raise DegenerateGeometryError(
             f"rays nearly parallel (|sin| = {cond:.3e})")
-    in_bounds = bool(
-        -BOUNDS_MARGIN_MM <= est[0] <= 100.0 + BOUNDS_MARGIN_MM
-        and -BOUNDS_MARGIN_MM <= est[1] <= 100.0 + BOUNDS_MARGIN_MM)
-    return Triangulation(float(est[0]), float(est[1]), th1, th2,
-                         float(cond), in_bounds)
+    return Triangulation(float(est[0]), float(est[1]), th1, th2, float(cond))
 
 
 def _intersect(p1, th1, p2, th2):

@@ -525,6 +525,12 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     _section(doc, "calibration", ("free",))
     cal = _section(doc, "calibration.free", ("position", "skew", "k1", "focal"))
     latency = _section(doc, "latency", [f.name for f in fields(CusumParams)])
+    roi = doc.get("roi", DEFAULT_ROI)
+    if (not isinstance(roi, (list, tuple)) or len(roi) != 2
+            or not all(type(b) is int for b in roi)
+            or not 0 <= roi[0] < roi[1] <= SENSOR_HEIGHT):
+        raise FormatError(f"roi must be two integers 0 <= lo < hi <= "
+                          f"{SENSOR_HEIGHT}, got {json.dumps(roi, default=str)}")
     return RunConfig(
         cam1_path=cam1,
         cam2_path=cam2,
@@ -533,7 +539,7 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
         sync=sync,
         schedule=schedule,
         camera_models=models,
-        roi=tuple(doc.get("roi", DEFAULT_ROI)),
+        roi=tuple(roi),
         baseline_s=float(doc.get("baseline_s", 0.3)),
         cluster_eps_px=float(clu.get("eps_px", 10.0)),
         cluster_min_samples=int(clu.get("min_samples", 10)),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import logging
@@ -93,6 +94,13 @@ BAD_INPUTS = [
                  id="cameras-missing-parameter"),
     pytest.param(None, [CAMERA, {k: v for k, v in CAMERA.items() if k != "k1"}],
                  "missing key cameras[1].k1", id="models-missing-parameter"),
+    *[pytest.param(lambda d, roi=roi: d.update(roi=roi), None,
+                   f"roi must be two integers 0 <= lo < hi <= 480, got {text}",
+                   id=f"roi-{name}")
+      for name, roi, text in [("scalar", 5, "5"),
+                              ("strings", ["a", "b"], '["a", "b"]'),
+                              ("three-bounds", [10, 20, 30], "[10, 20, 30]"),
+                              ("reversed", [300, 200], "[300, 200]")]],
 ]
 
 
@@ -324,12 +332,41 @@ class TestLatencyCmd:
         assert not [r for r in caplog.records if r.levelno == logging.WARNING]
 
 
-def test_cli_import_leaves_out_scipy_ndimage():
-    # commands that never cluster do not pay for importing scipy.ndimage
+def run_python(code, *args) -> str:
+    """Stripped stdout of ``code`` run in a fresh interpreter that imports
+    this checkout's tacloc."""
     src = str(Path(tacloc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_ndimage():
+    # commands that never cluster do not pay for importing scipy.ndimage
     code = "import sys, tacloc.cli; print('scipy.ndimage' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert run_python(code) == "False"
+
+
+def test_clustering_commands_leave_out_scipy(sim_dir, tmp_path):
+    # every command that clusters runs without scipy
+    tmp, cfgp = sim_dir
+    code = ("import sys\n"
+            "from tacloc.cli import main\n"
+            "cfg, out = sys.argv[1:]\n"
+            "for cmd in ('localize', 'calibrate'):\n"
+            "    assert main([cmd, '--config', cfg, '--out', out + cmd]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run_python(code, str(cfgp), str(tmp_path / "o")) == "[]"
+
+
+def test_no_module_imports_scipy():
+    for path in sorted(Path(tacloc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "scipy"], path.name

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from tacloc import cluster
 from tacloc.cluster import (_GRID_MAX_CELLS, NOISE, DbscanParams, _compress,
-                            _compress_pixels, dbscan, dbscan_brute,
-                            exclude_press, extract_centroid)
+                            _compress_pixels, _label8, dbscan,
+                            dbscan_brute, exclude_press, extract_centroid)
 
 PARAMS = DbscanParams(eps=10.0, min_samples=10)
 
@@ -229,11 +230,82 @@ def test_isolated_pixel_lattice_is_linear(eps):
     # must join them without visiting pairs of 8-connected pieces
     g = np.arange(100) * 2.0
     pts = np.repeat(np.array([(u, v) for u in g for v in g]), 10, axis=0)
-    dbscan(pts[:20], DbscanParams(eps=eps, min_samples=10))  # imports scipy.ndimage
+    dbscan(pts[:20], DbscanParams(eps=eps, min_samples=10))  # caches the disk
     t0 = time.perf_counter()
     labels = dbscan(pts, DbscanParams(eps=eps, min_samples=10))
     assert time.perf_counter() - t0 < 5.0
     assert np.all(labels == 0)
+
+
+def _flood_fill8(img):
+    """Reference 8-connected labeling: breadth-first fill from each
+    unlabeled set pixel in raster order."""
+    w, h = img.shape
+    labels = np.zeros((w, h), dtype=np.int64)
+    n = 0
+    for u0, v0 in zip(*np.nonzero(img)):
+        if labels[u0, v0]:
+            continue
+        n += 1
+        labels[u0, v0] = n
+        queue = deque([(u0, v0)])
+        while queue:
+            u, v = queue.popleft()
+            for du in (-1, 0, 1):
+                for dv in (-1, 0, 1):
+                    a, b = u + du, v + dv
+                    if 0 <= a < w and 0 <= b < h and img[a, b] and not labels[a, b]:
+                        labels[a, b] = n
+                        queue.append((a, b))
+    return labels, n
+
+
+@st.composite
+def _label_images(draw):
+    w = draw(st.one_of(st.just(1), st.integers(0, 30)))
+    h = draw(st.one_of(st.just(1), st.integers(0, 30)))
+    fill = draw(st.sampled_from(["random", "empty", "full"]))
+    if fill != "random":
+        return np.full((w, h), fill == "full")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random((w, h)) < draw(st.floats(0.05, 0.95))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_images())
+def test_label8_matches_flood_fill(img):
+    labels, n = _label8(img)
+    want, n_want = _flood_fill8(img)
+    assert labels.shape == img.shape
+    assert n == n_want
+    # the same partition: equal background, and a one-to-one label map
+    assert np.array_equal(labels > 0, img)
+    assert len(set(zip(labels[img].tolist(), want[img].tolist()))) == n
+    # numbered 1..n in raster order of each component's first pixel
+    seen = labels[img]
+    assert np.array_equal(seen[np.sort(np.unique(seen, return_index=True)[1])],
+                          np.arange(1, n + 1))
+
+
+def test_label8_runs_do_not_wrap_rows():
+    # a run ending at the last v of one row and a run starting at v = 0 of
+    # the next are consecutive in memory but not 8-adjacent
+    img = np.zeros((3, 5), dtype=bool)
+    img[0, 3:] = True
+    img[1, :2] = True
+    labels, n = _label8(img)
+    assert n == 2
+    assert labels[0, 4] == 1 and labels[1, 0] == 2
+
+
+def test_label8_checkerboard_is_linear():
+    # 2,000,000 single-pixel runs, each touching the runs diagonally below it
+    img = np.add.outer(np.arange(2000), np.arange(2000)) % 2 == 0
+    t0 = time.perf_counter()
+    labels, n = _label8(img)
+    assert time.perf_counter() - t0 < 5.0
+    assert n == 1
+    assert np.array_equal(labels, img.astype(np.int64))
 
 
 class TestDbscanProperties:

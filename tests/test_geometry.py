@@ -91,7 +91,6 @@ class TestTriangulate:
         tri = triangulate(m1, u1, m2, u2)
         assert tri.x_mm == pytest.approx(50.0, abs=1e-9)
         assert tri.y_mm == pytest.approx(50.0, abs=1e-9)
-        assert tri.in_bounds
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(2)
@@ -127,12 +126,11 @@ class TestTriangulate:
         with pytest.raises(DegenerateGeometryError):
             triangulate(m1, u, m2, u)
 
-    def test_out_of_bounds_flagged_not_raised(self):
+    def test_out_of_bounds_point_not_raised(self):
         m1, m2 = default_models()
         p = (50.0, 140.0)
         u1, u2 = project_point(m1, p), project_point(m2, p)
         tri = triangulate(m1, u1, m2, u2)
-        assert not tri.in_bounds
         assert tri.y_mm == pytest.approx(140.0, abs=1e-6)
 
     def test_vectorized_matches_scalar(self):
