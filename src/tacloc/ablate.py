@@ -9,7 +9,7 @@ stream).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from .events import EventStream
 from .ingest import RunConfig
 from .metrics import EvaluationReport, UndefinedMetricError, empty_report
 from .pipeline import (PreparedRun, TrialTable, cluster_params,
-                       evaluate_results, localize_trials)
-from .segment import segment_by_schedule
+                       evaluate_results, localize_trials, segment)
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -111,7 +110,7 @@ def _mean_cluster_size(table: TrialTable) -> float:
 
 def run_sweep(prepared: PreparedRun, cfg: RunConfig, models,
               factors, seeds, baseline: tuple[EvaluationReport, TrialTable],
-              threads: int = 1) -> AblationSweep:
+              ) -> AblationSweep:
     """Re-run the evaluation pipeline at each (factor, seed) cell.
 
     ``baseline`` is the unthinned run's ``(report, table)`` with the same
@@ -130,12 +129,9 @@ def run_sweep(prepared: PreparedRun, cfg: RunConfig, models,
     def evaluate_cell(k: int, seed: int) -> SweepCell:
         if k == 1:
             return SweepCell(1, seed, base_report, base_size)
-        s1 = thin(prepared.s1, k, seed)
-        s2 = thin(prepared.s2, k, seed)
-        trials = segment_by_schedule(s1, s2, cfg.schedule,
-                                     baseline_s=cfg.baseline_s,
-                                     anchor_s=prepared.anchor_s)
-        table = localize_trials(trials, models, params, threads)
+        thinned = replace(prepared, s1=thin(prepared.s1, k, seed),
+                          s2=thin(prepared.s2, k, seed))
+        table = localize_trials(segment(thinned, cfg), models, params)
         try:
             report = evaluate_results(table, cfg,
                                       reference_p95_mm=reference_p95_mm)

@@ -138,12 +138,12 @@ def cmd_localize(args) -> list[Path]:
     cfg = _load_run_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    models = _models_override(args)
+    models = _models_override(args, cfg.layout.side_mm)
     prepared = _prepare(cfg)
     log.info("tap onsets: %s", [round(t, 3) for t in prepared.tap_onsets_s])
     with _stage("localize"):
-        report, table, _ = pipeline.run_localization(
-            prepared, cfg, models=models, threads=args.threads)
+        report, table, _ = pipeline.run_localization(prepared, cfg,
+                                                     models=models)
     p_csv = out_dir / "localization.csv"
     p_json = out_dir / "evaluation.json"
     _write_csv(p_csv, _result_rows(table), _RESULT_COLUMNS)
@@ -153,7 +153,7 @@ def cmd_localize(args) -> list[Path]:
     return [p_csv, p_json]
 
 
-def _models_override(args):
+def _models_override(args, side_mm: float):
     """Camera models from ``--models`` (a calibrate report or a bare list)."""
     path = getattr(args, "models", None)
     if not path:
@@ -163,7 +163,7 @@ def _models_override(args):
         if "cameras" not in doc:
             raise FormatError(f"{path}: missing key cameras")
         doc = doc["cameras"]
-    return camera_pair(doc)
+    return camera_pair(doc, side_mm)
 
 
 def cmd_calibrate(args) -> list[Path]:
@@ -172,7 +172,7 @@ def cmd_calibrate(args) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     prepared = _prepare(cfg)
     with _stage("calibrate"):
-        fit, _ = pipeline.run_calibration(prepared, cfg, threads=args.threads)
+        fit, _ = pipeline.run_calibration(prepared, cfg)
     res = fit.residuals_mm
     finite = res[~np.isnan(res[:, 0])]
     norms = np.hypot(finite[:, 0], finite[:, 1]) if len(finite) else np.zeros(0)
@@ -206,14 +206,14 @@ def cmd_ablate(args) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     factors = [int(x) for x in args.factors.split(",")]
     seeds = [int(x) for x in args.seeds.split(",")]
-    models = _models_override(args) or cfg.camera_models
+    models = _models_override(args, cfg.layout.side_mm) or cfg.camera_models
     prepared = _prepare(cfg)
     with _stage("baseline"):
-        report, table, _ = pipeline.run_localization(
-            prepared, cfg, models=models, threads=args.threads)
+        report, table, _ = pipeline.run_localization(prepared, cfg,
+                                                     models=models)
     with _stage("sweep"):
         sweep = ablate_mod.run_sweep(prepared, cfg, models, factors, seeds,
-                                     (report, table), threads=args.threads)
+                                     (report, table))
     p_csv = out_dir / "ablation.csv"
     p_json = out_dir / "ablation_curve.json"
     _write_csv(p_csv, sweep.csv_rows(),
@@ -230,11 +230,7 @@ def cmd_latency(args) -> list[Path]:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     prepared = _prepare(cfg)
-    from .segment import segment_by_schedule
-    trials = segment_by_schedule(prepared.s1, prepared.s2, cfg.schedule,
-                                 baseline_s=cfg.baseline_s,
-                                 anchor_s=prepared.anchor_s)
-    trials = [t for t in trials if not t.missing]
+    trials = [t for t in pipeline.segment(prepared, cfg) if not t.missing]
     params = latency_mod.CusumParams(
         **{k: v for k, v in cfg.latency.items() if k != "h"})
     snippets = latency_mod.trial_background_snippets(trials)
@@ -281,7 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
+        # accepted and ignored: stage (a) is serial, but bench/run.py
+        # still passes --threads on every command
+        p.add_argument("--threads", type=int, default=1,
+                       help=argparse.SUPPRESS)
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
 

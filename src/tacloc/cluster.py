@@ -83,10 +83,8 @@ class ClusterResult:
     """Outcome of clustering one camera's events for one press."""
 
     labels: np.ndarray
-    n_clusters: int
     largest_cluster_size: int
     centroid_u: float  # nan when invalid
-    centroid_v: float
     valid: bool
 
 
@@ -471,9 +469,8 @@ def extract_centroid(u, v, params: DbscanParams) -> ClusterResult:
     pts = np.column_stack([u, v])
     labels = dbscan(pts, params)
     if labels.size == 0 or labels.max(initial=NOISE) == NOISE:
-        return ClusterResult(labels, 0, 0, float("nan"), float("nan"), False)
-    n_clusters = int(labels.max()) + 1
-    sizes = np.bincount(labels[labels >= 0], minlength=n_clusters)
+        return ClusterResult(labels, 0, float("nan"), False)
+    sizes = np.bincount(labels[labels >= 0])
     best = np.flatnonzero(sizes == sizes.max())
     if len(best) > 1:
         mean_us = [u[labels == c].mean() for c in best]
@@ -482,9 +479,8 @@ def extract_centroid(u, v, params: DbscanParams) -> ClusterResult:
     member = labels == c
     size = int(sizes[c])
     valid = size >= params.min_cluster_points
-    return ClusterResult(labels, n_clusters, size,
+    return ClusterResult(labels, size,
                          float(u[member].mean()) if valid else float("nan"),
-                         float(v[member].mean()) if valid else float("nan"),
                          valid)
 
 

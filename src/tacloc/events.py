@@ -40,12 +40,10 @@ class SensorLayout:
     """Physical skin geometry and the press protocol constants."""
 
     side_mm: float = 100.0
-    thickness_mm: float = 4.0
     grid_points: np.ndarray = None  # (n, 2) mm; default 250-point meander
     grid_spacing_mm: float = 4.0
     repetitions: int = 10
     press_duration_s: float = 0.55
-    bits_per_event: int = 21
 
     def __post_init__(self):
         pts = self.grid_points
@@ -257,19 +255,6 @@ def event_rate_histogram(stream: EventStream, bin_s: float) -> RateSeries:
     idx = (t - t0) // bin_us
     counts = np.bincount(idx, minlength=n_bins)
     return RateSeries(t0 / US_PER_S, bin_us / US_PER_S, counts)
-
-
-def bit_rate(stream: EventStream, t0_s: float, t1_s: float,
-             bits_per_event: int) -> float:
-    """Mean data rate in kB/s over the half-open window [t0, t1)."""
-    if t1_s <= t0_s:
-        raise ValueError("window must have positive duration")
-    t = stream.times_us()
-    lo = int(round(t0_s * US_PER_S))
-    hi = int(round(t1_s * US_PER_S))
-    n = int(np.searchsorted(t, hi, side="left")
-            - np.searchsorted(t, lo, side="left"))
-    return (n * bits_per_event / 8.0) / (t1_s - t0_s) / 1000.0
 
 
 def merge_times_s(*streams: EventStream) -> np.ndarray:

@@ -23,10 +23,6 @@ class GeometryError(ValueError):
     pass
 
 
-class OutOfViewError(GeometryError):
-    """Point does not project into the camera's usable field of view."""
-
-
 class DegenerateGeometryError(GeometryError):
     """Rays are too close to parallel to intersect reliably."""
 
@@ -58,8 +54,6 @@ class CameraModel:
             raise ValueError("focal_px must be positive")
         if abs(self.skew_rad) >= math.pi / 4:
             raise ValueError("skew_rad out of range (+-pi/4)")
-        if not (-50.0 <= self.x_mm <= 150.0 and -50.0 <= self.y_mm <= 150.0):
-            raise ValueError("camera position outside the expanded sensor box")
 
     @property
     def position(self) -> np.ndarray:
@@ -76,11 +70,15 @@ class CameraModel:
             "u_center": self.u_center, "k1": self.k1,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraModel":
-        return cls(**{k: float(d[k]) for k in
-                      ("x_mm", "y_mm", "orientation_rad", "skew_rad",
-                       "focal_px", "u_center", "k1")})
+
+def check_camera_box(model: CameraModel, side_mm: float) -> None:
+    """Raise ValueError unless the camera lies in [-side/2, 3*side/2] on
+    both axes: the skin square grown by half a side on every edge."""
+    lo, hi = -0.5 * side_mm, 1.5 * side_mm
+    if not (lo <= model.x_mm <= hi and lo <= model.y_mm <= hi):
+        raise ValueError(f"camera position ({model.x_mm:g}, {model.y_mm:g}) "
+                         f"mm outside the expanded sensor box "
+                         f"[{lo:g}, {hi:g}] mm")
 
 
 def default_models(side_mm: float = 100.0) -> tuple[CameraModel, CameraModel]:
@@ -162,14 +160,6 @@ def project_points(model: CameraModel, points) -> tuple[np.ndarray, np.ndarray]:
     u = model.u_center + model.focal_px * u_n
     ok &= (u >= -0.5) & (u < SENSOR_WIDTH - 0.5)
     return np.where(ok, u, np.nan), ok
-
-
-def project_point(model: CameraModel, p) -> float:
-    """Pixel column for a single world point; raises when out of view."""
-    u, ok = project_points(model, [p])
-    if not ok[0]:
-        raise OutOfViewError(f"point {tuple(np.asarray(p, dtype=float))} out of view")
-    return float(u[0])
 
 
 def triangulate(m1: CameraModel, u1: float, m2: CameraModel, u2: float) -> Triangulation:
@@ -265,14 +255,16 @@ def _unpack(models, names, x):
 
 
 def calibrate(models0, u1, u2, ground_truth, free: FreeParams = FreeParams(),
-              max_iterations: int = 200, rel_tol: float = 1e-10) -> CalibrationResult:
+              side_mm: float = 100.0, max_iterations: int = 200,
+              rel_tol: float = 1e-10) -> CalibrationResult:
     """Levenberg-Marquardt fit of camera parameters to press observations.
 
     Minimizes the summed squared distance between triangulated positions
     and ground truth over the unmasked parameters, with a forward-difference
     Jacobian. Only cost-improving steps are accepted (damping x10 on
-    reject, /10 on accept); converged when the relative cost decrease of
-    an accepted step falls below ``rel_tol``.
+    reject, /10 on accept), and a step that takes a camera out of the
+    camera box of a ``side_mm`` skin is rejected; converged when the
+    relative cost decrease of an accepted step falls below ``rel_tol``.
     """
     u1 = np.asarray(u1, dtype=np.float64)
     u2 = np.asarray(u2, dtype=np.float64)
@@ -288,6 +280,8 @@ def calibrate(models0, u1, u2, ground_truth, free: FreeParams = FreeParams(),
     def residuals(x):
         try:
             m1, m2 = _unpack(models0, names, x)
+            check_camera_box(m1, side_mm)
+            check_camera_box(m2, side_mm)
         except ValueError as exc:  # parameter invariant violated
             raise CalibrationError(f"parameters left the valid range: {exc}") from exc
         est, _, valid = triangulate_many(m1, u1, m2, u2)

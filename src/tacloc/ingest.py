@@ -23,7 +23,8 @@ import numpy as np
 from .events import (DEFAULT_ROI, SENSOR_HEIGHT, SENSOR_WIDTH, US_PER_S,
                      EventStream, SensorLayout, event_rate_histogram,
                      meander_grid)
-from .geometry import CameraModel, FreeParams, default_models
+from .geometry import (CameraModel, FreeParams, check_camera_box,
+                       default_models)
 
 log = logging.getLogger(__name__)
 
@@ -55,7 +56,6 @@ class SyncError(IngestError):
 class SyncSpec:
     n_taps: int = 3
     tap_interval_s: float = 1.0
-    post_pause_s: float = 3.0
     search_window_s: float = 15.0
     spacing_tolerance_s: float = 0.25
     bin_s: float = 0.010
@@ -406,44 +406,89 @@ class RunConfig:
             self.schedule = make_schedule(self.layout)
 
 
-_LAYOUT_KEYS = ("side_mm", "thickness_mm", "grid_points_mm", "grid_cols",
-                "grid_rows", "grid_spacing_mm", "grid_origin_mm", "repetitions",
-                "press_duration_s", "bits_per_event")
-_SCHEDULE_KEYS = ("onsets_s", "press_duration_s", "ground_truth_mm",
-                  "press_index", "repetition", "onset0_s", "period_s",
-                  "repetitions")
-_TOP_KEYS = ("files", "layout", "sync", "schedule", "cameras", "roi",
-             "baseline_s", "cluster", "calibration", "exclude_presses", "seed",
-             "synth", "latency")
+# each section's keys, with the JSON type of its scalar values; None marks
+# a value that its own rule reads
+_LAYOUT_KINDS = {"side_mm": float, "grid_points_mm": None, "grid_cols": int,
+                 "grid_rows": int, "grid_spacing_mm": float,
+                 "grid_origin_mm": None, "repetitions": int,
+                 "press_duration_s": float}
+_SCHEDULE_KINDS = {"onsets_s": None, "press_duration_s": float,
+                   "ground_truth_mm": None, "press_index": None,
+                   "repetition": None, "onset0_s": float, "period_s": float,
+                   "repetitions": int}
+_TOP_KINDS = {"files": None, "layout": None, "sync": None, "schedule": None,
+              "cameras": None, "roi": None, "baseline_s": float,
+              "cluster": None, "calibration": None, "exclude_presses": None,
+              "seed": int, "synth": None, "latency": None}
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false",
+               str: "a string"}
+_PLURAL_NAMES = {float: "numbers", int: "integers"}
 
 
-def _section(doc: dict, name: str, allowed) -> dict:
+def _kinds(cls) -> dict:
+    """Keys and value types of a dataclass whose every field has a default."""
+    return {f.name: type(f.default) for f in fields(cls)}
+
+
+def _typed(value, path: str, kind: type):
+    """``value`` as ``kind``, once its JSON type is checked: a float takes
+    any number, an int only an integer, and neither takes a bool."""
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        raise FormatError(f"{path} must be {_KIND_NAMES[kind]}, got "
+                          f"{json.dumps(value, default=str)}")
+    return kind(value)
+
+
+def _typed_list(value, path: str, kind: type, length: int | None = None):
+    """A list of ``kind`` values (``length`` of them, when given)."""
+    if (not isinstance(value, (list, tuple))
+            or length not in (None, len(value))):
+        count = "" if length is None else f"{length} "
+        raise FormatError(f"{path} must be a list of {count}"
+                          f"{_PLURAL_NAMES[kind]}, got "
+                          f"{json.dumps(value, default=str)}")
+    return [_typed(x, f"{path}[{i}]", kind) for i, x in enumerate(value)]
+
+
+def _section(doc: dict, name: str, kinds: dict) -> dict:
     """The object at JSON path ``name`` (empty when absent), checked to hold
-    only ``allowed`` keys."""
+    only keys of ``kinds``; each value whose kind is a type is checked and
+    converted by ``_typed``."""
     sub = doc
     for part in filter(None, name.split(".")):
         sub = sub.get(part, {})
     if not isinstance(sub, dict):
         raise FormatError(f"{name or 'config'} must be a JSON object")
-    unknown = sorted(set(sub) - set(allowed))
+    prefix = f"{name}." if name else ""
+    unknown = sorted(set(sub) - set(kinds))
     if unknown:
-        key = f"{name}.{unknown[0]}" if name else unknown[0]
-        raise FormatError(f"unknown key {key}")
-    return sub
+        raise FormatError(f"unknown key {prefix}{unknown[0]}")
+    return {k: v if kinds[k] is None else _typed(v, prefix + k, kinds[k])
+            for k, v in sub.items()}
 
 
-def camera_pair(cams) -> tuple[CameraModel, CameraModel]:
-    """The two camera models of a ``cameras`` list, each entry giving
-    every CameraModel parameter."""
+def camera_pair(cams, side_mm: float) -> tuple[CameraModel, CameraModel]:
+    """The two camera models of a ``cameras`` list, each entry giving every
+    CameraModel parameter as a number and a position inside the camera box
+    of a ``side_mm`` skin."""
     if not isinstance(cams, list) or len(cams) != 2:
         raise FormatError("cameras must list exactly 2 camera models")
+    models = []
     for i, cam in enumerate(cams):
         if not isinstance(cam, dict):
             raise FormatError(f"cameras[{i}] must be a JSON object")
+        params = {}
         for f in fields(CameraModel):
             if f.name not in cam:
                 raise FormatError(f"missing key cameras[{i}].{f.name}")
-    return CameraModel.from_dict(cams[0]), CameraModel.from_dict(cams[1])
+            params[f.name] = _typed(cam[f.name], f"cameras[{i}].{f.name}",
+                                    float)
+        try:
+            models.append(CameraModel(**params))
+            check_camera_box(models[-1], side_mm)
+        except ValueError as exc:
+            raise FormatError(f"cameras[{i}]: {exc}") from None
+    return models[0], models[1]
 
 
 def _layout_from_dict(d: dict) -> SensorLayout:
@@ -451,20 +496,21 @@ def _layout_from_dict(d: dict) -> SensorLayout:
     if "grid_points_mm" in d:
         grid = np.asarray(d["grid_points_mm"], dtype=np.float64)
     elif any(k in d for k in ("grid_cols", "grid_rows", "grid_origin_mm")):
+        origin = (_typed_list(d["grid_origin_mm"], "layout.grid_origin_mm",
+                              float, 2)
+                  if "grid_origin_mm" in d else (2.0, 32.0))
         grid = meander_grid(
-            cols=int(d.get("grid_cols", 25)),
-            rows=int(d.get("grid_rows", 10)),
-            spacing_mm=float(d.get("grid_spacing_mm", 4.0)),
-            origin_mm=tuple(d.get("grid_origin_mm", (2.0, 32.0))),
+            cols=d.get("grid_cols", 25),
+            rows=d.get("grid_rows", 10),
+            spacing_mm=d.get("grid_spacing_mm", 4.0),
+            origin_mm=tuple(origin),
         )
     return SensorLayout(
-        side_mm=float(d.get("side_mm", 100.0)),
-        thickness_mm=float(d.get("thickness_mm", 4.0)),
+        side_mm=d.get("side_mm", 100.0),
         grid_points=grid,
-        grid_spacing_mm=float(d.get("grid_spacing_mm", 4.0)),
-        repetitions=int(d.get("repetitions", 10)),
-        press_duration_s=float(d.get("press_duration_s", 0.55)),
-        bits_per_event=int(d.get("bits_per_event", 21)),
+        grid_spacing_mm=d.get("grid_spacing_mm", 4.0),
+        repetitions=d.get("repetitions", 10),
+        press_duration_s=d.get("press_duration_s", 0.55),
     )
 
 
@@ -475,17 +521,14 @@ def _schedule_from_dict(d: dict, layout: SensorLayout) -> PressSchedule:
                 raise FormatError(f"missing key schedule.{key}")
         return PressSchedule(
             np.asarray(d["onsets_s"], dtype=np.float64),
-            float(d.get("press_duration_s", layout.press_duration_s)),
+            d.get("press_duration_s", layout.press_duration_s),
             np.asarray(d["ground_truth_mm"], dtype=np.float64),
             np.asarray(d["press_index"], dtype=np.int64),
             np.asarray(d["repetition"], dtype=np.int64),
         )
-    return make_schedule(
-        layout,
-        onset0_s=float(d.get("onset0_s", 5.0)),
-        period_s=float(d.get("period_s", 2.0)),
-        repetitions=(int(d["repetitions"]) if "repetitions" in d else None),
-    )
+    return make_schedule(layout, onset0_s=d.get("onset0_s", 5.0),
+                         period_s=d.get("period_s", 2.0),
+                         repetitions=d.get("repetitions"))
 
 
 def load_config(path) -> RunConfig:
@@ -503,29 +546,31 @@ def load_config(path) -> RunConfig:
 
 
 def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
-    """Build a RunConfig; unknown keys raise FormatError with their path."""
+    """Build a RunConfig; unknown keys and values of the wrong JSON type
+    raise FormatError with their path."""
     from .latency import CusumParams  # latency imports this module
 
-    _section(doc, "", _TOP_KEYS)
-    layout = _layout_from_dict(_section(doc, "layout", _LAYOUT_KEYS))
-    sync = SyncSpec(**_section(doc, "sync", [f.name for f in fields(SyncSpec)]))
-    schedule = _schedule_from_dict(_section(doc, "schedule", _SCHEDULE_KEYS),
+    top = _section(doc, "", _TOP_KINDS)
+    layout = _layout_from_dict(_section(doc, "layout", _LAYOUT_KINDS))
+    sync = SyncSpec(**_section(doc, "sync", _kinds(SyncSpec)))
+    schedule = _schedule_from_dict(_section(doc, "schedule", _SCHEDULE_KINDS),
                                    layout)
-    cams = doc.get("cameras")
+    cams = top.get("cameras")
     models = (default_models(layout.side_mm) if cams is None
-              else camera_pair(cams))
-    files = _section(doc, "files", ("cam1", "cam2", "format"))
+              else camera_pair(cams, layout.side_mm))
+    files = _section(doc, "files", dict.fromkeys(("cam1", "cam2", "format"),
+                                                 str))
     cam1 = files.get("cam1", "")
     cam2 = files.get("cam2", "")
     if base_dir is not None:
         cam1 = str(base_dir / cam1) if cam1 else ""
         cam2 = str(base_dir / cam2) if cam2 else ""
-    clu = _section(doc, "cluster", ("eps_px", "min_samples",
-                                    "min_cluster_points"))
-    _section(doc, "calibration", ("free",))
-    cal = _section(doc, "calibration.free", ("position", "skew", "k1", "focal"))
-    latency = _section(doc, "latency", [f.name for f in fields(CusumParams)])
-    roi = doc.get("roi", DEFAULT_ROI)
+    clu = _section(doc, "cluster", {"eps_px": float, "min_samples": int,
+                                    "min_cluster_points": int})
+    _section(doc, "calibration", {"free": None})
+    cal = _section(doc, "calibration.free", _kinds(FreeParams))
+    latency = _section(doc, "latency", _kinds(CusumParams))
+    roi = top.get("roi", DEFAULT_ROI)
     if (not isinstance(roi, (list, tuple)) or len(roi) != 2
             or not all(type(b) is int for b in roi)
             or not 0 <= roi[0] < roi[1] <= SENSOR_HEIGHT):
@@ -540,19 +585,15 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
         schedule=schedule,
         camera_models=models,
         roi=tuple(roi),
-        baseline_s=float(doc.get("baseline_s", 0.3)),
-        cluster_eps_px=float(clu.get("eps_px", 10.0)),
-        cluster_min_samples=int(clu.get("min_samples", 10)),
-        cluster_min_points=int(clu.get("min_cluster_points",
-                                       clu.get("min_samples", 10))),
-        calibration_free=FreeParams(
-            position=bool(cal.get("position", True)),
-            skew=bool(cal.get("skew", True)),
-            k1=bool(cal.get("k1", True)),
-            focal=bool(cal.get("focal", False)),
-        ),
-        exclude_presses=tuple(doc.get("exclude_presses", ())),
-        seed=int(doc.get("seed", 0)),
-        synth=doc.get("synth", {}),
+        baseline_s=top.get("baseline_s", 0.3),
+        cluster_eps_px=clu.get("eps_px", 10.0),
+        cluster_min_samples=clu.get("min_samples", 10),
+        cluster_min_points=clu.get("min_cluster_points",
+                                   clu.get("min_samples", 10)),
+        calibration_free=FreeParams(**cal),
+        exclude_presses=tuple(_typed_list(top.get("exclude_presses", []),
+                                          "exclude_presses", int)),
+        seed=top.get("seed", 0),
+        synth=top.get("synth", {}),
         latency=latency,
     )

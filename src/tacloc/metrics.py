@@ -30,14 +30,6 @@ def rmse(estimates, ground_truths) -> tuple[float, float, float]:
     return math.sqrt(mx + my), math.sqrt(mx), math.sqrt(my)
 
 
-def cmre(estimates, ground_truths, diagonal_mm: float) -> float:
-    """Euclidean RMSE as a percentage of the sensor diagonal."""
-    if diagonal_mm <= 0:
-        raise ValueError("diagonal_mm must be positive")
-    e, _, _ = rmse(estimates, ground_truths)
-    return 100.0 * e / diagonal_mm
-
-
 def pass_rate(errors_mm, reference_p95_mm: float, validity) -> float:
     """Percentage of presses that are valid and beat the reference error.
 

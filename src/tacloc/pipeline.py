@@ -4,15 +4,11 @@ Stages: align (three-tap sync) -> ROI crop -> schedule segmentation ->
 (a) per-trial DBSCAN centroids -> (b) two-ray triangulation ->
 evaluation. Stage (a) does not depend on the camera models; its output
 is a :class:`TrialTable` of per-trial columns, and stage (b) fills the
-estimates with one vectorized triangulation over the whole table. Trials
-are independent in stage (a); an optional thread pool processes them
-concurrently with rows kept in trial order, so the thread count never
-changes any output.
+estimates with one vectorized triangulation over the whole table.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,8 +21,8 @@ from .ingest import RunConfig, align_streams, detect_sync_taps
 from .metrics import EvaluationReport, evaluate
 from .segment import PressTrial, press_events, segment_by_schedule
 
-_NO_CLUSTER = ClusterResult(np.zeros(0, dtype=np.int64), 0, 0,
-                            float("nan"), float("nan"), False)
+_NO_CLUSTER = ClusterResult(np.zeros(0, dtype=np.int64), 0, float("nan"),
+                            False)
 
 
 @dataclass(frozen=True)
@@ -108,20 +104,14 @@ def triangulate_trials(table: TrialTable, models) -> TrialTable:
     return replace(table, est_mm=est, valid=valid, reason=tuple(reason))
 
 
-def localize_trials(trials, models, params: DbscanParams,
-                    threads: int = 1) -> TrialTable:
+def localize_trials(trials, models, params: DbscanParams) -> TrialTable:
     """Run stage (a) on every trial, then stage (b) on the whole table."""
-    def row(trial):
+    rows = []
+    for trial in trials:
         # keep only the columns, not each trial's per-event labels
         r1, r2, reason = localize_trial(trial, params)
-        return (r1.centroid_u, r2.centroid_u, r1.largest_cluster_size,
-                r2.largest_cluster_size, reason)
-
-    if threads <= 1:
-        rows = [row(t) for t in trials]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, trials))
+        rows.append((r1.centroid_u, r2.centroid_u, r1.largest_cluster_size,
+                     r2.largest_cluster_size, reason))
     n = len(rows)
     reason = tuple(r[4] for r in rows)
     table = TrialTable(
@@ -156,16 +146,20 @@ def evaluate_results(table: TrialTable, cfg: RunConfig,
                     reference_p95_mm=reference_p95_mm)
 
 
+def segment(prepared: PreparedRun, cfg: RunConfig) -> list[PressTrial]:
+    """The prepared recording cut into the config schedule's press trials."""
+    return segment_by_schedule(prepared.s1, prepared.s2, cfg.schedule,
+                               baseline_s=cfg.baseline_s,
+                               anchor_s=prepared.anchor_s)
+
+
 def run_localization(prepared: PreparedRun, cfg: RunConfig,
-                     models=None, threads: int = 1,
-                     reference_p95_mm: float | None = None,
+                     models=None, reference_p95_mm: float | None = None,
                      ) -> tuple[EvaluationReport, TrialTable, list[PressTrial]]:
     """Segment, localize, and score one prepared recording."""
     models = cfg.camera_models if models is None else models
-    trials = segment_by_schedule(prepared.s1, prepared.s2, cfg.schedule,
-                                 baseline_s=cfg.baseline_s,
-                                 anchor_s=prepared.anchor_s)
-    table = localize_trials(trials, models, cluster_params(cfg), threads)
+    trials = segment(prepared, cfg)
+    table = localize_trials(trials, models, cluster_params(cfg))
     report = evaluate_results(table, cfg, reference_p95_mm)
     return report, table, trials
 
@@ -179,14 +173,11 @@ def calibration_observations(table: TrialTable, cfg: RunConfig,
 
 
 def run_calibration(prepared: PreparedRun, cfg: RunConfig,
-                    threads: int = 1) -> tuple[CalibrationResult, TrialTable]:
+                    ) -> tuple[CalibrationResult, TrialTable]:
     """Fit camera parameters on repetition 0 of a prepared recording."""
-    trials = segment_by_schedule(prepared.s1, prepared.s2, cfg.schedule,
-                                 baseline_s=cfg.baseline_s,
-                                 anchor_s=prepared.anchor_s)
-    rep0 = [t for t in trials if t.repetition == 0]
-    table = localize_trials(rep0, cfg.camera_models, cluster_params(cfg),
-                            threads)
+    rep0 = [t for t in segment(prepared, cfg) if t.repetition == 0]
+    table = localize_trials(rep0, cfg.camera_models, cluster_params(cfg))
     u1, u2, gt = calibration_observations(table, cfg, repetition=0)
-    fit = calibrate(cfg.camera_models, u1, u2, gt, free=cfg.calibration_free)
+    fit = calibrate(cfg.camera_models, u1, u2, gt, free=cfg.calibration_free,
+                    side_mm=cfg.layout.side_mm)
     return fit, table

@@ -23,10 +23,6 @@ class PressTrial:
     ground_truth_mm: tuple[float, float]
     missing: bool = False
 
-    @property
-    def window_s(self) -> tuple[float, float]:
-        return (self.t0_s, self.t1_s)
-
 
 def segment_by_schedule(s1: EventStream, s2: EventStream,
                         schedule: PressSchedule, baseline_s: float = 0.3,

@@ -101,6 +101,39 @@ BAD_INPUTS = [
                               ("strings", ["a", "b"], '["a", "b"]'),
                               ("three-bounds", [10, 20, 30], "[10, 20, 30]"),
                               ("reversed", [300, 200], "[300, 200]")]],
+    pytest.param(lambda d: d.update(exclude_presses=5), None,
+                 "exclude_presses must be a list of integers, got 5",
+                 id="exclude_presses-scalar"),
+    pytest.param(lambda d: d.update(seed=[1]), None,
+                 "seed must be an integer, got [1]", id="seed-list"),
+    pytest.param(lambda d: d.update(seed=True), None,
+                 "seed must be an integer, got true", id="seed-bool"),
+    pytest.param(lambda d: d.update(cluster={"eps_px": None}), None,
+                 "cluster.eps_px must be a number, got null",
+                 id="cluster.eps_px-null"),
+    pytest.param(lambda d: d.update(cluster={"min_samples": 2.5}), None,
+                 "cluster.min_samples must be an integer, got 2.5",
+                 id="cluster.min_samples-float"),
+    pytest.param(lambda d: d["layout"].update(grid_origin_mm=3), None,
+                 "layout.grid_origin_mm must be a list of 2 numbers, got 3",
+                 id="layout.grid_origin_mm-scalar"),
+    pytest.param(lambda d: d.update(sync={"n_taps": "3"}), None,
+                 'sync.n_taps must be an integer, got "3"',
+                 id="sync.n_taps-string"),
+    pytest.param(lambda d: d.update(calibration={"free": {"k1": "no"}}), None,
+                 'calibration.free.k1 must be true or false, got "no"',
+                 id="calibration.free.k1-string"),
+    pytest.param(lambda d: d["files"].update(cam1=1), None,
+                 "files.cam1 must be a string, got 1", id="files.cam1-number"),
+    # the camera box of a 160 mm skin is [-80, 240] mm
+    pytest.param(lambda d: (d["layout"].update(side_mm=160.0),
+                            d.update(cameras=[dict(CAMERA, x_mm=241.0),
+                                              CAMERA])),
+                 None, "cameras[0]: camera position (241, 0) mm outside the "
+                 "expanded sensor box [-80, 240] mm", id="cameras-outside-box"),
+    pytest.param(None, [CAMERA, dict(CAMERA, y_mm=-51.0)],
+                 "cameras[1]: camera position (0, -51) mm outside the "
+                 "expanded sensor box [-50, 150] mm", id="models-outside-box"),
 ]
 
 
@@ -218,6 +251,21 @@ class TestLocalize:
         assert [r.getMessage() for r in errors] == [
             f"{tmp_path / 'cam1.evt'}: column u value 40000 outside [0, 639]"]
         assert errors[0].exc_info is None
+
+    def test_side_160_skin_localizes(self, tmp_path):
+        # the default corner cameras of a 160 mm skin lie in its camera box
+        cfgp = base_config(
+            tmp_path, layout={"side_mm": 160.0, "grid_cols": 4,
+                              "grid_rows": 3, "repetitions": 1,
+                              "grid_origin_mm": [70.0, 70.0]},
+            schedule={"onset0_s": 5.0, "period_s": 1.5, "repetitions": 1})
+        assert main(["simulate", "--config", str(cfgp),
+                     "--out", str(tmp_path)]) == 0
+        out = tmp_path / "loc"
+        assert main(["localize", "--config", str(cfgp), "--out", str(out)]) == 0
+        rep = json.loads((out / "evaluation.json").read_text())
+        assert rep["n_valid"] == rep["n_presses"] == 12
+        assert rep["rmse_mm"] < 1.0
 
     def test_determinism_and_threads(self, sim_dir, tmp_path):
         tmp, cfgp = sim_dir
@@ -370,3 +418,21 @@ def test_no_module_imports_scipy():
             else:
                 continue
             assert not [n for n in names if n.split(".")[0] == "scipy"], path.name
+
+
+def test_no_module_has_unused_imports():
+    # a module-level import that its module never names is left over from
+    # a deletion; the package's __init__ imports only to re-export
+    for path in sorted(Path(tacloc.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0]
+                             for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        assert sorted(imported - used) == [], path.name

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tacloc.events import (EventStream, SensorLayout, bit_rate, crop_roi,
+from tacloc.events import (EventStream, SensorLayout, crop_roi,
                            event_rate_histogram, meander_grid)
 
 from .conftest import uniform_stream
@@ -149,37 +149,6 @@ def test_histogram_conservation_property(rows, bin_s):
     h = event_rate_histogram(s, bin_s)
     assert h.total_events == len(rows)
     assert np.isclose((h.rates * h.bin_s).sum(), len(rows))
-
-
-class TestBitRate:
-    def test_press_rate_accounting(self):
-        # 28,600 events in one second at 21 bits is about 75 kB/s
-        rng = np.random.default_rng(7)
-        n = 28_600
-        t = np.sort(rng.integers(0, 1_000_000, n))
-        s = EventStream(1, t, np.zeros(n), np.zeros(n), np.zeros(n))
-        assert bit_rate(s, 0.0, 1.0, 21) == pytest.approx(75.075, abs=1e-9)
-
-    def test_empty_window(self):
-        s = stream_from_rows([[10, 1, 2, 1]])
-        assert bit_rate(s, 0.5, 1.5, 21) == 0.0
-
-    def test_thinned_rate(self):
-        from tacloc.ablate import thin
-        rng = np.random.default_rng(8)
-        n = 28_600 * 16
-        t = np.sort(rng.integers(0, 16_000_000, n))
-        s = EventStream(1, t, np.zeros(n), np.zeros(n), np.zeros(n))
-        thinned = thin(s, 1024, seed=0)
-        expect = 28_600 / 1024 * 21 / 8 / 1000
-        got = bit_rate(thinned, 0.0, 16.0, 21)
-        sigma = np.sqrt(n / 1024) / n * 28_600 * 21 / 8 / 1000
-        assert abs(got - expect) < 4 * sigma
-
-    def test_bad_window(self):
-        s = stream_from_rows([[10, 1, 2, 1]])
-        with pytest.raises(ValueError):
-            bit_rate(s, 1.0, 1.0, 21)
 
 
 class TestSensorLayout:

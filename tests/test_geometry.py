@@ -8,9 +8,15 @@ import pytest
 
 from tacloc.geometry import (CalibrationError, CameraModel,
                              DegenerateGeometryError, FreeParams,
-                             GeometryError, OutOfViewError, calibrate,
-                             default_models, pixel_to_bearing, project_point,
-                             project_points, triangulate, triangulate_many)
+                             GeometryError, calibrate, default_models,
+                             pixel_to_bearing, project_points, triangulate,
+                             triangulate_many)
+
+
+def project(model, p):
+    """Pixel column of one world point, nan when out of view."""
+    u, _ = project_points(model, [p])
+    return float(u[0])
 
 
 def random_model(rng, camera=1):
@@ -56,21 +62,21 @@ class TestProjection:
     def test_optical_axis_maps_to_center(self):
         m = CameraModel(0, 0, math.pi / 4)
         p = (30.0, 30.0)  # on the axis
-        assert project_point(m, p) == pytest.approx(319.5, abs=1e-9)
+        assert project(m, p) == pytest.approx(319.5, abs=1e-9)
 
     def test_behind_camera(self):
         m = CameraModel(0, 0, math.pi / 4)
-        with pytest.raises(OutOfViewError):
-            project_point(m, (-30.0, -30.0))
+        u, ok = project_points(m, [(-30.0, -30.0)])
+        assert not ok[0]
+        assert np.isnan(u[0])
 
     def test_projection_bearing_round_trip(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             m = random_model(rng, camera=int(rng.integers(1, 3)))
             p = rng.uniform(10, 90, 2)
-            try:
-                u = project_point(m, p)
-            except OutOfViewError:
+            u = project(m, p)
+            if math.isnan(u):
                 continue
             want = math.atan2(p[1] - m.y_mm, p[0] - m.x_mm)
             got = pixel_to_bearing(m, u)
@@ -86,8 +92,8 @@ class TestProjection:
 class TestTriangulate:
     def test_symmetric_configuration(self):
         m1, m2 = default_models()
-        u1 = project_point(m1, (50.0, 50.0))
-        u2 = project_point(m2, (50.0, 50.0))
+        u1 = project(m1, (50.0, 50.0))
+        u2 = project(m2, (50.0, 50.0))
         tri = triangulate(m1, u1, m2, u2)
         assert tri.x_mm == pytest.approx(50.0, abs=1e-9)
         assert tri.y_mm == pytest.approx(50.0, abs=1e-9)
@@ -97,7 +103,7 @@ class TestTriangulate:
         m1 = random_model(rng, 1)
         m2 = random_model(rng, 2)
         p = (37.0, 62.0)
-        u1, u2 = project_point(m1, p), project_point(m2, p)
+        u1, u2 = project(m1, p), project(m2, p)
         a = triangulate(m1, u1, m2, u2)
         b = triangulate(m2, u2, m1, u1)
         assert a.x_mm == pytest.approx(b.x_mm, abs=1e-9)
@@ -111,10 +117,12 @@ class TestTriangulate:
             m1 = random_model(rng, 1)
             m2 = random_model(rng, 2)
             p = rng.uniform(5, 95, 2)
+            u1, u2 = project(m1, p), project(m2, p)
+            if math.isnan(u1) or math.isnan(u2):
+                continue
             try:
-                u1, u2 = project_point(m1, p), project_point(m2, p)
                 tri = triangulate(m1, u1, m2, u2)
-            except (OutOfViewError, DegenerateGeometryError):
+            except DegenerateGeometryError:
                 continue
             assert np.hypot(tri.x_mm - p[0], tri.y_mm - p[1]) < 1e-6
             done += 1
@@ -129,7 +137,7 @@ class TestTriangulate:
     def test_out_of_bounds_point_not_raised(self):
         m1, m2 = default_models()
         p = (50.0, 140.0)
-        u1, u2 = project_point(m1, p), project_point(m2, p)
+        u1, u2 = project(m1, p), project(m2, p)
         tri = triangulate(m1, u1, m2, u2)
         assert tri.y_mm == pytest.approx(140.0, abs=1e-6)
 
@@ -226,3 +234,15 @@ class TestCalibrate:
         fit = calibrate(start, u1, u2, pts, free=free)
         assert fit.rmse_mm < 1e-5
         assert fit.models[0].focal_px == pytest.approx(330.0, abs=0.1)
+
+    def test_steps_stay_in_the_camera_box_of_the_skin(self):
+        # camera 2 of a 160 mm skin sits at x = 160, inside that skin's
+        # box [-80, 240] but outside the [-50, 150] box of a 100 mm skin
+        true = default_models(160.0)
+        u1, u2, pts = observations(true, 1.6 * grid_points())
+        start = (true[0], replace(true[1], x_mm=148.0))
+        free = FreeParams(skew=False, k1=False)
+        fit = calibrate(start, u1, u2, pts, free=free, side_mm=160.0)
+        assert fit.models[1].x_mm == pytest.approx(160.0, abs=1e-6)
+        with pytest.raises(CalibrationError, match="sensor box"):
+            calibrate(true, u1, u2, pts, free=free, side_mm=100.0)

@@ -49,15 +49,6 @@ class TestLocalization:
         assert report.rmse_mm < 0.2
         assert report.pass_rate_percent >= 90.0
 
-    def test_threads_do_not_change_results(self, run20):
-        cfg, prepared, _ = run20
-        r1, res1, _ = pipeline.run_localization(prepared, cfg, threads=1)
-        r4, res4, _ = pipeline.run_localization(prepared, cfg, threads=4)
-        assert r1.to_json_dict() == r4.to_json_dict()
-        for f in dataclasses.fields(pipeline.TrialTable):
-            np.testing.assert_array_equal(getattr(res1, f.name),
-                                          getattr(res4, f.name))
-
     def test_missing_trial_reported_invalid(self, run20):
         cfg, prepared, _ = run20
         from tacloc.ingest import PressSchedule

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tacloc.geometry import project_point
+from tacloc.geometry import project_points
 from tacloc.ingest import make_schedule
 from tacloc.synth import RateProfile, SynthSpec, generate
 
@@ -131,15 +131,18 @@ class TestGenerate:
         _, _, man = generate(spec)
         for i, rec in enumerate(man.press_records):
             gt = spec.schedule.ground_truth_mm[i]
-            want = project_point(spec.models[0], gt)
-            assert rec["center_u_cam1"] == pytest.approx(want, abs=1e-9)
+            want, ok = project_points(spec.models[0], [gt])
+            assert ok[0]
+            assert rec["center_u_cam1"] == pytest.approx(want[0], abs=1e-9)
 
     def test_press_offsets_change_centers(self):
         spec = make_spec(seed=10, press_offset_sigma_px=2.0,
                          background_rate_per_camera=0.0)
         _, _, man = generate(spec)
         gt = spec.schedule.ground_truth_mm
-        deltas = [rec["center_u_cam1"] - project_point(spec.models[0], gt[i])
+        want, ok = project_points(spec.models[0], gt)
+        assert ok.all()
+        deltas = [rec["center_u_cam1"] - want[i]
                   for i, rec in enumerate(man.press_records)]
         assert np.std(deltas) > 0.5
 
