@@ -16,8 +16,8 @@ import numpy as np
 from .events import EventStream
 from .ingest import RunConfig
 from .metrics import EvaluationReport, UndefinedMetricError, empty_report
-from .pipeline import (PreparedRun, TrialTable, cluster_params,
-                       evaluate_results, localize_trials, segment)
+from .pipeline import (PreparedRun, TrialTable, evaluate_results,
+                       localize_trials, segment)
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -121,7 +121,6 @@ def run_sweep(prepared: PreparedRun, cfg: RunConfig, models,
     """
     factors = tuple(int(k) for k in factors)
     seeds = tuple(int(s) for s in seeds)
-    params = cluster_params(cfg)
     base_report, base_table = baseline
     reference_p95_mm = base_report.reference_p95_mm
     base_size = _mean_cluster_size(base_table)
@@ -131,7 +130,7 @@ def run_sweep(prepared: PreparedRun, cfg: RunConfig, models,
             return SweepCell(1, seed, base_report, base_size)
         thinned = replace(prepared, s1=thin(prepared.s1, k, seed),
                           s2=thin(prepared.s2, k, seed))
-        table = localize_trials(segment(thinned, cfg), models, params)
+        table = localize_trials(segment(thinned, cfg), models, cfg.cluster)
         try:
             report = evaluate_results(table, cfg,
                                       reference_p95_mm=reference_p95_mm)

@@ -24,8 +24,8 @@ from . import ablate as ablate_mod
 from . import latency as latency_mod
 from . import pipeline, synth
 from .geometry import CalibrationError
-from .ingest import (FormatError, IngestError, RunConfig, SyncError,
-                     camera_pair, load_config, read_events, write_events)
+from .ingest import (IngestError, RunConfig, SyncError, load_config,
+                     load_models, read_events, write_events)
 from .metrics import UndefinedMetricError
 
 log = logging.getLogger("tacloc")
@@ -63,14 +63,6 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
                         for k in columns})
 
 
-def _load_run_config(args) -> RunConfig:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    log.info("effective seed: %d", cfg.seed)
-    return cfg
-
-
 def _prepare(cfg: RunConfig) -> pipeline.PreparedRun:
     """Read both camera files, then crop and align them."""
     if not cfg.cam1_path or not cfg.cam2_path:
@@ -82,17 +74,10 @@ def _prepare(cfg: RunConfig) -> pipeline.PreparedRun:
         return pipeline.prepare_run(s1, s2, cfg)
 
 
-def _synth_spec(cfg: RunConfig) -> synth.SynthSpec:
-    return synth.spec_from_config(cfg.layout, cfg.schedule, cfg.sync,
+def cmd_simulate(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
+    spec = synth.spec_from_config(cfg.layout, cfg.schedule, cfg.sync,
                                   cfg.camera_models, cfg.roi, cfg.seed,
                                   cfg.synth)
-
-
-def cmd_simulate(args) -> list[Path]:
-    cfg = _load_run_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    spec = _synth_spec(cfg)
     log.info("simulating %d presses with seed %d", len(spec.schedule), spec.seed)
     with _stage("generate"):
         s1, s2, manifest = synth.generate(spec)
@@ -134,16 +119,11 @@ _RESULT_COLUMNS = ["press_index", "repetition", "gt_x_mm", "gt_y_mm",
                    "cluster_size1", "cluster_size2", "valid", "reason"]
 
 
-def cmd_localize(args) -> list[Path]:
-    cfg = _load_run_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    models = _models_override(args, cfg.layout.side_mm)
+def cmd_localize(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     prepared = _prepare(cfg)
     log.info("tap onsets: %s", [round(t, 3) for t in prepared.tap_onsets_s])
     with _stage("localize"):
-        report, table, _ = pipeline.run_localization(prepared, cfg,
-                                                     models=models)
+        report, table, _ = pipeline.run_localization(prepared, cfg)
     p_csv = out_dir / "localization.csv"
     p_json = out_dir / "evaluation.json"
     _write_csv(p_csv, _result_rows(table), _RESULT_COLUMNS)
@@ -153,23 +133,7 @@ def cmd_localize(args) -> list[Path]:
     return [p_csv, p_json]
 
 
-def _models_override(args, side_mm: float):
-    """Camera models from ``--models`` (a calibrate report or a bare list)."""
-    path = getattr(args, "models", None)
-    if not path:
-        return None
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(doc, dict):
-        if "cameras" not in doc:
-            raise FormatError(f"{path}: missing key cameras")
-        doc = doc["cameras"]
-    return camera_pair(doc, side_mm)
-
-
-def cmd_calibrate(args) -> list[Path]:
-    cfg = _load_run_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_calibrate(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     prepared = _prepare(cfg)
     with _stage("calibrate"):
         fit, _ = pipeline.run_calibration(prepared, cfg)
@@ -200,20 +164,15 @@ def cmd_calibrate(args) -> list[Path]:
     return [p]
 
 
-def cmd_ablate(args) -> list[Path]:
-    cfg = _load_run_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_ablate(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     factors = [int(x) for x in args.factors.split(",")]
     seeds = [int(x) for x in args.seeds.split(",")]
-    models = _models_override(args, cfg.layout.side_mm) or cfg.camera_models
     prepared = _prepare(cfg)
     with _stage("baseline"):
-        report, table, _ = pipeline.run_localization(prepared, cfg,
-                                                     models=models)
+        report, table, _ = pipeline.run_localization(prepared, cfg)
     with _stage("sweep"):
-        sweep = ablate_mod.run_sweep(prepared, cfg, models, factors, seeds,
-                                     (report, table))
+        sweep = ablate_mod.run_sweep(prepared, cfg, cfg.camera_models,
+                                     factors, seeds, (report, table))
     p_csv = out_dir / "ablation.csv"
     p_json = out_dir / "ablation_curve.json"
     _write_csv(p_csv, sweep.csv_rows(),
@@ -225,14 +184,10 @@ def cmd_ablate(args) -> list[Path]:
     return [p_csv, p_json]
 
 
-def cmd_latency(args) -> list[Path]:
-    cfg = _load_run_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_latency(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     prepared = _prepare(cfg)
     trials = [t for t in pipeline.segment(prepared, cfg) if not t.missing]
-    params = latency_mod.CusumParams(
-        **{k: v for k, v in cfg.latency.items() if k != "h"})
+    params = cfg.latency
     snippets = latency_mod.trial_background_snippets(trials)
     roc = []
     if args.tune or args.h is None:
@@ -319,7 +274,15 @@ def main(argv=None) -> int:
         level=getattr(logging, args.log_level.upper()),
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
-        paths = args.func(args)
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg.seed = args.seed
+        log.info("effective seed: %d", cfg.seed)
+        if getattr(args, "models", None):
+            cfg.camera_models = load_models(args.models, cfg.layout.side_mm)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        paths = args.func(args, cfg, out_dir)
     except SyncError as exc:
         log.error("sync failure: %s", exc)
         return EXIT_SYNC

@@ -261,10 +261,11 @@ def calibrate(models0, u1, u2, ground_truth, free: FreeParams = FreeParams(),
 
     Minimizes the summed squared distance between triangulated positions
     and ground truth over the unmasked parameters, with a forward-difference
-    Jacobian. Only cost-improving steps are accepted (damping x10 on
-    reject, /10 on accept), and a step that takes a camera out of the
-    camera box of a ``side_mm`` skin is rejected; converged when the
-    relative cost decrease of an accepted step falls below ``rel_tol``.
+    Jacobian (backward on the camera-box edge). Only cost-improving steps
+    are accepted (damping x10 on reject, /10 on accept), and a step that
+    takes a camera out of the camera box of a ``side_mm`` skin is
+    rejected; converged when the relative cost decrease of an accepted
+    step falls below ``rel_tol``.
     """
     u1 = np.asarray(u1, dtype=np.float64)
     u2 = np.asarray(u2, dtype=np.float64)
@@ -308,13 +309,19 @@ def calibrate(models0, u1, u2, ground_truth, free: FreeParams = FreeParams(),
         converged = True
     else:
         for _ in range(max_iterations):
-            # forward-difference Jacobian
+            # forward-difference Jacobian, backward where the forward probe
+            # would leave the camera box
             J = np.empty((len(r), len(x)))
             for j in range(len(x)):
                 h = 1e-6 * max(1.0, abs(x[j]))
                 xp = x.copy()
                 xp[j] += h
-                rp, _ = residuals(xp)
+                try:
+                    rp, _ = residuals(xp)
+                except CalibrationError:
+                    h = -h
+                    xp[j] = x[j] + h
+                    rp, _ = residuals(xp)
                 J[:, j] = (rp - r) / h
             g = J.T @ r
             jtj = J.T @ J

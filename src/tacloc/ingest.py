@@ -14,17 +14,20 @@ from __future__ import annotations
 import json
 import logging
 import struct
+import sys
 from dataclasses import dataclass, field, fields
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
+from .cluster import DbscanParams
 from .events import (DEFAULT_ROI, SENSOR_HEIGHT, SENSOR_WIDTH, US_PER_S,
                      EventStream, SensorLayout, event_rate_histogram,
                      meander_grid)
 from .geometry import (CameraModel, FreeParams, check_camera_box,
                        default_models)
+from .latency import CusumParams
 
 log = logging.getLogger(__name__)
 
@@ -64,8 +67,9 @@ class SyncSpec:
     def __post_init__(self):
         if self.n_taps < 2:
             raise ValueError("n_taps must be >= 2")
-        if self.tap_interval_s <= 0:
-            raise ValueError("tap_interval_s must be positive")
+        if min(self.tap_interval_s, self.search_window_s, self.bin_s) <= 0:
+            raise ValueError("tap_interval_s, search_window_s and bin_s "
+                             "must be positive")
 
 
 @dataclass(frozen=True)
@@ -357,12 +361,13 @@ def detect_sync_taps(stream: EventStream, spec: SyncSpec = SyncSpec()) -> np.nda
 
 
 def align_streams(s1: EventStream, s2: EventStream,
-                  spec: SyncSpec = SyncSpec(),
-                  max_residual_s: float = 0.050) -> tuple[EventStream, EventStream]:
+                  spec: SyncSpec = SyncSpec(), max_residual_s: float = 0.050,
+                  ) -> tuple[EventStream, EventStream, np.ndarray, np.ndarray]:
     """Set s2's time offset so the mean tap onsets of both streams agree.
 
     The offset is averaged over all taps to soak up per-tap onset jitter;
-    per-tap residuals beyond ``max_residual_s`` raise SyncError.
+    per-tap residuals beyond ``max_residual_s`` raise SyncError. Returns
+    both streams and the tap onsets found in each, before alignment.
     """
     taps1 = detect_sync_taps(s1, spec)
     taps2 = detect_sync_taps(s2, spec)
@@ -374,7 +379,7 @@ def align_streams(s1: EventStream, s2: EventStream,
         raise SyncError(
             f"tap residuals after alignment exceed {max_residual_s}s: "
             f"{residual.tolist()}")
-    return s1, out2
+    return s1, out2, taps1, taps2
 
 
 @dataclass
@@ -390,14 +395,12 @@ class RunConfig:
     camera_models: tuple[CameraModel, CameraModel] = None
     roi: tuple[int, int] = DEFAULT_ROI
     baseline_s: float = 0.3
-    cluster_eps_px: float = 10.0
-    cluster_min_samples: int = 10
-    cluster_min_points: int = 10
+    cluster: DbscanParams = field(default_factory=DbscanParams)
     calibration_free: FreeParams = field(default_factory=FreeParams)
     exclude_presses: tuple[int, ...] = ()
     seed: int = 0
-    synth: dict = field(default_factory=dict)
-    latency: dict = field(default_factory=dict)
+    synth: dict = field(default_factory=dict)  # SynthSpec keyword arguments
+    latency: CusumParams = field(default_factory=CusumParams)
 
     def __post_init__(self):
         if self.camera_models is None:
@@ -406,16 +409,26 @@ class RunConfig:
             self.schedule = make_schedule(self.layout)
 
 
+def _kinds(cls) -> dict:
+    """Keys and value types of a dataclass whose every field has a default."""
+    return {f.name: type(f.default) for f in fields(cls)}
+
+
 # each section's keys, with the JSON type of its scalar values; None marks
 # a value that its own rule reads
 _LAYOUT_KINDS = {"side_mm": float, "grid_points_mm": None, "grid_cols": int,
                  "grid_rows": int, "grid_spacing_mm": float,
                  "grid_origin_mm": None, "repetitions": int,
                  "press_duration_s": float}
-_SCHEDULE_KINDS = {"onsets_s": None, "press_duration_s": float,
-                   "ground_truth_mm": None, "press_index": None,
-                   "repetition": None, "onset0_s": float, "period_s": float,
-                   "repetitions": int}
+_MEANDER_KEYS = ("grid_cols", "grid_rows", "grid_origin_mm")
+_SCHEDULE_ARRAYS = ("onsets_s", "ground_truth_mm", "press_index", "repetition")
+_GENERATOR_KINDS = {"onset0_s": float, "period_s": float, "repetitions": int}
+_SCHEDULE_KINDS = {**dict.fromkeys(_SCHEDULE_ARRAYS), **_GENERATOR_KINDS,
+                   "press_duration_s": float}
+_CLUSTER_KINDS = {"eps_px": float, "min_samples": int,
+                  "min_cluster_points": int}
+# h is not a config key: --h or --tune sets it
+_LATENCY_KINDS = {k: v for k, v in _kinds(CusumParams).items() if k != "h"}
 _TOP_KINDS = {"files": None, "layout": None, "sync": None, "schedule": None,
               "cameras": None, "roi": None, "baseline_s": float,
               "cluster": None, "calibration": None, "exclude_presses": None,
@@ -425,15 +438,11 @@ _KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false",
 _PLURAL_NAMES = {float: "numbers", int: "integers"}
 
 
-def _kinds(cls) -> dict:
-    """Keys and value types of a dataclass whose every field has a default."""
-    return {f.name: type(f.default) for f in fields(cls)}
-
-
 def _typed(value, path: str, kind: type):
     """``value`` as ``kind``, once its JSON type is checked: a float takes
-    any number, an int only an integer, and neither takes a bool."""
-    if type(value) not in ((int, float) if kind is float else (kind,)):
+    any finite number, an int only an integer, and neither takes a bool."""
+    if (type(value) not in ((int, float) if kind is float else (kind,))
+            or kind is float and not abs(value) <= sys.float_info.max):
         raise FormatError(f"{path} must be {_KIND_NAMES[kind]}, got "
                           f"{json.dumps(value, default=str)}")
     return kind(value)
@@ -448,6 +457,15 @@ def _typed_list(value, path: str, kind: type, length: int | None = None):
                           f"{_PLURAL_NAMES[kind]}, got "
                           f"{json.dumps(value, default=str)}")
     return [_typed(x, f"{path}[{i}]", kind) for i, x in enumerate(value)]
+
+
+def _pairs(value, path: str) -> np.ndarray:
+    """The (n, 2) array of a list of number pairs."""
+    if not isinstance(value, list):
+        raise FormatError(f"{path} must be a list of number pairs, got "
+                          f"{json.dumps(value, default=str)}")
+    return np.array([_typed_list(p, f"{path}[{i}]", float, 2)
+                     for i, p in enumerate(value)], dtype=np.float64)
 
 
 def _section(doc: dict, name: str, kinds: dict) -> dict:
@@ -467,6 +485,22 @@ def _section(doc: dict, name: str, kinds: dict) -> dict:
             for k, v in sub.items()}
 
 
+def _only(d: dict, name: str, keys, form: str) -> None:
+    """Refuse a key of section ``name`` that its ``form`` does not read."""
+    extra = sorted(set(d) - set(keys))
+    if extra:
+        raise FormatError(f"{name}.{extra[0]} is not read by {form}")
+
+
+def _build(make, name: str, *args, **kwargs):
+    """``make(*args, **kwargs)``; the ValueError of a broken invariant is
+    raised as FormatError at JSON path ``name``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise FormatError(f"{name}: {exc}") from None
+
+
 def camera_pair(cams, side_mm: float) -> tuple[CameraModel, CameraModel]:
     """The two camera models of a ``cameras`` list, each entry giving every
     CameraModel parameter as a number and a position inside the camera box
@@ -483,76 +517,114 @@ def camera_pair(cams, side_mm: float) -> tuple[CameraModel, CameraModel]:
                 raise FormatError(f"missing key cameras[{i}].{f.name}")
             params[f.name] = _typed(cam[f.name], f"cameras[{i}].{f.name}",
                                     float)
-        try:
-            models.append(CameraModel(**params))
-            check_camera_box(models[-1], side_mm)
-        except ValueError as exc:
-            raise FormatError(f"cameras[{i}]: {exc}") from None
+        models.append(_build(CameraModel, f"cameras[{i}]", **params))
+        _build(check_camera_box, f"cameras[{i}]", models[-1], side_mm)
     return models[0], models[1]
 
 
 def _layout_from_dict(d: dict) -> SensorLayout:
-    grid = None
     if "grid_points_mm" in d:
-        grid = np.asarray(d["grid_points_mm"], dtype=np.float64)
-    elif any(k in d for k in ("grid_cols", "grid_rows", "grid_origin_mm")):
-        origin = (_typed_list(d["grid_origin_mm"], "layout.grid_origin_mm",
-                              float, 2)
-                  if "grid_origin_mm" in d else (2.0, 32.0))
-        grid = meander_grid(
-            cols=d.get("grid_cols", 25),
-            rows=d.get("grid_rows", 10),
-            spacing_mm=d.get("grid_spacing_mm", 4.0),
-            origin_mm=tuple(origin),
-        )
-    return SensorLayout(
-        side_mm=d.get("side_mm", 100.0),
-        grid_points=grid,
-        grid_spacing_mm=d.get("grid_spacing_mm", 4.0),
-        repetitions=d.get("repetitions", 10),
-        press_duration_s=d.get("press_duration_s", 0.55),
-    )
+        _only(d, "layout", set(_LAYOUT_KINDS) - set(_MEANDER_KEYS),
+              "a layout with grid_points_mm")
+        grid = _pairs(d["grid_points_mm"], "layout.grid_points_mm")
+    else:
+        origin = _typed_list(d.get("grid_origin_mm", [2.0, 32.0]),
+                             "layout.grid_origin_mm", float, 2)
+        grid = meander_grid(cols=d.get("grid_cols", 25),
+                            rows=d.get("grid_rows", 10),
+                            spacing_mm=d.get("grid_spacing_mm", 4.0),
+                            origin_mm=tuple(origin))
+    return _build(SensorLayout, "layout", side_mm=d.get("side_mm", 100.0),
+                  grid_points=grid,
+                  grid_spacing_mm=d.get("grid_spacing_mm", 4.0),
+                  repetitions=d.get("repetitions", 10),
+                  press_duration_s=d.get("press_duration_s", 0.55))
 
 
 def _schedule_from_dict(d: dict, layout: SensorLayout) -> PressSchedule:
-    if "onsets_s" in d:
-        for key in ("ground_truth_mm", "press_index", "repetition"):
-            if key not in d:
-                raise FormatError(f"missing key schedule.{key}")
-        return PressSchedule(
-            np.asarray(d["onsets_s"], dtype=np.float64),
-            d.get("press_duration_s", layout.press_duration_s),
-            np.asarray(d["ground_truth_mm"], dtype=np.float64),
-            np.asarray(d["press_index"], dtype=np.int64),
-            np.asarray(d["repetition"], dtype=np.int64),
-        )
-    return make_schedule(layout, onset0_s=d.get("onset0_s", 5.0),
-                         period_s=d.get("period_s", 2.0),
-                         repetitions=d.get("repetitions"))
+    if not any(k in d for k in _SCHEDULE_ARRAYS):
+        _only(d, "schedule", _GENERATOR_KINDS, "a generator schedule")
+        return _build(make_schedule, "schedule", layout,
+                      onset0_s=d.get("onset0_s", 5.0),
+                      period_s=d.get("period_s", 2.0),
+                      repetitions=d.get("repetitions"))
+    _only(d, "schedule", _SCHEDULE_ARRAYS + ("press_duration_s",),
+          "an explicit schedule")
+    for key in _SCHEDULE_ARRAYS:
+        if key not in d:
+            raise FormatError(f"missing key schedule.{key}")
+    cols = {"onsets_s": _typed_list(d["onsets_s"], "schedule.onsets_s", float),
+            "ground_truth_mm": _pairs(d["ground_truth_mm"],
+                                      "schedule.ground_truth_mm"),
+            "press_index": _typed_list(d["press_index"],
+                                       "schedule.press_index", int),
+            "repetition": _typed_list(d["repetition"], "schedule.repetition",
+                                      int)}
+    n = len(cols["onsets_s"])
+    for key, col in cols.items():
+        if len(col) != n:
+            raise FormatError(f"schedule.{key} has {len(col)} entries, "
+                              f"schedule.onsets_s has {n}")
+    return _build(PressSchedule, "schedule", press_duration_s=d.get(
+        "press_duration_s", layout.press_duration_s), **cols)
 
 
-def load_config(path) -> RunConfig:
-    """Parse a run-config JSON file; raises FormatError with location info."""
-    path = Path(path)
+def _synth_from_dict(doc: dict) -> dict:
+    """The "synth" section as SynthSpec keyword arguments."""
+    from .synth import SYNTH_KINDS, RateProfile  # synth imports this module
+
+    syn = _section(doc, "synth", SYNTH_KINDS)
+    half = syn.get("burst_v_halfwidth_px")
+    if half is not None:
+        syn["burst_v_halfwidth_px"] = _typed(
+            half, "synth.burst_v_halfwidth_px", float)
+    quantize = syn.get("burst_u_quantize", "split")
+    if quantize not in ("split", "round"):
+        raise FormatError('synth.burst_u_quantize must be "split" or "round", '
+                          f"got {json.dumps(quantize, default=str)}")
+    if "rate_profile" in syn:
+        syn["rate_profile"] = _build(
+            RateProfile, "synth.rate_profile",
+            *_typed_list(syn["rate_profile"], "synth.rate_profile", float, 3))
+    return syn
+
+
+def _read_json(path: Path, what: str):
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
     except OSError as exc:
-        raise IOError(f"cannot read config {path}: {exc}") from exc
-    return config_from_dict(doc, base_dir=path.parent)
+        raise IOError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_config(path) -> RunConfig:
+    """Parse a run-config JSON file; raises FormatError with location info."""
+    path = Path(path)
+    return config_from_dict(_read_json(path, "config"), base_dir=path.parent)
+
+
+def load_models(path, side_mm: float) -> tuple[CameraModel, CameraModel]:
+    """The camera models of a JSON file: a calibrate report or a bare list."""
+    doc = _read_json(Path(path), "models")
+    if isinstance(doc, dict):
+        if "cameras" not in doc:
+            raise FormatError(f"{path}: missing key cameras")
+        doc = doc["cameras"]
+    return camera_pair(doc, side_mm)
 
 
 def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
-    """Build a RunConfig; unknown keys and values of the wrong JSON type
-    raise FormatError with their path."""
-    from .latency import CusumParams  # latency imports this module
+    """Build a RunConfig, each section as the dataclass its stage takes.
 
+    Unknown keys, values of the wrong JSON type and values that break a
+    dataclass invariant raise FormatError with their JSON path.
+    """
     top = _section(doc, "", _TOP_KINDS)
     layout = _layout_from_dict(_section(doc, "layout", _LAYOUT_KINDS))
-    sync = SyncSpec(**_section(doc, "sync", _kinds(SyncSpec)))
+    sync = _build(SyncSpec, "sync", **_section(doc, "sync", _kinds(SyncSpec)))
     schedule = _schedule_from_dict(_section(doc, "schedule", _SCHEDULE_KINDS),
                                    layout)
     cams = top.get("cameras")
@@ -565,11 +637,9 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     if base_dir is not None:
         cam1 = str(base_dir / cam1) if cam1 else ""
         cam2 = str(base_dir / cam2) if cam2 else ""
-    clu = _section(doc, "cluster", {"eps_px": float, "min_samples": int,
-                                    "min_cluster_points": int})
+    clu = _section(doc, "cluster", _CLUSTER_KINDS)
     _section(doc, "calibration", {"free": None})
     cal = _section(doc, "calibration.free", _kinds(FreeParams))
-    latency = _section(doc, "latency", _kinds(CusumParams))
     roi = top.get("roi", DEFAULT_ROI)
     if (not isinstance(roi, (list, tuple)) or len(roi) != 2
             or not all(type(b) is int for b in roi)
@@ -586,14 +656,13 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
         camera_models=models,
         roi=tuple(roi),
         baseline_s=top.get("baseline_s", 0.3),
-        cluster_eps_px=clu.get("eps_px", 10.0),
-        cluster_min_samples=clu.get("min_samples", 10),
-        cluster_min_points=clu.get("min_cluster_points",
-                                   clu.get("min_samples", 10)),
+        cluster=_build(DbscanParams, "cluster", clu.pop("eps_px", 10.0),
+                       **clu),
         calibration_free=FreeParams(**cal),
         exclude_presses=tuple(_typed_list(top.get("exclude_presses", []),
                                           "exclude_presses", int)),
         seed=top.get("seed", 0),
-        synth=top.get("synth", {}),
-        latency=latency,
+        synth=_synth_from_dict(doc),
+        latency=_build(CusumParams, "latency",
+                       **_section(doc, "latency", _LATENCY_KINDS)),
     )

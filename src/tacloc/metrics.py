@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -96,7 +96,7 @@ def repeatability(estimates, press_indices, validity=None) -> float:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Aggregated accuracy statistics plus per-press rows for plotting."""
+    """Aggregated accuracy statistics of one localization run."""
 
     rmse_mm: float
     rmse_x_mm: float
@@ -110,24 +110,9 @@ class EvaluationReport:
     taxels_by_convention: dict
     n_presses: int
     n_valid: int
-    per_press: list = field(default_factory=list)  # dict rows
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "rmse_mm": self.rmse_mm,
-            "rmse_x_mm": self.rmse_x_mm,
-            "rmse_y_mm": self.rmse_y_mm,
-            "mean_trial_std_mm": self.mean_trial_std_mm,
-            "cmre_percent": self.cmre_percent,
-            "pass_rate_percent": self.pass_rate_percent,
-            "reference_p95_mm": self.reference_p95_mm,
-            "effective_taxels_probed": self.effective_taxels_probed,
-            "effective_taxels_full": self.effective_taxels_full,
-            "taxels_by_convention": self.taxels_by_convention,
-            "n_presses": self.n_presses,
-            "n_valid": self.n_valid,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
 
 def empty_report(n_presses: int, reference_p95_mm: float = float("nan")
@@ -144,7 +129,7 @@ def empty_report(n_presses: int, reference_p95_mm: float = float("nan")
         taxels_by_convention=taxels, n_presses=n_presses, n_valid=0)
 
 
-def evaluate(estimates, ground_truths, validity, press_indices, repetitions,
+def evaluate(estimates, ground_truths, validity, press_indices,
              diagonal_mm: float, full_area_mm2: float, probed_area_mm2: float,
              reference_p95_mm: float | None = None) -> EvaluationReport:
     """Build the full report for one localization run.
@@ -158,7 +143,6 @@ def evaluate(estimates, ground_truths, validity, press_indices, repetitions,
     gt = np.asarray(ground_truths, dtype=np.float64)
     val = np.asarray(validity, dtype=bool)
     pidx = np.asarray(press_indices, dtype=np.int64)
-    reps = np.asarray(repetitions, dtype=np.int64)
     n = len(est)
     if not np.any(val):
         raise UndefinedMetricError("all presses excluded")
@@ -182,17 +166,6 @@ def evaluate(estimates, ground_truths, validity, press_indices, repetitions,
         }
         for conv in ("circle_area", "square_tile")
     }
-    per_press = [{
-        "press_index": int(pidx[i]),
-        "repetition": int(reps[i]),
-        "gt_x_mm": float(gt[i, 0]), "gt_y_mm": float(gt[i, 1]),
-        "est_x_mm": (float(est[i, 0]) if val[i] else None),
-        "est_y_mm": (float(est[i, 1]) if val[i] else None),
-        "error_mm": (float(errors[i]) if val[i] else None),
-        "valid": bool(val[i]),
-        "pass": bool(val[i] and errors[i] < reference_p95_mm),
-    } for i in range(n)]
-
     return EvaluationReport(
         rmse_mm=e_all, rmse_x_mm=e_x, rmse_y_mm=e_y,
         mean_trial_std_mm=rep_sd,
@@ -204,5 +177,4 @@ def evaluate(estimates, ground_truths, validity, press_indices, repetitions,
         taxels_by_convention=taxels,
         n_presses=n,
         n_valid=int(val.sum()),
-        per_press=per_press,
     )

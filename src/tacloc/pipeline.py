@@ -17,7 +17,7 @@ from .cluster import (ClusterResult, DbscanParams, exclude_press,
                       extract_centroid)
 from .events import EventStream, crop_roi
 from .geometry import CalibrationResult, calibrate, triangulate_many
-from .ingest import RunConfig, align_streams, detect_sync_taps
+from .ingest import RunConfig, align_streams
 from .metrics import EvaluationReport, evaluate
 from .segment import PressTrial, press_events, segment_by_schedule
 
@@ -62,15 +62,8 @@ def prepare_run(s1: EventStream, s2: EventStream, cfg: RunConfig) -> PreparedRun
     """Crop to the ROI, align camera 2 onto camera 1, find the tap anchor."""
     c1 = crop_roi(s1, cfg.roi[0], cfg.roi[1])
     c2 = crop_roi(s2, cfg.roi[0], cfg.roi[1])
-    a1, a2 = align_streams(c1, c2, cfg.sync)
-    taps = detect_sync_taps(a1, cfg.sync)
+    a1, a2, taps, _ = align_streams(c1, c2, cfg.sync)
     return PreparedRun(a1, a2, float(taps[0]), tuple(float(t) for t in taps))
-
-
-def cluster_params(cfg: RunConfig) -> DbscanParams:
-    return DbscanParams(eps=cfg.cluster_eps_px,
-                        min_samples=cfg.cluster_min_samples,
-                        min_cluster_points=cfg.cluster_min_points)
 
 
 def localize_trial(trial: PressTrial, params: DbscanParams,
@@ -138,8 +131,7 @@ def probed_area_mm2(cfg: RunConfig) -> float:
 
 def evaluate_results(table: TrialTable, cfg: RunConfig,
                      reference_p95_mm: float | None = None) -> EvaluationReport:
-    return evaluate(table.est_mm, table.gt_mm, table.valid,
-                    table.press_index, table.repetition,
+    return evaluate(table.est_mm, table.gt_mm, table.valid, table.press_index,
                     diagonal_mm=cfg.layout.diagonal_mm,
                     full_area_mm2=cfg.layout.area_mm2,
                     probed_area_mm2=probed_area_mm2(cfg),
@@ -154,13 +146,12 @@ def segment(prepared: PreparedRun, cfg: RunConfig) -> list[PressTrial]:
 
 
 def run_localization(prepared: PreparedRun, cfg: RunConfig,
-                     models=None, reference_p95_mm: float | None = None,
                      ) -> tuple[EvaluationReport, TrialTable, list[PressTrial]]:
-    """Segment, localize, and score one prepared recording."""
-    models = cfg.camera_models if models is None else models
+    """Segment, localize with the config's cameras, and score one prepared
+    recording."""
     trials = segment(prepared, cfg)
-    table = localize_trials(trials, models, cluster_params(cfg))
-    report = evaluate_results(table, cfg, reference_p95_mm)
+    table = localize_trials(trials, cfg.camera_models, cfg.cluster)
+    report = evaluate_results(table, cfg)
     return report, table, trials
 
 
@@ -176,7 +167,7 @@ def run_calibration(prepared: PreparedRun, cfg: RunConfig,
                     ) -> tuple[CalibrationResult, TrialTable]:
     """Fit camera parameters on repetition 0 of a prepared recording."""
     rep0 = [t for t in segment(prepared, cfg) if t.repetition == 0]
-    table = localize_trials(rep0, cfg.camera_models, cluster_params(cfg))
+    table = localize_trials(rep0, cfg.camera_models, cfg.cluster)
     u1, u2, gt = calibration_observations(table, cfg, repetition=0)
     fit = calibrate(cfg.camera_models, u1, u2, gt, free=cfg.calibration_free,
                     side_mm=cfg.layout.side_mm)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .events import EventStream
-from .ingest import PressSchedule
+
+if TYPE_CHECKING:  # ingest imports latency, which imports this module
+    from .ingest import PressSchedule
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ change the output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -113,6 +113,14 @@ class SynthSpec:
         if len(self.schedule):
             last += float(self.schedule.onsets_s[-1]) + self.schedule.press_duration_s
         return last + self.tail_s
+
+
+# the config "synth" keys: every number field of SynthSpec takes a number;
+# None marks a key with its own rule in config_from_dict
+SYNTH_KINDS = {**{f.name: float for f in fields(SynthSpec)
+                  if type(f.default) is float},
+               "burst_v_halfwidth_px": None, "burst_u_quantize": None,
+               "rate_profile": None}
 
 
 @dataclass(frozen=True)
@@ -349,24 +357,7 @@ def write_manifest(manifest: TruthManifest, path) -> None:
 def spec_from_config(layout: SensorLayout, schedule: PressSchedule,
                      sync: SyncSpec, models, roi, seed: int,
                      synth_options: dict) -> SynthSpec:
-    """Build a SynthSpec from the free-form config "synth" section."""
-    opts = dict(synth_options)
-    profile = opts.pop("rate_profile", None)
-    kwargs = {}
-    if "burst_u_quantize" in opts:
-        kwargs["burst_u_quantize"] = str(opts.pop("burst_u_quantize"))
-    for name in ("burst_events_per_press_per_camera", "sigma_u_px",
-                 "burst_v_halfwidth_px", "background_rate_per_camera",
-                 "press_offset_sigma_px", "press_offset_outlier_frac",
-                 "press_offset_outlier_mult", "secondary_blob_frac",
-                 "secondary_blob_offset_px", "tap_events", "tap_duration_s",
-                 "tap_start_s", "cam2_extra_offset_s", "tail_s"):
-        if name in opts:
-            val = opts.pop(name)
-            kwargs[name] = None if val is None else float(val)
-    if opts:
-        raise ValueError(f"unknown synth options: {sorted(opts)}")
-    if profile is not None:
-        kwargs["rate_profile"] = RateProfile(*[float(x) for x in profile])
+    """Build a SynthSpec from the config "synth" section, as
+    ``config_from_dict`` checks it into SynthSpec keyword arguments."""
     return SynthSpec(layout=layout, models=tuple(models), schedule=schedule,
-                     sync=sync, roi=tuple(roi), seed=seed, **kwargs)
+                     sync=sync, roi=tuple(roi), seed=seed, **synth_options)

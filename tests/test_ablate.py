@@ -112,11 +112,15 @@ class TestRunSweep:
                                      cfg.schedule, baseline_s=cfg.baseline_s,
                                      anchor_s=prepared.anchor_s)
         again = pipeline.localize_trials(trials, cfg.camera_models,
-                                         pipeline.cluster_params(cfg))
+                                         cfg.cluster)
         rescored = pipeline.evaluate_results(
             again, cfg, reference_p95_mm=base.reference_p95_mm)
-        assert json.dumps([rescored.to_json_dict(), rescored.per_press]) \
-            == json.dumps([base.to_json_dict(), base.per_press])
+        assert json.dumps(rescored.to_json_dict()) \
+            == json.dumps(base.to_json_dict())
+        for col in ("centroid_u", "cluster_size", "est_mm", "valid"):
+            np.testing.assert_array_equal(getattr(again, col),
+                                          getattr(table, col))
+        assert again.reason == table.reason
         assert ablate._mean_cluster_size(again) == ablate._mean_cluster_size(table)
 
     def test_curve_non_increasing_within_noise(self, sweep_setup):

@@ -180,7 +180,7 @@ class TestCriterion4CalibrationRecovery:
                                      anchor_s=prepared.anchor_s)
         eval_trials = [t for t in trials if t.repetition > 0]
         results = pipeline.localize_trials(eval_trials, fit.models,
-                                           pipeline.cluster_params(cfg))
+                                           cfg.cluster)
         rep_cal = pipeline.evaluate_results(results, cfg)
         rep_true = pipeline.evaluate_results(
             pipeline.triangulate_trials(results, true_models), cfg)
@@ -377,7 +377,7 @@ class TestCriterion8DatasetReproduction:
                                      anchor_s=prepared.anchor_s)
         eval_trials = [t for t in trials if t.repetition > 0]
         results = pipeline.localize_trials(eval_trials, fit.models,
-                                           pipeline.cluster_params(cfg))
+                                           cfg.cluster)
         rep = pipeline.evaluate_results(results, cfg)
         ok = (abs(rep.rmse_mm - 4.66) <= 0.5
               and rep.pass_rate_percent >= 93.0)

@@ -1,23 +1,34 @@
 from __future__ import annotations
 
 import ast
+import copy
 import hashlib
 import json
 import logging
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tacloc
 from tacloc import latency
 from tacloc.cli import main
+from tacloc.events import EventStream, SensorLayout
+from tacloc.geometry import CameraModel, FreeParams
+from tacloc.ingest import (IngestError, PressSchedule, SyncSpec,
+                           config_from_dict)
+from tacloc.latency import CusumParams
+from tacloc.segment import segment_by_schedule
+from tacloc.synth import SynthSpec, spec_from_config
 
 
-def base_config(tmp_path: Path, **extra) -> Path:
+def base_doc(**extra) -> dict:
     doc = {
         "seed": 17,
         "files": {"cam1": "cam1.evt", "cam2": "cam2.evt", "format": "bin"},
@@ -30,8 +41,12 @@ def base_config(tmp_path: Path, **extra) -> Path:
         },
     }
     doc.update(extra)
+    return doc
+
+
+def base_config(tmp_path: Path, **extra) -> Path:
     p = tmp_path / "run.json"
-    p.write_text(json.dumps(doc, indent=1))
+    p.write_text(json.dumps(base_doc(**extra), indent=1))
     return p
 
 
@@ -51,13 +66,23 @@ CAMERA = {"x_mm": 0.0, "y_mm": 0.0, "orientation_rad": 0.7853981633974483,
           "skew_rad": 0.0, "focal_px": 320.0, "u_center": 319.5, "k1": 0.0}
 
 
-def explicit_schedule_without(key):
+EXPLICIT_SCHEDULE = {"onsets_s": [5.0, 6.5],
+                     "ground_truth_mm": [[50.0, 50.0], [54.0, 50.0]],
+                     "press_index": [0, 1], "repetition": [0, 0]}
+
+
+def explicit_schedule(**changes):
+    """A config edit that sets the explicit schedule with ``changes``; a
+    change to None deletes its key."""
     def edit(doc):
-        doc["schedule"] = {"onsets_s": [5.0, 6.5],
-                           "ground_truth_mm": [[50.0, 50.0], [54.0, 50.0]],
-                           "press_index": [0, 1], "repetition": [0, 0]}
-        del doc["schedule"][key]
+        doc["schedule"] = {k: v for k, v in
+                           dict(EXPLICIT_SCHEDULE, **changes).items()
+                           if v is not None}
     return edit
+
+
+def synth_with(**options):
+    return lambda d: d["synth"].update(options)
 
 
 # config edit, --models document, the one error message
@@ -78,7 +103,7 @@ BAD_INPUTS = [
                  "unknown key files.cam3", id="files"),
     pytest.param(lambda d: d.update(latency={"sigma": 0.001}), None,
                  "unknown key latency.sigma", id="latency"),
-    *[pytest.param(explicit_schedule_without(key), None,
+    *[pytest.param(explicit_schedule(**{key: None}), None,
                    f"missing key schedule.{key}", id=f"schedule-without-{key}")
       for key in ("ground_truth_mm", "press_index", "repetition")],
     pytest.param(None, {"models": []}, "missing key cameras",
@@ -111,6 +136,12 @@ BAD_INPUTS = [
     pytest.param(lambda d: d.update(cluster={"eps_px": None}), None,
                  "cluster.eps_px must be a number, got null",
                  id="cluster.eps_px-null"),
+    *[pytest.param(lambda d, v=value: d.update(baseline_s=v), None,
+                   f"baseline_s must be a number, got {text}",
+                   id=f"baseline_s-{name}")
+      for name, value, text in [("nan", float("nan"), "NaN"),
+                                ("infinity", float("inf"), "Infinity"),
+                                ("huge-integer", 10**400, str(10**400))]],
     pytest.param(lambda d: d.update(cluster={"min_samples": 2.5}), None,
                  "cluster.min_samples must be an integer, got 2.5",
                  id="cluster.min_samples-float"),
@@ -134,6 +165,59 @@ BAD_INPUTS = [
     pytest.param(None, [CAMERA, dict(CAMERA, y_mm=-51.0)],
                  "cameras[1]: camera position (0, -51) mm outside the "
                  "expanded sensor box [-50, 150] mm", id="models-outside-box"),
+    pytest.param(lambda d: d.update(synth=5), None,
+                 "synth must be a JSON object", id="synth-scalar"),
+    *[pytest.param(synth_with(sigma_u_px=value), None,
+                   f"synth.sigma_u_px must be a number, got {text}",
+                   id=f"synth.sigma_u_px-{name}")
+      for name, value, text in [("list", [1], "[1]"), ("string", "3", '"3"'),
+                                ("bool", True, "true")]],
+    pytest.param(synth_with(burst_u_quantize="nearest"), None,
+                 'synth.burst_u_quantize must be "split" or "round", got '
+                 '"nearest"', id="synth.burst_u_quantize-unknown"),
+    pytest.param(synth_with(rate_profile=[0.2, 0.6, 0.2, 0.0]), None,
+                 "synth.rate_profile must be a list of 3 numbers, got "
+                 "[0.2, 0.6, 0.2, 0.0]", id="synth.rate_profile-four"),
+    pytest.param(synth_with(rate_profile=[0.2, 0.6, 0.3]), None,
+                 "synth.rate_profile: profile fractions must sum to 1",
+                 id="synth.rate_profile-sum"),
+    pytest.param(lambda d: d.update(latency={"h": 4.0}), None,
+                 "unknown key latency.h", id="latency.h"),
+    pytest.param(lambda d: d["schedule"].update(press_duration_s=0.5), None,
+                 "schedule.press_duration_s is not read by a generator "
+                 "schedule", id="schedule-generator-press_duration_s"),
+    pytest.param(explicit_schedule(period_s=1.5), None,
+                 "schedule.period_s is not read by an explicit schedule",
+                 id="schedule-explicit-period_s"),
+    pytest.param(lambda d: d["layout"].update(grid_points_mm=[[50.0, 50.0]]),
+                 None, "layout.grid_cols is not read by a layout with "
+                 "grid_points_mm", id="layout-grid_cols-with-grid_points_mm"),
+    pytest.param(lambda d: d.update(cluster={"eps_px": 0}), None,
+                 "cluster: eps must be positive", id="cluster.eps_px-zero"),
+    pytest.param(lambda d: d.update(cluster={"min_samples": 0}), None,
+                 "cluster: min_samples must be >= 1",
+                 id="cluster.min_samples-zero"),
+    pytest.param(lambda d: d.update(sync={"bin_s": 0}), None,
+                 "sync: tap_interval_s, search_window_s and bin_s must be "
+                 "positive", id="sync.bin_s-zero"),
+    pytest.param(lambda d: d.update(latency={"bin_s": 0}), None,
+                 "latency: CUSUM parameters must be positive",
+                 id="latency.bin_s-zero"),
+    pytest.param(explicit_schedule(ground_truth_mm=[50.0, 54.0]), None,
+                 "schedule.ground_truth_mm[0] must be a list of 2 numbers, "
+                 "got 50.0", id="schedule.ground_truth_mm-1d"),
+    pytest.param(explicit_schedule(press_index=[0.5, 1.5]), None,
+                 "schedule.press_index[0] must be an integer, got 0.5",
+                 id="schedule.press_index-float"),
+    pytest.param(explicit_schedule(repetition=[0, 0, 0]), None,
+                 "schedule.repetition has 3 entries, schedule.onsets_s has 2",
+                 id="schedule-unequal-columns"),
+    pytest.param(explicit_schedule(onsets_s=[6.5, 5.0]), None,
+                 "schedule: onsets must be strictly increasing",
+                 id="schedule-decreasing-onsets"),
+    pytest.param(lambda d: d.update(layout={"grid_points_mm": [[50, "a"]]}),
+                 None, 'layout.grid_points_mm[0][1] must be a number, got "a"',
+                 id="layout.grid_points_mm-string"),
 ]
 
 
@@ -218,6 +302,19 @@ class TestLocalize:
         assert errors[0].getMessage().endswith(message)
         assert errors[0].exc_info is None
         # rejected before any event file is read
+        assert not [r for r in caplog.records
+                    if "stage read" in r.getMessage()]
+
+    def test_models_not_json_names_the_file(self, sim_dir, tmp_path, caplog):
+        tmp, cfgp = sim_dir
+        mp = tmp_path / "models.json"
+        mp.write_text("not json")
+        caplog.set_level(logging.INFO, logger="tacloc")
+        assert main(["localize", "--config", str(cfgp), "--out",
+                     str(tmp_path / "out"), "--models", str(mp)]) == 2
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert [r.getMessage() for r in errors] == [
+            f"{mp}: invalid JSON at line 1, column 1: Expecting value"]
         assert not [r for r in caplog.records if "stage read" in r.getMessage()]
 
     def test_out_of_range_csv_value_exit_2(self, tmp_path, caplog):
@@ -378,6 +475,77 @@ class TestLatencyCmd:
                      "--tune"]) == 0
         assert json.loads((out / "latency.json").read_text())["h_used"] < 1e9
         assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000)
+    | st.floats(-1000, 1000) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+FUZZ_BASES = (base_doc(), base_doc(schedule=EXPLICIT_SCHEDULE))
+
+
+def key_paths(value, prefix=()):
+    """The path of every value inside ``value``, through objects and lists."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for k, v in items:
+        yield prefix + (k,)
+        yield from key_paths(v, prefix + (k,))
+
+
+def at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+# key names of every config section, so that an added key is often one
+# that some section reads
+CONFIG_KEYS = sorted(
+    {p[-1] for b in FUZZ_BASES for p in key_paths(b) if isinstance(p[-1], str)}
+    | {f.name for cls in (SyncSpec, CusumParams, FreeParams, CameraModel,
+                          SynthSpec, SensorLayout, PressSchedule)
+       for f in fields(cls)}
+    | {"grid_points_mm", "eps_px", "min_samples", "min_cluster_points",
+       "sync", "cameras", "roi", "baseline_s", "cluster", "calibration",
+       "free", "exclude_presses", "latency"})
+
+
+@st.composite
+def edited_configs(draw):
+    """A base config with one edit: a value at any key path replaced by an
+    arbitrary JSON value, or one key added to any object. Numbers stay
+    within +-1000, so that no edit asks for millions of presses."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(list(key_paths(doc))))
+        at(doc, path[:-1])[path[-1]] = draw(JSON_VALUES)
+    else:
+        objects = [p for p in key_paths(doc) if isinstance(at(doc, p), dict)]
+        path = draw(st.sampled_from([()] + objects))
+        key = draw(st.sampled_from(CONFIG_KEYS) | st.text(max_size=3))
+        at(doc, path)[key] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_configs())
+@example(base_doc(synth=5))
+@example(base_doc(schedule=dict(EXPLICIT_SCHEDULE,
+                                ground_truth_mm=[50.0, 54.0])))
+def test_config_fails_at_load_or_runs(doc):
+    # a config is refused at load with an error that exits 2, or its
+    # synthetic recording spec builds and its schedule cuts streams
+    try:
+        cfg = config_from_dict(doc)
+    except (IngestError, ValueError):
+        return
+    spec = spec_from_config(cfg.layout, cfg.schedule, cfg.sync,
+                            cfg.camera_models, cfg.roi, cfg.seed, cfg.synth)
+    empty = [EventStream(cam, [], [], [], []) for cam in (1, 2)]
+    segment_by_schedule(*empty, spec.schedule, baseline_s=cfg.baseline_s)
 
 
 def run_python(code, *args) -> str:

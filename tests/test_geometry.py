@@ -246,3 +246,16 @@ class TestCalibrate:
         assert fit.models[1].x_mm == pytest.approx(160.0, abs=1e-6)
         with pytest.raises(CalibrationError, match="sensor box"):
             calibrate(true, u1, u2, pts, free=free, side_mm=100.0)
+
+    def test_fit_may_stop_on_the_camera_box_edge(self):
+        # camera 2 truly at x = 160 lies outside the [-50, 150] box of a
+        # 100 mm skin; once a step reaches the edge, the Jacobian probes
+        # back into the box instead of failing the fit
+        m1, m2 = default_models()
+        u1, u2, pts = observations((m1, replace(m2, x_mm=160.0)),
+                                   grid_points())
+        fit = calibrate((m1, replace(m2, x_mm=148.0)), u1, u2, pts,
+                        side_mm=100.0)
+        assert fit.models[1].x_mm <= 150.0
+        assert fit.models[1].x_mm == pytest.approx(150.0, abs=1e-3)
+        assert fit.rmse_mm < fit.initial_rmse_mm

@@ -10,12 +10,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tacloc.ablate import thin
+from tacloc.cluster import DbscanParams
 from tacloc.events import EventStream, US_PER_S
 from tacloc.ingest import (_RECORD_DTYPE, CSV_RANGES, FormatError,
                            PressSchedule, SyncError, SyncSpec, align_streams,
-                           detect_sync_taps, load_config, make_schedule,
-                           read_events, write_events)
-from tacloc.synth import SynthSpec, generate
+                           config_from_dict, detect_sync_taps, load_config,
+                           make_schedule, read_events, write_events)
+from tacloc.latency import CusumParams
+from tacloc.synth import RateProfile, SynthSpec, generate, spec_from_config
 
 from .conftest import small_layout, uniform_stream
 
@@ -306,27 +308,27 @@ class TestSyncTaps:
 class TestAlignment:
     def test_recovers_known_shift(self):
         s1, s2, _ = _tap_run(seed=7, cam2_offset=1.234)
-        a1, a2 = align_streams(s1, s2)
+        _, a2, _, _ = align_streams(s1, s2)
         assert abs(a2.time_offset_us / US_PER_S + 1.234) < 0.020
 
     def test_identity(self):
         s1, _, _ = _tap_run(seed=8)
-        a1, a2 = align_streams(s1, s1)
+        _, a2, _, _ = align_streams(s1, s1)
         assert a2.time_offset_us == 0
 
     def test_robust_to_thinning(self):
         s1, s2, _ = _tap_run(seed=9, cam2_offset=0.7)
-        _, a2_full = align_streams(s1, s2)
-        _, a2_thin = align_streams(s1, thin(s2, 2, seed=1))
+        _, a2_full, _, _ = align_streams(s1, s2)
+        _, a2_thin, _, _ = align_streams(s1, thin(s2, 2, seed=1))
         assert abs(a2_full.time_offset_us - a2_thin.time_offset_us) < 20_000
 
     def test_translation_equivariance(self):
         s1, s2, _ = _tap_run(seed=10, cam2_offset=0.3)
-        _, a2 = align_streams(s1, s2)
+        _, a2, _, _ = align_streams(s1, s2)
         delta = 5_000_000
         s1d = EventStream(1, s1.t + delta, s1.u, s1.v, s1.polarity)
         s2d = EventStream(2, s2.t + delta, s2.u, s2.v, s2.polarity)
-        _, a2d = align_streams(s1d, s2d)
+        _, a2d, _, _ = align_streams(s1d, s2d)
         assert abs(a2d.time_offset_us - a2.time_offset_us) < 1000
 
 
@@ -361,6 +363,19 @@ class TestConfig:
         assert cfg.layout.n_presses == 20
         assert len(cfg.schedule) == 40
         assert cfg.cam1_path.endswith("a.evt")
+
+    def test_sections_load_into_stage_dataclasses(self):
+        cfg = config_from_dict({
+            "cluster": {"eps_px": 6, "min_samples": 4},
+            "latency": {"bin_s": 0.001},
+            "synth": {"sigma_u_px": 2, "rate_profile": [0.1, 0.8, 0.1]}})
+        assert cfg.cluster == DbscanParams(eps=6.0, min_samples=4)
+        assert cfg.latency == CusumParams(bin_s=0.001)
+        spec = spec_from_config(cfg.layout, cfg.schedule, cfg.sync,
+                                cfg.camera_models, cfg.roi, cfg.seed,
+                                cfg.synth)
+        assert spec.sigma_u_px == 2.0
+        assert spec.rate_profile == RateProfile(0.1, 0.8, 0.1)
 
     def test_invalid_json_reports_location(self, tmp_path):
         p = tmp_path / "run.json"

@@ -70,8 +70,8 @@ def cmre(est, gt, diagonal_mm):
     """CMRE as every report computes it, with every press valid."""
     n = len(est)
     return evaluate(est, gt, np.ones(n, dtype=bool), np.arange(n),
-                    np.zeros(n, dtype=np.int64), diagonal_mm=diagonal_mm,
-                    full_area_mm2=1.0, probed_area_mm2=1.0).cmre_percent
+                    diagonal_mm=diagonal_mm, full_area_mm2=1.0,
+                    probed_area_mm2=1.0).cmre_percent
 
 
 class TestCmre:
@@ -169,31 +169,30 @@ class TestEvaluate:
         est = gt + rng.normal(0, 1.0, (n, 2))
         valid = rng.random(n) > 0.05
         pidx = np.arange(n) % 25
-        reps = np.arange(n) // 25
-        return est, gt, valid, pidx, reps
+        return est, gt, valid, pidx
 
     def test_report_fields(self):
-        est, gt, valid, pidx, reps = self._inputs()
-        rep = evaluate(est, gt, valid, pidx, reps, diagonal_mm=141.42,
+        est, gt, valid, pidx = self._inputs()
+        rep = evaluate(est, gt, valid, pidx, diagonal_mm=141.42,
                        full_area_mm2=10_000.0, probed_area_mm2=4000.0)
         assert rep.rmse_mm > 0
         assert rep.rmse_mm ** 2 >= max(rep.rmse_x_mm, rep.rmse_y_mm) ** 2 - 1e-12
         assert 0 <= rep.pass_rate_percent <= 100
         assert rep.n_valid == valid.sum()
-        assert len(rep.per_press) == 100
+        assert rep.n_presses == 100
         assert rep.taxels_by_convention["circle_area"]["full"] >= \
             rep.taxels_by_convention["circle_area"]["probed"]
 
     def test_external_reference_p95(self):
-        est, gt, valid, pidx, reps = self._inputs()
-        rep = evaluate(est, gt, valid, pidx, reps, diagonal_mm=141.42,
+        est, gt, valid, pidx = self._inputs()
+        rep = evaluate(est, gt, valid, pidx, diagonal_mm=141.42,
                        full_area_mm2=10_000.0, probed_area_mm2=4000.0,
                        reference_p95_mm=1e9)
         assert rep.pass_rate_percent == pytest.approx(100.0 * valid.mean())
 
     def test_all_excluded_raises(self):
-        est, gt, valid, pidx, reps = self._inputs()
+        est, gt, valid, pidx = self._inputs()
         with pytest.raises(UndefinedMetricError):
-            evaluate(est, gt, np.zeros(100, dtype=bool), pidx, reps,
+            evaluate(est, gt, np.zeros(100, dtype=bool), pidx,
                      diagonal_mm=141.42, full_area_mm2=10_000.0,
                      probed_area_mm2=4000.0)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tacloc import pipeline
+from tacloc import ingest, pipeline
 from tacloc.geometry import (DegenerateGeometryError, default_models,
                              project_points, triangulate)
 from tacloc.ingest import RunConfig, make_schedule
@@ -32,6 +32,23 @@ class TestPrepareRun:
         cfg, prepared, man = run20
         assert abs(prepared.anchor_s - man.tap_times_s[0]) < 0.020
         assert len(prepared.tap_onsets_s) == 3
+
+    def test_sync_taps_detected_once_per_camera(self, run20, monkeypatch):
+        cfg, prepared, _ = run20
+        cameras = []
+        detect = ingest.detect_sync_taps
+
+        def counted(stream, spec):
+            cameras.append(int(stream.camera_id))
+            return detect(stream, spec)
+
+        # wherever prepare_run may reach it from
+        for module in (ingest, pipeline):
+            monkeypatch.setattr(module, "detect_sync_taps", counted,
+                                raising=False)
+        again = pipeline.prepare_run(prepared.s1, prepared.s2, cfg)
+        assert cameras == [1, 2]
+        assert again.tap_onsets_s == prepared.tap_onsets_s
 
     def test_streams_are_cropped(self, run20):
         cfg, prepared, _ = run20
