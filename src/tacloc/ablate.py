@@ -32,19 +32,11 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _splitmix64_int(z: int) -> int:
-    mask = 0xFFFFFFFFFFFFFFFF
-    z = (z + 0x9E3779B97F4A7C15) & mask
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-    return z ^ (z >> 31)
-
-
 def keep_mask(seed: int, camera_id: int, ordinals: np.ndarray, k: int) -> np.ndarray:
     """Bernoulli(1/k) keep decisions keyed by (seed, camera, ordinal)."""
-    base = _splitmix64_int(seed & 0xFFFFFFFFFFFFFFFF) \
-        ^ _splitmix64_int(0xC2B2AE3D27D4EB4F + camera_id)
-    h = _splitmix64(ordinals.astype(np.uint64) * _GOLDEN + np.uint64(base))
+    key = _splitmix64(np.array([seed & 0xFFFFFFFFFFFFFFFF,
+                                0xC2B2AE3D27D4EB4F + camera_id], dtype=np.uint64))
+    h = _splitmix64(ordinals.astype(np.uint64) * _GOLDEN + (key[0] ^ key[1]))
     threshold = np.uint64((1 << 64) // k - 1) if k > 1 else _U64
     return h <= threshold
 
@@ -92,15 +84,15 @@ class AblationSweep:
             })
         return out
 
-    def csv_rows(self) -> list[dict]:
-        return [{
-            "k": c.k,
-            "seed": c.seed,
-            "rmse_mm": c.report.rmse_mm,
-            "pass_rate_percent": c.report.pass_rate_percent,
-            "mean_cluster_size": c.mean_cluster_size,
-            "n_valid": c.report.n_valid,
-        } for c in self.cells]
+    def csv_columns(self) -> dict[str, list]:
+        """The ``ablation.csv`` columns, one row per cell."""
+        reports = [c.report for c in self.cells]
+        return {"k": [c.k for c in self.cells],
+                "seed": [c.seed for c in self.cells],
+                "rmse_mm": [r.rmse_mm for r in reports],
+                "pass_rate_percent": [r.pass_rate_percent for r in reports],
+                "mean_cluster_size": [c.mean_cluster_size for c in self.cells],
+                "n_valid": [r.n_valid for r in reports]}
 
 
 def _mean_cluster_size(table: TrialTable) -> float:
@@ -108,16 +100,15 @@ def _mean_cluster_size(table: TrialTable) -> float:
     return float(np.mean(sizes)) if len(sizes) else 0.0
 
 
-def run_sweep(prepared: PreparedRun, cfg: RunConfig, models,
-              factors, seeds, baseline: tuple[EvaluationReport, TrialTable],
-              ) -> AblationSweep:
+def run_sweep(prepared: PreparedRun, cfg: RunConfig, factors, seeds,
+              baseline: tuple[EvaluationReport, TrialTable]) -> AblationSweep:
     """Re-run the evaluation pipeline at each (factor, seed) cell.
 
-    ``baseline`` is the unthinned run's ``(report, table)`` with the same
-    models; since thinning with k = 1 is the identity, every k = 1 cell is
-    that run. Models and the reference error percentile stay fixed at
-    their unthinned values. Per-press failures inside a cell are recorded
-    as exclusions, never raised.
+    ``baseline`` is the unthinned run's ``(report, table)`` with
+    ``cfg.camera_models``; since thinning with k = 1 is the identity,
+    every k = 1 cell is that run. Models and the reference error
+    percentile stay fixed at their unthinned values. Per-press failures
+    inside a cell are recorded as exclusions, never raised.
     """
     factors = tuple(int(k) for k in factors)
     seeds = tuple(int(s) for s in seeds)
@@ -130,7 +121,8 @@ def run_sweep(prepared: PreparedRun, cfg: RunConfig, models,
             return SweepCell(1, seed, base_report, base_size)
         thinned = replace(prepared, s1=thin(prepared.s1, k, seed),
                           s2=thin(prepared.s2, k, seed))
-        table = localize_trials(segment(thinned, cfg), models, cfg.cluster)
+        table = localize_trials(segment(thinned, cfg), cfg.camera_models,
+                                cfg.cluster)
         try:
             report = evaluate_results(table, cfg,
                                       reference_p95_mm=reference_p95_mm)

@@ -15,7 +15,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,13 +54,12 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
+def _write_csv(path: Path, columns: dict[str, list]) -> None:
+    """One CSV column per key, in key order; None is an empty cell."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        w = csv.DictWriter(fh, fieldnames=columns)
-        w.writeheader()
-        for r in rows:
-            w.writerow({k: ("" if r.get(k) is None else r.get(k))
-                        for k in columns})
+        w = csv.writer(fh)
+        w.writerow(columns)
+        w.writerows(zip(*columns.values()))
 
 
 def _prepare(cfg: RunConfig) -> pipeline.PreparedRun:
@@ -89,15 +88,15 @@ def cmd_simulate(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     with _stage("write"):
         write_events(s1, p1, fmt)
         write_events(s2, p2, fmt)
-        synth.write_manifest(manifest, pm)
+        _write_json(pm, manifest.to_json_dict())
     return [p1, p2, pm]
 
 
-def _result_rows(table: pipeline.TrialTable) -> list[dict]:
+def _result_columns(table: pipeline.TrialTable) -> dict[str, list]:
     def blank_nan(col):
         return [None if math.isnan(x) else x for x in col.tolist()]
 
-    cols = {
+    return {
         "press_index": table.press_index.tolist(),
         "repetition": table.repetition.tolist(),
         "gt_x_mm": table.gt_mm[:, 0].tolist(),
@@ -111,12 +110,6 @@ def _result_rows(table: pipeline.TrialTable) -> list[dict]:
         "valid": table.valid.astype(int).tolist(),
         "reason": list(table.reason),
     }
-    return [dict(zip(cols, row)) for row in zip(*cols.values())]
-
-
-_RESULT_COLUMNS = ["press_index", "repetition", "gt_x_mm", "gt_y_mm",
-                   "est_x_mm", "est_y_mm", "centroid_u1", "centroid_u2",
-                   "cluster_size1", "cluster_size2", "valid", "reason"]
 
 
 def cmd_localize(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
@@ -126,7 +119,7 @@ def cmd_localize(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
         report, table, _ = pipeline.run_localization(prepared, cfg)
     p_csv = out_dir / "localization.csv"
     p_json = out_dir / "evaluation.json"
-    _write_csv(p_csv, _result_rows(table), _RESULT_COLUMNS)
+    _write_csv(p_csv, _result_columns(table))
     _write_json(p_json, report.to_json_dict())
     log.info("rmse %.3f mm, pass rate %.1f%% (%d/%d valid)", report.rmse_mm,
              report.pass_rate_percent, report.n_valid, report.n_presses)
@@ -165,19 +158,15 @@ def cmd_calibrate(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_ablate(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
-    factors = [int(x) for x in args.factors.split(",")]
-    seeds = [int(x) for x in args.seeds.split(",")]
     prepared = _prepare(cfg)
     with _stage("baseline"):
         report, table, _ = pipeline.run_localization(prepared, cfg)
     with _stage("sweep"):
-        sweep = ablate_mod.run_sweep(prepared, cfg, cfg.camera_models,
-                                     factors, seeds, (report, table))
+        sweep = ablate_mod.run_sweep(prepared, cfg, args.factors, args.seeds,
+                                     (report, table))
     p_csv = out_dir / "ablation.csv"
     p_json = out_dir / "ablation_curve.json"
-    _write_csv(p_csv, sweep.csv_rows(),
-               ["k", "seed", "rmse_mm", "pass_rate_percent",
-                "mean_cluster_size", "n_valid"])
+    _write_csv(p_csv, sweep.csv_columns())
     _write_json(p_json, {"schema_version": 1,
                          "reference_p95_mm": sweep.reference_p95_mm,
                          "curve": sweep.curve()})
@@ -208,17 +197,29 @@ def cmd_latency(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     p_onsets = out_dir / "onsets.csv"
     p_roc = out_dir / "roc.csv"
     _write_json(p_json, rep.to_json_dict())
-    _write_csv(p_onsets,
-               [{"trial": i, "onset_rel_median_s": o}
-                for i, o in enumerate(rep.onsets_rel_median_s)],
-               ["trial", "onset_rel_median_s"])
-    _write_csv(p_roc,
-               [{"h": r.h, "tpr": r.tpr, "false_alarms_per_s": r.false_alarms_per_s}
-                for r in roc],
-               ["h", "tpr", "false_alarms_per_s"])
+    onsets = rep.onsets_rel_median_s
+    _write_csv(p_onsets, {"trial": list(range(len(onsets))),
+                          "onset_rel_median_s": onsets})
+    _write_csv(p_roc, {f.name: [getattr(r, f.name) for r in roc]
+                       for f in fields(latency_mod.RocPoint)})
     log.info("latency width %.1f ms, tpr %.1f%%, fa %.3f/s",
              rep.latency_width_ms, 100 * rep.tpr, rep.false_alarm_rate_per_s)
     return [p_json, p_onsets, p_roc]
+
+
+def _ints(minimum: int | None = None):
+    """An argparse type: comma-separated integers, none below ``minimum``."""
+    def parse(text: str) -> list[int]:
+        try:
+            values = [int(x) for x in text.split(",")]
+        except ValueError:
+            values = None
+        if values is None or minimum is not None and min(values) < minimum:
+            least = "" if minimum is None else f" of at least {minimum}"
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated integers{least}, got {text!r}")
+        return values
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,8 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="thinning sweep over reduction factors")
     common(p)
     p.add_argument("--models", help="calibrated models JSON to use")
-    p.add_argument("--factors", default="1,2,4,8,16,32,64,128,256,512,1024")
-    p.add_argument("--seeds", default="0,1,2,3,4")
+    p.add_argument("--factors", type=_ints(minimum=1),
+                   default="1,2,4,8,16,32,64,128,256,512,1024")
+    p.add_argument("--seeds", type=_ints(), default="0,1,2,3,4")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("latency", help="CUSUM onset-latency analysis")
@@ -286,7 +288,7 @@ def main(argv=None) -> int:
     except SyncError as exc:
         log.error("sync failure: %s", exc)
         return EXIT_SYNC
-    except UndefinedMetricError as exc:
+    except (UndefinedMetricError, latency_mod.UndefinedReportError) as exc:
         log.error("no valid presses: %s", exc)
         return EXIT_NO_PRESSES
     except CalibrationError as exc:

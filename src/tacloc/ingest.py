@@ -185,7 +185,10 @@ def _read_csv(path: Path, camera_id) -> EventStream:
     """
     raw = path.read_bytes()
     if not raw.isascii():
-        raw.decode("utf-8")  # undecodable files fail as in text mode
+        try:  # undecodable files fail as in text mode
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {exc}") from None
     # universal newlines, as text-mode reading translates them
     data = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     del raw
@@ -267,6 +270,9 @@ def _read_binary(path: Path, camera_id) -> EventStream:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != BINARY_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    if (len(raw) - 16) % _RECORD_DTYPE.itemsize:
+        raise FormatError(f"{path}: {len(raw) - 16} body bytes are not "
+                          "whole 16-byte records")
     body = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=16)
     if len(body) != count:
         raise FormatError(f"{path}: header count {count} != {len(body)} records")
@@ -596,6 +602,8 @@ def _read_json(path: Path, what: str):
         raise FormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise IOError(f"cannot read {what} {path}: {exc}") from exc
 
@@ -632,6 +640,10 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
               else camera_pair(cams, layout.side_mm))
     files = _section(doc, "files", dict.fromkeys(("cam1", "cam2", "format"),
                                                  str))
+    file_format = files.get("format", "bin")
+    if file_format not in ("bin", "csv"):
+        raise FormatError('files.format must be "bin" or "csv", '
+                          f"got {json.dumps(file_format)}")
     cam1 = files.get("cam1", "")
     cam2 = files.get("cam2", "")
     if base_dir is not None:
@@ -649,7 +661,7 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     return RunConfig(
         cam1_path=cam1,
         cam2_path=cam2,
-        file_format=files.get("format", "bin"),
+        file_format=file_format,
         layout=layout,
         sync=sync,
         schedule=schedule,

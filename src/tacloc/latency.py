@@ -187,15 +187,6 @@ def _trial_series(trial: PressTrial,
     return series, base
 
 
-def trial_onset(trial: PressTrial, params: CusumParams) -> float | None:
-    """First detected onset inside the trial window, in seconds after t0."""
-    series, base = _trial_series(trial, params)
-    onsets = cusum_onsets(series, base, params)
-    if not len(onsets):
-        return None
-    return float(onsets[0]) - trial.t0_s
-
-
 def _first_alarms(series, baseline: BaselineStats, params: CusumParams,
                   hs: np.ndarray) -> np.ndarray:
     """The bin of ``cusum_onsets``' first alarm at every h in ``hs``, -1
@@ -223,7 +214,8 @@ def _first_alarms(series, baseline: BaselineStats, params: CusumParams,
 
 def _grid_onsets(press_trials, params: CusumParams,
                  hs: np.ndarray) -> np.ndarray:
-    """``trial_onset`` of every trial at every h, nan where none.
+    """The first ``cusum_onsets`` onset of every trial at every h, in
+    seconds after the trial's t0, nan where there is none.
 
     Rows follow ``hs``, columns the trials; each trial is binned,
     smoothed and run through the CUSUM once.
@@ -237,14 +229,14 @@ def _grid_onsets(press_trials, params: CusumParams,
     return onsets
 
 
-def _tpr_at(onsets: list[float | None], window_s: float) -> tuple[float, float]:
-    """(true-positive rate, median onset) under the +-window acceptance rule."""
-    detected = np.array([o for o in onsets if o is not None])
+def _tpr_at(onsets: np.ndarray, window_s: float) -> tuple[float, float]:
+    """(true-positive rate, median onset) under the +-window acceptance
+    rule, over onsets that are nan where none was detected."""
+    detected = onsets[~np.isnan(onsets)]
     if not len(detected):
         return 0.0, math.nan
     median = float(np.median(detected))
-    ok = sum(1 for o in onsets
-             if o is not None and abs(o - median) <= window_s)
+    ok = np.count_nonzero(np.abs(detected - median) <= window_s)
     return ok / len(onsets), median
 
 
@@ -280,12 +272,17 @@ def _snippet_series(snippets, params: CusumParams):
     return out, total_s
 
 
-def background_alarm_rate(snippets, params: CusumParams) -> float:
-    """Alarms per second over background-only snippets, with cooldown."""
+def _alarm_rates(snippets, params: CusumParams, hs: list[float]) -> list[float]:
+    """``cusum_onsets`` alarms per second over background-only snippets at
+    every h in ``hs``; only a snippet with a first alarm at h is run."""
     background, total_s = _snippet_series(snippets, params)
-    total_alarms = sum(len(cusum_onsets(series, base, params))
-                       for series, base in background)
-    return total_alarms / total_s if total_s > 0 else 0.0
+    alarms = [0] * len(hs)
+    for series, base in background:
+        first = _first_alarms(series, base, params, np.asarray(hs))
+        for i in np.flatnonzero(first >= 0).tolist():
+            p = replace(params, h=hs[i])
+            alarms[i] += len(cusum_onsets(series, base, p))
+    return [a / total_s if total_s > 0 else 0.0 for a in alarms]
 
 
 def trial_background_snippets(trials) -> list[tuple[float, float, np.ndarray]]:
@@ -308,28 +305,20 @@ def tune_threshold(press_trials, background_snippets, params: CusumParams,
     (h, TPR, background false-alarm rate) is reported for every grid
     point. Binning, smoothing, baselines and the CUSUM statistic do not
     depend on h, so they are computed once per trial and snippet; the
-    results equal a per-h loop over ``trial_onset`` and
-    ``background_alarm_rate``.
+    results equal a per-h loop of ``cusum_onsets`` over every trial and
+    snippet.
     """
     if len(press_trials) < 20:
         raise ValueError("need at least 20 press trials to tune")
     if h_grid is None:
         h_grid = np.geomspace(0.1, 1000.0, 60)
-    hs = np.array([float(h) for h in h_grid], dtype=np.float64)
-    onsets = _grid_onsets(press_trials, params, hs)
-    # only a snippet with a first alarm at h needs the full CUSUM run
-    background, total_s = _snippet_series(background_snippets, params)
-    alarmed = [_first_alarms(series, base, params, hs) >= 0
-               for series, base in background]
+    hs = [float(h) for h in h_grid]
+    onsets = _grid_onsets(press_trials, params, np.array(hs))
+    rates = _alarm_rates(background_snippets, params, hs)
     roc = []
     best = None
-    for i, h in enumerate(hs.tolist()):
-        p = replace(params, h=h)
-        detected = [None if math.isnan(o) else o for o in onsets[i].tolist()]
-        tpr, _ = _tpr_at(detected, p.detect_window_s)
-        alarms = sum(len(cusum_onsets(series, base, p))
-                     for (series, base), a in zip(background, alarmed) if a[i])
-        fa = alarms / total_s if total_s > 0 else 0.0
+    for h, row, fa in zip(hs, onsets, rates):
+        tpr, _ = _tpr_at(row, params.detect_window_s)
         roc.append(RocPoint(h, tpr, fa))
         if tpr >= min_tpr:
             best = roc[-1]
@@ -376,28 +365,27 @@ def latency_report(press_trials, params: CusumParams,
     p95 - p5 spread of the true positives. The false-alarm measurement
     reuses that width as the alarm cooldown.
     """
-    onsets = [trial_onset(t, params) for t in press_trials]
+    onsets = _grid_onsets(press_trials, params, np.array([params.h]))[0]
     tpr, median = _tpr_at(onsets, params.detect_window_s)
-    detected = [o for o in onsets if o is not None]
-    if not detected:
-        raise UndefinedReportError("no trial produced an onset")
-    tp = np.array([o for o in detected if abs(o - median) <= params.detect_window_s])
+    detected = onsets[~np.isnan(onsets)]
+    tp = detected[np.abs(detected - median) <= params.detect_window_s]
+    if not len(tp):
+        raise UndefinedReportError("no trial produced an onset within "
+                                   "detect_window_s of the median")
     width_ms = float((np.percentile(tp, 95) - np.percentile(tp, 5)) * 1e3)
-    fa = 0.0
+    cooldown, fa = params.cooldown_s, 0.0
     if background_snippets:
         cooldown = max(width_ms / 1e3, params.bin_s)
-        fa = background_alarm_rate(
-            background_snippets, replace(params, cooldown_s=cooldown))
-    else:
-        cooldown = params.cooldown_s
+        fa, = _alarm_rates(background_snippets,
+                           replace(params, cooldown_s=cooldown), [params.h])
     return LatencyReport(
         h_used=params.h,
         n_trials=len(press_trials),
         n_detected=len(detected),
         tpr=tpr,
         median_onset_s=median,
-        onsets_rel_median_s=[None if o is None else float(o - median)
-                             for o in onsets],
+        onsets_rel_median_s=[None if math.isnan(o) else o - median
+                             for o in onsets.tolist()],
         latency_width_ms=width_ms,
         false_alarm_rate_per_s=fa,
         cooldown_s=float(cooldown),

@@ -12,7 +12,6 @@ change the output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -178,13 +177,18 @@ def _quantize_u(rng, center: float, sigma: float, n: int,
     return u.clip(0, SENSOR_WIDTH - 1).astype(np.int16)
 
 
+# an empty burst: the t_us, u, v, polarity and source columns, typed
+_NO_EVENTS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int16),
+              np.zeros(0, dtype=np.int16), np.zeros(0, dtype=np.uint8),
+              np.zeros(0, dtype=np.int32))
+
+
 def _burst(spec: SynthSpec, rng, center_u: float, t0_s: float, dur_s: float,
-           mean_events: float, profile: RateProfile | None):
-    """One activity burst for one camera: (t_us, u, v, polarity)."""
+           mean_events: float, profile: RateProfile | None, source: int):
+    """One activity burst for one camera: (t_us, u, v, polarity, source)."""
     n = int(rng.poisson(mean_events))
     if n == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z.astype(np.int16), z.astype(np.int16), z.astype(np.uint8)
+        return _NO_EVENTS
     if profile is None:
         rel = rng.random(n)
     else:
@@ -200,7 +204,7 @@ def _burst(spec: SynthSpec, rng, center_u: float, t0_s: float, dur_s: float,
     v = rng.integers(v_lo, v_hi + 1, n).astype(np.int16)
     pol = np.where(rel < (profile.rise + profile.plateau if profile else 0.5),
                    1, 0).astype(np.uint8)
-    return t_us, u, v, pol
+    return t_us, u, v, pol, np.full(n, source, dtype=np.int32)
 
 
 def _press_center_offsets(spec: SynthSpec, cam: int, n_press: int) -> np.ndarray:
@@ -245,19 +249,15 @@ def generate(spec: SynthSpec) -> tuple[EventStream, EventStream, TruthManifest]:
         model = spec.models[cam - 1]
         u_stars, in_view = project_points(model, gt)
         offsets = _press_center_offsets(spec, cam, n_press)
-        parts_t, parts_u, parts_v, parts_p, parts_src = [], [], [], [], []
+        bursts = [_NO_EVENTS]
 
         u_tap, tap_ok = project_points(model, [center])
         for i, tt in enumerate(tap_times):
             if not tap_ok[0]:
                 break
-            t, u, v, p = _burst(spec, _rng(spec, cam, 1, i), float(u_tap[0]),
-                                tt, spec.tap_duration_s, spec.tap_events, None)
-            parts_t.append(t)
-            parts_u.append(u)
-            parts_v.append(v)
-            parts_p.append(p)
-            parts_src.append(np.full(len(t), SOURCE_TAP_BASE - i, dtype=np.int32))
+            bursts.append(_burst(spec, _rng(spec, cam, 1, i), float(u_tap[0]),
+                                 tt, spec.tap_duration_s, spec.tap_events,
+                                 None, SOURCE_TAP_BASE - i))
 
         for i in range(n_press):
             rec = press_records[i]
@@ -270,48 +270,32 @@ def generate(spec: SynthSpec) -> tuple[EventStream, EventStream, TruthManifest]:
             onset = rec["onset_s"]
             n_main = spec.burst_events_per_press_per_camera \
                 * (1.0 - spec.secondary_blob_frac)
-            t, u, v, p = _burst(spec, rng, center_u, onset,
-                                schedule.press_duration_s, n_main,
-                                spec.rate_profile)
+            bursts.append(_burst(spec, rng, center_u, onset,
+                                 schedule.press_duration_s, n_main,
+                                 spec.rate_profile, i))
             rec[f"center_u_cam{cam}"] = center_u
-            rec[f"n_events_cam{cam}"] = int(len(t))
-            parts_t.append(t)
-            parts_u.append(u)
-            parts_v.append(v)
-            parts_p.append(p)
-            parts_src.append(np.full(len(t), i, dtype=np.int32))
+            rec[f"n_events_cam{cam}"] = len(bursts[-1][0])
             if spec.secondary_blob_frac > 0:
                 n_sec = spec.burst_events_per_press_per_camera \
                     * spec.secondary_blob_frac
-                t, u, v, p = _burst(spec, _rng(spec, cam, 3, i),
-                                    center_u + spec.secondary_blob_offset_px,
-                                    onset, schedule.press_duration_s,
-                                    n_sec, spec.rate_profile)
-                rec[f"n_events_cam{cam}"] += int(len(t))
-                parts_t.append(t)
-                parts_u.append(u)
-                parts_v.append(v)
-                parts_p.append(p)
-                parts_src.append(np.full(len(t), i, dtype=np.int32))
+                bursts.append(_burst(spec, _rng(spec, cam, 3, i),
+                                     center_u + spec.secondary_blob_offset_px,
+                                     onset, schedule.press_duration_s,
+                                     n_sec, spec.rate_profile, i))
+                rec[f"n_events_cam{cam}"] += len(bursts[-1][0])
 
         if spec.background_rate_per_camera > 0:
             rng = _rng(spec, cam, 4)
             n_bg = int(rng.poisson(spec.background_rate_per_camera * dur))
-            t = (rng.random(n_bg) * dur * US_PER_S).round().astype(np.int64)
-            u = rng.integers(0, SENSOR_WIDTH, n_bg).astype(np.int16)
-            v = rng.integers(0, SENSOR_HEIGHT, n_bg).astype(np.int16)
-            p = rng.integers(0, 2, n_bg).astype(np.uint8)
-            parts_t.append(t)
-            parts_u.append(u)
-            parts_v.append(v)
-            parts_p.append(p)
-            parts_src.append(np.full(n_bg, SOURCE_BACKGROUND, dtype=np.int32))
+            bursts.append((
+                (rng.random(n_bg) * dur * US_PER_S).round().astype(np.int64),
+                rng.integers(0, SENSOR_WIDTH, n_bg).astype(np.int16),
+                rng.integers(0, SENSOR_HEIGHT, n_bg).astype(np.int16),
+                rng.integers(0, 2, n_bg).astype(np.uint8),
+                np.full(n_bg, SOURCE_BACKGROUND, dtype=np.int32)))
 
-        t_all = np.concatenate(parts_t) if parts_t else np.zeros(0, dtype=np.int64)
-        u_all = np.concatenate(parts_u) if parts_u else np.zeros(0, dtype=np.int16)
-        v_all = np.concatenate(parts_v) if parts_v else np.zeros(0, dtype=np.int16)
-        p_all = np.concatenate(parts_p) if parts_p else np.zeros(0, dtype=np.uint8)
-        src_all = np.concatenate(parts_src) if parts_src else np.zeros(0, dtype=np.int32)
+        t_all, u_all, v_all, p_all, src_all = (np.concatenate(col)
+                                               for col in zip(*bursts))
         if cam == 2 and spec.cam2_extra_offset_s:
             shift = int(round(spec.cam2_extra_offset_s * US_PER_S))
             t_all = t_all + shift
@@ -346,12 +330,6 @@ def generate(spec: SynthSpec) -> tuple[EventStream, EventStream, TruthManifest]:
         },
     )
     return streams[0], streams[1], manifest
-
-
-def write_manifest(manifest: TruthManifest, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_json_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def spec_from_config(layout: SensorLayout, schedule: PressSchedule,

@@ -98,7 +98,7 @@ def sweep_setup():
 class TestRunSweep:
     def test_single_factor_equals_baseline(self, sweep_setup):
         prepared, cfg, base, table = sweep_setup
-        sweep = run_sweep(prepared, cfg, cfg.camera_models, [1], [0, 1],
+        sweep = run_sweep(prepared, cfg, [1], [0, 1],
                           (base, table))
         for cell in sweep.cells:
             assert cell.report.rmse_mm == base.rmse_mm
@@ -125,8 +125,7 @@ class TestRunSweep:
 
     def test_curve_non_increasing_within_noise(self, sweep_setup):
         prepared, cfg, base, table = sweep_setup
-        sweep = run_sweep(prepared, cfg, cfg.camera_models,
-                          [1, 4, 16, 64], [0, 1, 2],
+        sweep = run_sweep(prepared, cfg, [1, 4, 16, 64], [0, 1, 2],
                           (base, table))
         curve = sweep.curve()
         base_rate = curve[0]["pass_rate_mean"]
@@ -136,18 +135,18 @@ class TestRunSweep:
 
     def test_csv_rows_complete(self, sweep_setup):
         prepared, cfg, base, table = sweep_setup
-        sweep = run_sweep(prepared, cfg, cfg.camera_models, [1, 8], [0],
+        sweep = run_sweep(prepared, cfg, [1, 8], [0],
                           (base, table))
-        rows = sweep.csv_rows()
-        assert len(rows) == 2
-        assert {r["k"] for r in rows} == {1, 8}
-        assert all("rmse_mm" in r and "pass_rate_percent" in r for r in rows)
+        cols = sweep.csv_columns()
+        assert len(cols["k"]) == 2
+        assert set(cols["k"]) == {1, 8}
+        assert all(len(cols[c]) == 2 for c in ("rmse_mm", "pass_rate_percent"))
 
     def test_all_excluded_cell_recorded_not_raised(self, sweep_setup):
         # a factor harsh enough to kill every cluster must still produce
         # a sweep row (pass rate 0), not abort the sweep
         prepared, cfg, base, table = sweep_setup
-        sweep = run_sweep(prepared, cfg, cfg.camera_models, [1, 4096], [0],
+        sweep = run_sweep(prepared, cfg, [1, 4096], [0],
                           (base, table))
         dead = [c for c in sweep.cells if c.k == 4096][0]
         assert dead.report.n_valid == 0
@@ -156,7 +155,7 @@ class TestRunSweep:
 
     def test_mean_cluster_size_scales_inversely(self, sweep_setup):
         prepared, cfg, base, table = sweep_setup
-        sweep = run_sweep(prepared, cfg, cfg.camera_models, [1, 4], [0],
+        sweep = run_sweep(prepared, cfg, [1, 4], [0],
                           (base, table))
         sizes = {c.k: c.mean_cluster_size for c in sweep.cells}
         ratio = sizes[1] / sizes[4]

@@ -22,7 +22,7 @@ from tacloc.cli import main
 from tacloc.events import EventStream, SensorLayout
 from tacloc.geometry import CameraModel, FreeParams
 from tacloc.ingest import (IngestError, PressSchedule, SyncSpec,
-                           config_from_dict)
+                           config_from_dict, read_events, write_events)
 from tacloc.latency import CusumParams
 from tacloc.segment import segment_by_schedule
 from tacloc.synth import SynthSpec, spec_from_config
@@ -218,6 +218,9 @@ BAD_INPUTS = [
     pytest.param(lambda d: d.update(layout={"grid_points_mm": [[50, "a"]]}),
                  None, 'layout.grid_points_mm[0][1] must be a number, got "a"',
                  id="layout.grid_points_mm-string"),
+    pytest.param(lambda d: d["files"].update(format="xyz"), None,
+                 'files.format must be "bin" or "csv", got "xyz"',
+                 id="files.format-unknown"),
 ]
 
 
@@ -257,10 +260,27 @@ class TestLocalize:
         assert main(["localize", "--config", str(cfgp), "--out", str(out)]) == 0
         rows = (out / "localization.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 24
+        assert (out / "localization.csv").read_bytes().startswith(
+            b"press_index,repetition,gt_x_mm,gt_y_mm,est_x_mm,est_y_mm,"
+            b"centroid_u1,centroid_u2,cluster_size1,cluster_size2,valid,"
+            b"reason\r\n")
         rep = json.loads((out / "evaluation.json").read_text())
         assert rep["n_presses"] == 24
         assert rep["rmse_mm"] < 1.0
         assert rep["schema_version"] == 1
+
+    def test_missing_press_writes_empty_cells(self, sim_dir, tmp_path):
+        # the second press lies past the recording: no estimate, no centroid
+        tmp, cfgp = sim_dir
+        doc = json.loads(cfgp.read_text())
+        doc["schedule"] = dict(EXPLICIT_SCHEDULE, onsets_s=[5.0, 9999.0],
+                               ground_truth_mm=[[40.0, 40.0], [44.0, 40.0]])
+        cfg2 = tmp / f"missing_{tmp_path.name}.json"
+        cfg2.write_text(json.dumps(doc))
+        out = tmp_path / "loc"
+        assert main(["localize", "--config", str(cfg2), "--out", str(out)]) == 0
+        assert (out / "localization.csv").read_bytes().endswith(
+            b"\r\n1,0,44.0,40.0,,,,,0,0,0,missing\r\n")
 
     def test_missing_camera_file_exit_2(self, sim_dir, tmp_path):
         # config points at files that do not exist next to it
@@ -316,6 +336,44 @@ class TestLocalize:
         assert [r.getMessage() for r in errors] == [
             f"{mp}: invalid JSON at line 1, column 1: Expecting value"]
         assert not [r for r in caplog.records if "stage read" in r.getMessage()]
+
+    @pytest.mark.parametrize("which", ["config", "models"])
+    def test_json_not_utf8_names_the_file(self, sim_dir, tmp_path, caplog,
+                                          which):
+        tmp, cfgp = sim_dir
+        bad = tmp_path / f"{which}.json"
+        bad.write_bytes(b"\xff{}")
+        args = (["--config", str(bad)] if which == "config"
+                else ["--config", str(cfgp), "--models", str(bad)])
+        caplog.set_level(logging.INFO, logger="tacloc")
+        assert main(["localize", *args, "--out", str(tmp_path / "out")]) == 2
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0].getMessage().startswith(f"{bad}: ")
+        assert errors[0].exc_info is None
+
+    @pytest.mark.parametrize("fmt, suffix, damage", [
+        ("csv", "csv", lambda raw: raw + b"2000,\xff,240,1\n"),
+        ("bin", "evt", lambda raw: raw + bytes(5)),
+    ], ids=["csv-not-utf8", "bin-ragged-body"])
+    def test_damaged_event_file_names_the_file(self, sim_dir, tmp_path,
+                                               caplog, fmt, suffix, damage):
+        tmp, _ = sim_dir
+        for cam in (1, 2):
+            write_events(read_events(tmp / f"cam{cam}.evt", cam),
+                         tmp_path / f"cam{cam}.{suffix}", fmt)
+        p1 = tmp_path / f"cam1.{suffix}"
+        p1.write_bytes(damage(p1.read_bytes()))
+        cfgp = base_config(tmp_path, files={"cam1": p1.name,
+                                            "cam2": f"cam2.{suffix}",
+                                            "format": fmt})
+        caplog.set_level(logging.INFO, logger="tacloc")
+        assert main(["localize", "--config", str(cfgp),
+                     "--out", str(tmp_path / "out")]) == 2
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0].getMessage().startswith(f"{p1}: ")
+        assert errors[0].exc_info is None
 
     def test_out_of_range_csv_value_exit_2(self, tmp_path, caplog):
         cfgp = base_config(tmp_path, files={"cam1": "cam1.csv",
@@ -410,8 +468,24 @@ class TestAblate:
                      "--factors", "1,4", "--seeds", "0,1"]) == 0
         rows = (out / "ablation.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 4
+        assert (out / "ablation.csv").read_bytes().startswith(
+            b"k,seed,rmse_mm,pass_rate_percent,mean_cluster_size,n_valid\r\n")
         curve = json.loads((out / "ablation_curve.json").read_text())
         assert [c["k"] for c in curve["curve"]] == [1, 4]
+
+    @pytest.mark.parametrize("flag, value", [("--factors", "1,-4"),
+                                             ("--factors", "4,x"),
+                                             ("--seeds", "0,x")])
+    def test_bad_list_exit_2_before_config(self, tmp_path, capsys, flag,
+                                           value):
+        # the config does not exist: a run that loaded it would return 2
+        with pytest.raises(SystemExit) as stop:
+            main(["ablate", "--config", str(tmp_path / "absent.json"),
+                  "--out", str(tmp_path / "out"), flag, value])
+        assert stop.value.code == 2
+        assert (f"error: argument {flag}: expected comma-separated integers"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_identical(self, sim_dir, tmp_path):
         tmp, cfgp = sim_dir
@@ -434,8 +508,20 @@ class TestLatencyCmd:
         rep = json.loads((out / "latency.json").read_text())
         assert rep["n_trials"] == 24
         assert rep["tpr"] > 0.9
-        assert (out / "onsets.csv").exists()
-        assert (out / "roc.csv").exists()
+        assert (out / "onsets.csv").read_bytes().startswith(
+            b"trial,onset_rel_median_s\r\n")
+        # a fixed h runs no tuning grid: the ROC is the header alone
+        assert (out / "roc.csv").read_bytes() == b"h,tpr,false_alarms_per_s\r\n"
+
+    def test_no_onset_exit_4(self, sim_dir, tmp_path, caplog):
+        tmp, cfgp = sim_dir
+        caplog.set_level(logging.INFO, logger="tacloc")
+        assert main(["latency", "--config", str(cfgp),
+                     "--out", str(tmp_path / "lat"), "--h", "1e9"]) == 4
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0].getMessage().startswith("no valid presses: ")
+        assert errors[0].exc_info is None
 
     def test_tuned_threshold_emits_roc(self, sim_dir, tmp_path):
         tmp, cfgp = sim_dir

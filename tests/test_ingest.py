@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tacloc.ablate import thin
@@ -20,6 +20,29 @@ from tacloc.latency import CusumParams
 from tacloc.synth import RateProfile, SynthSpec, generate, spec_from_config
 
 from .conftest import small_layout, uniform_stream
+
+
+_EVT_SIZE = 16 + 16 * 4  # the 4-record file of the binary fault test
+
+
+@st.composite
+def _evt_faults(draw):
+    """One fault of a 4-record .evt file, as (start, stop, data): the
+    file's bytes[start:stop] are replaced by data. The file is truncated,
+    1 to 15 bytes are appended, or the magic, version, record count or
+    one field of one record is overwritten."""
+    part = draw(st.sampled_from(["truncate", "append", "magic", "version",
+                                 "count", *_RECORD_DTYPE.names]))
+    if part == "truncate":
+        return draw(st.integers(0, _EVT_SIZE - 1)), _EVT_SIZE, b""
+    if part == "append":
+        return _EVT_SIZE, _EVT_SIZE, draw(st.binary(min_size=1, max_size=15))
+    if part in _RECORD_DTYPE.names:
+        dtype, offset = _RECORD_DTYPE.fields[part][:2]
+        start, size = 16 + 16 * draw(st.integers(0, 3)) + offset, dtype.itemsize
+    else:
+        start, size = {"magic": (0, 4), "version": (4, 1), "count": (8, 8)}[part]
+    return start, start + size, draw(st.binary(min_size=size, max_size=size))
 
 
 class TestEventFiles:
@@ -125,6 +148,23 @@ class TestEventFiles:
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=re.escape(f"{p}: {message}")):
             read_events(p, 1)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fault=_evt_faults())
+    @example(fault=(_EVT_SIZE, _EVT_SIZE, b"\x00"))
+    def test_binary_fault_reads_or_names_the_file(self, tmp_path, fault):
+        p = tmp_path / "f.evt"
+        write_events(EventStream(1, [10, 20, 30, 40], [1, 2, 3, 4],
+                                 [5, 6, 7, 8], [0, 1, 0, 1]), p, "bin")
+        raw = p.read_bytes()
+        assert len(raw) == _EVT_SIZE
+        start, stop, data = fault
+        p.write_bytes(raw[:start] + data + raw[stop:])
+        try:
+            assert isinstance(read_events(p, 1), EventStream)
+        except FormatError as exc:
+            assert str(exc).startswith(f"{p}: ")
 
     def test_empty_round_trip(self, tmp_path):
         s = EventStream(1, [], [], [], [])

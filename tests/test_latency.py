@@ -9,10 +9,10 @@ from tacloc.events import EventStream
 from tacloc.latency import (BaselineStats, CusumParams, RocPoint,
                             SmoothedSeries, TuneResult, TuningError,
                             UndefinedReportError, _first_alarms,
-                            _grid_onsets, _tpr_at, background_alarm_rate,
-                            baseline_stats, bin_times, cusum_onsets,
-                            gaussian_kernel, latency_report, smoothed_rate,
-                            trial_background_snippets, trial_onset,
+                            _grid_onsets, _snippet_series, _tpr_at,
+                            _trial_series, baseline_stats, bin_times,
+                            cusum_onsets, gaussian_kernel, latency_report,
+                            smoothed_rate, trial_background_snippets,
                             tune_threshold)
 from tacloc.segment import PressTrial
 
@@ -167,6 +167,22 @@ class TestTuneThreshold:
             tune_threshold(trials, [], PARAMS)
 
 
+def trial_onset(trial, params):
+    """The first cusum_onsets onset in the trial window, in seconds after
+    t0, or None."""
+    series, base = _trial_series(trial, params)
+    onsets = cusum_onsets(series, base, params)
+    return float(onsets[0]) - trial.t0_s if len(onsets) else None
+
+
+def background_alarm_rate(snippets, params):
+    """cusum_onsets alarms per second over every background snippet."""
+    background, total_s = _snippet_series(snippets, params)
+    alarms = sum(len(cusum_onsets(series, base, params))
+                 for series, base in background)
+    return alarms / total_s if total_s > 0 else 0.0
+
+
 def tune_by_h(trials, snippets, params, h_grid, min_tpr=0.95):
     """The per-h loop over trial_onset and background_alarm_rate: the
     oracle for tune_threshold. Returns (result or TuningError, onsets)."""
@@ -174,7 +190,7 @@ def tune_by_h(trials, snippets, params, h_grid, min_tpr=0.95):
     for h in h_grid:
         p = replace(params, h=float(h))
         row = [trial_onset(t, p) for t in trials]
-        tpr, _ = _tpr_at(row, p.detect_window_s)
+        tpr, _ = _tpr_at(np.array(row, dtype=float), p.detect_window_s)
         point = RocPoint(float(h), tpr, background_alarm_rate(snippets, p))
         roc.append(point)
         onsets.append(row)
@@ -184,6 +200,23 @@ def tune_by_h(trials, snippets, params, h_grid, min_tpr=0.95):
         top = max(roc, key=lambda r: r.tpr)
         return TuningError("", best_tpr=top.tpr, best_h=top.h), onsets
     return TuneResult(best.h, best.tpr, roc), onsets
+
+
+def report_by_trial(trials, snippets, params):
+    """latency_report's onsets, TPR, width and false-alarm rate from the
+    per-trial loop over trial_onset and background_alarm_rate, or None
+    where no onset lies within the detection window of the median."""
+    onsets = [trial_onset(t, params) for t in trials]
+    detected = [o for o in onsets if o is not None]
+    median = float(np.median(detected)) if detected else np.nan
+    tp = [o for o in detected if abs(o - median) <= params.detect_window_s]
+    if not tp:
+        return None
+    width_ms = float((np.percentile(tp, 95) - np.percentile(tp, 5)) * 1e3)
+    cooldown = max(width_ms / 1e3, params.bin_s)
+    fa = background_alarm_rate(snippets, replace(params, cooldown_s=cooldown))
+    return ([None if o is None else o - median for o in onsets],
+            len(tp) / len(onsets), width_ms, fa)
 
 
 def without_baseline(trial):
@@ -262,6 +295,30 @@ class TestTuneOracle:
             want = cusum_onsets(series, base, replace(params, h=h))
             assert (i * 0.5 if i >= 0 else None) == (
                 float(want[0]) if len(want) else None)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_report_equals_per_trial_oracle(self, m):
+        rng = np.random.default_rng(30 + m)
+        trials, _ = jittered_trials(rng, 22, idle_rate=3000.0,
+                                    press_rate=7000.0)
+        trials[5] = without_baseline(trials[5])
+        snippets = (trial_background_snippets(trials)
+                    + self.bursty_snippets(rng))
+        compared = []
+        for h in self.GRID[::6].tolist():
+            p = replace(PARAMS, min_consecutive_bins=m, h=h)
+            want = report_by_trial(trials, snippets, p)
+            if want is None:
+                with pytest.raises(UndefinedReportError):
+                    latency_report(trials, p, snippets)
+                continue
+            rep = latency_report(trials, p, snippets)
+            assert (rep.onsets_rel_median_s, rep.tpr, rep.latency_width_ms,
+                    rep.false_alarm_rate_per_s) == want
+            compared.append(want)
+        # alarms and misses both occur among the compared thresholds
+        assert any(fa > 0 for *_, fa in compared)
+        assert any(None in onsets for onsets, *_ in compared)
 
     def test_tuning_error_matches(self):
         rng = np.random.default_rng(24)
