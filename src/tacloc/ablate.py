@@ -9,7 +9,7 @@ stream).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,8 @@ from .events import EventStream
 from .ingest import RunConfig
 from .metrics import EvaluationReport, UndefinedMetricError, empty_report
 from .pipeline import (PreparedRun, TrialTable, evaluate_results,
-                       localize_trials, segment)
+                       localize_pixels, segment)
+from .segment import press_events
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -26,19 +27,34 @@ _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
-    z = (z + _GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    z = z + _GOLDEN
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _event_hash(seed: int, camera_id: int, ordinals: np.ndarray) -> np.ndarray:
+    """The splitmix64 hash of each (seed, camera, ordinal)."""
+    key = _splitmix64(np.array([seed & 0xFFFFFFFFFFFFFFFF,
+                                0xC2B2AE3D27D4EB4F + camera_id], dtype=np.uint64))
+    return _splitmix64(ordinals.astype(np.uint64) * _GOLDEN + (key[0] ^ key[1]))
+
+
+def _keep_below(k: int) -> np.uint64:
+    """The largest hash kept at factor k; it falls as k grows."""
+    return np.uint64((1 << 64) // k - 1) if k > 1 else _U64
 
 
 def keep_mask(seed: int, camera_id: int, ordinals: np.ndarray, k: int) -> np.ndarray:
-    """Bernoulli(1/k) keep decisions keyed by (seed, camera, ordinal)."""
-    key = _splitmix64(np.array([seed & 0xFFFFFFFFFFFFFFFF,
-                                0xC2B2AE3D27D4EB4F + camera_id], dtype=np.uint64))
-    h = _splitmix64(ordinals.astype(np.uint64) * _GOLDEN + (key[0] ^ key[1]))
-    threshold = np.uint64((1 << 64) // k - 1) if k > 1 else _U64
-    return h <= threshold
+    """Bernoulli(1/k) keep decisions keyed by (seed, camera, ordinal).
+
+    The masks are nested in k: an event kept at k is kept at every
+    smaller factor.
+    """
+    return _event_hash(seed, camera_id, ordinals) <= _keep_below(k)
 
 
 def thin(stream: EventStream, k: int, seed: int) -> EventStream:
@@ -109,27 +125,49 @@ def run_sweep(prepared: PreparedRun, cfg: RunConfig, factors, seeds,
     every k = 1 cell is that run. Models and the reference error
     percentile stay fixed at their unthinned values. Per-press failures
     inside a cell are recorded as exclusions, never raised.
+
+    Thinning keeps times and order, so a trial's press events in the
+    thinned recording are its unthinned press events under the keep
+    mask. The recording is segmented once, each press event is hashed
+    once per seed, and each factor compares the hashes with its
+    threshold. A trial whose window lies outside the extent of the
+    thinned streams is not flagged missing, as segmenting them would
+    flag it; it keeps no events, so its row differs only in its reason
+    ("no prominent cluster" for "missing"), which no sweep report reads.
     """
     factors = tuple(int(k) for k in factors)
     seeds = tuple(int(s) for s in seeds)
     base_report, base_table = baseline
     reference_p95_mm = base_report.reference_p95_mm
-    base_size = _mean_cluster_size(base_table)
-
-    def evaluate_cell(k: int, seed: int) -> SweepCell:
-        if k == 1:
-            return SweepCell(1, seed, base_report, base_size)
-        thinned = replace(prepared, s1=thin(prepared.s1, k, seed),
-                          s2=thin(prepared.s2, k, seed))
-        table = localize_trials(segment(thinned, cfg), cfg.camera_models,
-                                cfg.cluster)
-        try:
-            report = evaluate_results(table, cfg,
-                                      reference_p95_mm=reference_p95_mm)
-        except UndefinedMetricError:
-            # a cell may lose every press; record it instead of aborting
-            report = empty_report(len(table), reference_p95_mm)
-        return SweepCell(k, seed, report, _mean_cluster_size(table))
-
-    cells = [evaluate_cell(k, seed) for k in factors for seed in seeds]
-    return AblationSweep(factors, seeds, cells, reference_p95_mm)
+    trials = segment(prepared, cfg)
+    press = [[press_events(t, cam) for t in trials if not t.missing]
+             for cam in (1, 2)]
+    thinned = {k: _keep_below(k) for k in sorted(set(factors) - {1})}
+    cells = {(1, seed): SweepCell(1, seed, base_report,
+                                  _mean_cluster_size(base_table))
+             for seed in seeds}
+    for seed in seeds:
+        pixels = {k: ([], []) for k in thinned}
+        for cam, events in enumerate(press):
+            for ev in events:
+                h, u, v = _event_hash(seed, cam + 1, ev.ordinal_array()), \
+                    ev.u, ev.v
+                # factors ascend, and each keeps a subset of the last
+                for k, top in thinned.items():
+                    kept = np.flatnonzero(h <= top)
+                    h, u, v = h[kept], u[kept], v[kept]
+                    pixels[k][cam].append((u, v))
+        for k in thinned:
+            table = localize_pixels(trials, pixels.pop(k), cfg.camera_models,
+                                    cfg.cluster)
+            try:
+                report = evaluate_results(table, cfg,
+                                          reference_p95_mm=reference_p95_mm)
+            except UndefinedMetricError:
+                # a cell may lose every press; record it instead of aborting
+                report = empty_report(len(table), reference_p95_mm)
+            cells[k, seed] = SweepCell(k, seed, report,
+                                       _mean_cluster_size(table))
+    return AblationSweep(factors, seeds,
+                         [cells[k, seed] for k in factors for seed in seeds],
+                         reference_p95_mm)

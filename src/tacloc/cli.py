@@ -179,7 +179,7 @@ def cmd_latency(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     params = cfg.latency
     snippets = latency_mod.trial_background_snippets(trials)
     roc = []
-    if args.tune or args.h is None:
+    if args.h is None:
         with _stage("tune"):
             tuned = latency_mod.tune_threshold(trials, snippets, params)
         params = replace(params, h=tuned.h)
@@ -190,7 +190,7 @@ def cmd_latency(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
                         "grid; a larger h may also reach the TPR target",
                         tuned.h)
     else:
-        params = replace(params, h=float(args.h))
+        params = replace(params, h=args.h)
     with _stage("report"):
         rep = latency_mod.latency_report(trials, params, snippets)
     p_json = out_dir / "latency.json"
@@ -208,7 +208,8 @@ def cmd_latency(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def _ints(minimum: int | None = None):
-    """An argparse type: comma-separated integers, none below ``minimum``."""
+    """An argparse type: distinct comma-separated integers, none below
+    ``minimum``."""
     def parse(text: str) -> list[int]:
         try:
             values = [int(x) for x in text.split(",")]
@@ -218,8 +219,24 @@ def _ints(minimum: int | None = None):
             least = "" if minimum is None else f" of at least {minimum}"
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated integers{least}, got {text!r}")
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated integers without repeats, "
+                f"got {text!r}")
         return values
     return parse
+
+
+def _positive(text: str) -> float:
+    """An argparse type: a finite positive number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,9 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("latency", help="CUSUM onset-latency analysis")
     common(p)
-    p.add_argument("--h", type=float, default=None, help="fixed threshold")
-    p.add_argument("--tune", action="store_true",
-                   help="tune the threshold by ROC analysis")
+    threshold = p.add_mutually_exclusive_group()
+    threshold.add_argument("--h", type=_positive, default=None,
+                           help="fixed threshold")
+    threshold.add_argument("--tune", action="store_true",
+                           help="tune the threshold by ROC analysis "
+                                "(the default without --h)")
     p.set_defaults(func=cmd_latency)
     return ap
 

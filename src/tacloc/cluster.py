@@ -18,33 +18,45 @@ Clustering semantics (shared by every implementation path):
 
 Two accelerated paths implement these semantics: a pixel-grid path for
 integer coordinates and a bucket-grid path for general coordinates
-(eps-sized cells, neighbor candidates from the 3x3 block). ``dbscan``
-picks the path from the raw points, before removing duplicates: the
-pixel path compresses through one packed int64 key per point, the
-bucket path through a row-wise ``np.unique``. ``dbscan_brute`` is the
-independent O(n^2) reference used in tests.
+(eps-sized cells, neighbor candidates from the 3x3 block). The path is
+picked per point set from its raw points, before removing duplicates.
+``dbscan`` clusters one set; ``extract_centroids`` clusters many, and
+runs of consecutive integral sets share one pixel-path pass in chunks
+bounded by ``_CHUNK_CELLS`` image cells and ``_CHUNK_EVENTS`` points (a
+set over either budget runs alone, as ``dbscan`` runs its one set). The
+bucket path compresses through a row-wise ``np.unique``, one set at a
+time. ``dbscan_brute`` is the independent O(n^2) reference used in
+tests.
 
-The pixel path has no Python loop over components or disk offsets, in
-the spirit of de Berg, Gunawan & Roeloffzen (2017): merge what is
-surely connected, then test distances only where components may touch.
+The pixel path has no Python loop over sets, components or disk
+offsets, in the spirit of de Berg, Gunawan & Roeloffzen (2017): merge
+what is surely connected, then test distances only where components may
+touch. Each phase runs once over the tiles of all sets in a chunk.
 
-1. Core counts: prefix sums along u of the multiplicity image, summed
-   over the 2e + 1 disk rows (e = floor(eps)).
-2. Crop: later images cover the core bounding box +- 2e; non-core
-   points beyond +- e of it are noise.
+1. Compress and core counts: each set gets its own tile of one image,
+   with an empty margin of e = floor(eps) around its points, so no disk
+   reaches another tile. One packed int64 key per point, its flat pixel
+   index, orders the points by (set, u, v) and removes duplicates.
+   Prefix sums along u of the multiplicity image, summed over the
+   2e + 1 disk rows, give the core counts.
+2. Crop: each tile with cores is cropped to its core bounding box
+   +- 2e, and the crops are stacked into a second image; non-core points
+   beyond +- e of their box are noise.
 3. Pre-merge: the core image is dilated by the integer disk of radius
    r = floor((eps - sqrt(2)) / 2) and labeled with 8-connectivity; cores
    of one label are at most 2r + sqrt(2) <= eps apart link by link. The
    labeling is run-based (He, Chao & Suzuki 2008): runs of set pixels
    along v, one pair per run of the next u row that touches a run,
    diagonals included, and connected components over those pairs.
-4. Frontier: one prefix-summed stack of (core, label, label^2) gives
-   sum (l - L)^2 over each core's disk; where it is nonzero, a core of
-   another label is within eps. Half-disk gathers from these cores give
-   the label pairs to join, and connected components close them.
-5. Border: each non-core point near the cores gathers every disk offset
-   in (d^2, du, dv) order at once; the first core hit is the nearest,
-   with the canonical tie-break.
+4. Frontier: in crops with more than one label, one prefix-summed stack
+   of (core, label, label^2) gives sum (l - L)^2 over each core's disk;
+   where it is nonzero, a core of another label is within eps. Half-disk
+   gathers from these cores give the label pairs to join, and connected
+   components close them. Clusters are numbered per set by
+   (set, first input index).
+5. Border: each non-core point near its set's cores gathers every disk
+   offset in (d^2, du, dv) order at once; the first core hit is the
+   nearest, with the canonical tie-break.
 """
 
 from __future__ import annotations
@@ -61,6 +73,10 @@ NOISE = -1
 # boundable image size
 _GRID_MIN_EPS = math.sqrt(2.0)
 _GRID_MAX_CELLS = 8_000_000
+# point sets clustered together on the pixel path share images of at
+# most this many first-image cells and points; a larger set runs alone
+_CHUNK_CELLS = 1 << 19
+_CHUNK_EVENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -92,23 +108,6 @@ def _compress(pts):
     """Unique coordinates, inverse map, multiplicities, first input index."""
     uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
     return _with_counts(uniq, inverse.ravel(), pts.shape[0])
-
-
-def _compress_pixels(pts):
-    """:func:`_compress` for integral points whose padded span fits the grid.
-
-    Each point packs into the int64 key ``(u - u0) * h + (v - v0)`` with
-    ``h`` the v extent; the span bound keeps keys below
-    ``_GRID_MAX_CELLS``. Ascending keys are the lexicographic (u, v)
-    order, so a 1-D unique yields the same rows as the row-wise one.
-    """
-    u0, v0 = pts.min(axis=0)
-    du = (pts[:, 0] - u0).astype(np.int64)
-    dv = (pts[:, 1] - v0).astype(np.int64)
-    h = int(dv.max()) + 1
-    keys, inverse = np.unique(du * h + dv, return_inverse=True)
-    uniq = np.column_stack([keys // h + u0, keys % h + v0])
-    return _with_counts(uniq, inverse, pts.shape[0])
 
 
 def _with_counts(uniq, inverse, n):
@@ -162,7 +161,7 @@ def _disk_sum(pu, pv, values, shape, dv_range, halfwidth):
     total = np.empty(values.shape, dtype=np.int64)
     for i, g in _gather_rows(prefix.reshape((-1,) + values.shape[1:]), pu * h + pv,
                              np.concatenate([hi, lo])):
-        total[i:i + len(g)] = g[:, :len(hi)].sum(axis=1) - g[:, len(hi):].sum(axis=1)
+        total[i:i + len(g)] = (g[:, :len(hi)] - g[:, len(hi):]).sum(axis=1)
     return total
 
 
@@ -228,28 +227,81 @@ def _label8(img):
     return labels, int(ids.max(initial=0))
 
 
-def _dbscan_pixel_grid(uniq, mult, first_index, params: DbscanParams):
-    """Exact DBSCAN on integer pixels; see the module docstring."""
-    m = uniq.shape[0]
+def _tile_pixels(offsets, boxes, e):
+    """Lay point sets out as tiles of one image and compress them.
+
+    ``offsets[s]`` holds set s's points as int64 columns (du, dv) of
+    offsets from its minimum corner, and ``boxes[s]`` their extent
+    (w, h). Set s takes the w + 2e rows from ``row0[s]`` and its point
+    (du, dv) the pixel (row0[s] + e + du, e + dv): a margin of e around
+    each tile keeps every disk inside it. A point's packed key is its
+    flat pixel index, so ascending keys are the (set, u, v) order.
+    Returns the pixels (pu, pv) of the unique points, the set of each,
+    the inverse map, multiplicities, first index into the concatenated
+    sets, and the image shape.
+    """
+    sizes = np.array([len(du) for du, _ in offsets])
+    w, h = np.array(boxes, dtype=np.int64).reshape(-1, 2).T
+    rows = np.where(sizes > 0, w + 2 * e, 0)
+    row0 = np.cumsum(rows) - rows
+    height = int(h.max()) + 2 * e
+    set_of = np.repeat(np.arange(len(offsets)), sizes)
+    du, dv = (np.concatenate(col) for col in zip(*offsets))
+    keys = (du + (row0 + e)[set_of]) * height + (dv + e)
+    cells = int(rows.sum()) * height
+    if cells <= min(4 * len(keys), _CHUNK_CELLS):
+        # a small image with many points: bin the keys instead of sorting
+        occupied = np.bincount(keys, minlength=cells) > 0
+        uniq = np.flatnonzero(occupied)
+        inverse = (np.cumsum(occupied) - 1)[keys]
+    else:
+        uniq, inverse = np.unique(keys, return_inverse=True)
+    _, _, mult, first_index = _with_counts(uniq, inverse, len(keys))
+    pu, pv = np.divmod(uniq, height)
+    return (pu, pv, set_of[first_index], inverse, mult, first_index,
+            (cells // height, height))
+
+
+def _dbscan_pixel_grid(offsets, boxes, params: DbscanParams):
+    """Exact DBSCAN labels of integral point sets, each phase run once
+    over tiles of one image (see :func:`_tile_pixels` and the module
+    docstring)."""
+    ends = np.cumsum([len(du) for du, _ in offsets])
+    if not ends[-1]:
+        return [np.zeros(0, dtype=np.int64) for _ in offsets]
     offs, dv_range, halfwidth, e = _disk(params.eps)
-    pu = uniq[:, 0].astype(np.int64)
-    pv = uniq[:, 1].astype(np.int64)
-    pu += e - pu.min()
-    pv += e - pv.min()
+    pu, pv, tile, inverse, mult, first_index, shape = _tile_pixels(
+        offsets, boxes, e)
+    m = len(pu)
     # images are indexed [u, v]; int32 counts halve the prefix image
-    counts = mult.astype(np.int32 if mult.sum() < 2**31 else np.int64)
-    core = _disk_sum(pu, pv, counts, (int(pu.max()) + e + 1, int(pv.max()) + e + 1),
-                     dv_range, halfwidth) >= params.min_samples
+    counts = mult.astype(np.int32 if ends[-1] < 2**31 else np.int64)
+    core = _disk_sum(pu, pv, counts, shape, dv_range, halfwidth) \
+        >= params.min_samples
     labels = np.full(m, NOISE, dtype=np.int64)
     if not np.any(core):
-        return labels
+        return np.split(labels[inverse], ends[:-1])
 
-    # crop to the core bounding box +- 2e: non-core points beyond +- e of
-    # it are noise, and the outer e keeps their disks inside the crop
-    pu -= pu[core].min() - 2 * e
-    pv -= pv[core].min() - 2 * e
-    cu, cv = pu[core], pv[core]
-    width, height = int(cu.max()) + 2 * e + 1, int(cv.max()) + 2 * e + 1
+    # crop each tile with cores to its core bounding box +- 2e and stack
+    # the crops along u: non-core points beyond +- e of a box are noise,
+    # and the outer e keeps the disks of the rest inside their crop
+    ci = np.flatnonzero(core)
+    starts = np.flatnonzero(np.diff(tile[ci], prepend=-1))
+    per_crop = np.diff(np.append(starts, len(ci)))  # cores in each crop
+    lo_u = np.minimum.reduceat(pu[ci], starts) - 2 * e
+    lo_v = np.minimum.reduceat(pv[ci], starts) - 2 * e
+    crop_w = np.maximum.reduceat(pu[ci], starts) + 2 * e + 1 - lo_u
+    crop_h = np.maximum.reduceat(pv[ci], starts) + 2 * e + 1 - lo_v
+    crop0 = np.cumsum(crop_w) - crop_w
+    width, height = int(crop_w.sum()), int(crop_h.max())
+    # per point: the shift into the crop image, and the rows and columns
+    # of its set's border candidates (none in a set without cores)
+    per_set = np.zeros((5, len(offsets)), dtype=np.int64)
+    per_set[:, tile[ci[starts]]] = (crop0 - lo_u, -lo_v, crop0 + e,
+                                    crop0 + crop_w - e, crop_h - e)
+    shift_u, shift_v, row_lo, row_hi, col_hi = per_set[:, tile]
+    pu = pu + shift_u
+    pv = pv + shift_v
+    cu, cv = pu[ci], pv[ci]
     core_img = np.zeros((width, height), dtype=bool)
     core_img[cu, cv] = True
 
@@ -260,16 +312,21 @@ def _dbscan_pixel_grid(uniq, mult, first_index, params: DbscanParams):
     lab_img, n_lab = _label8(grown)
     lab = lab_img[cu, cv]
     comp = lab - 1
-    if n_lab > 1:
+    # labels run in raster order, so each crop holds a run of them; only
+    # crops with more than one label can have cores to join
+    multi = np.repeat(np.maximum.reduceat(lab, starts)
+                      > np.minimum.reduceat(lab, starts), per_crop)
+    if np.any(multi):
         # frontier: cores with a core of another label L' within eps, where
         # sum (L' - L)^2 = S2 - 2 L S1 + L^2 N over the disk is nonzero; if
-        # that sum could leave int64, every core is on the frontier
-        front = np.arange(len(lab))
+        # that sum could leave int64, every such core is on the frontier
+        front = np.flatnonzero(multi)
         if len(offs) * n_lab ** 2 < 2**63:
-            planes = np.column_stack([np.ones_like(lab), lab, lab * lab])
-            n, s1, s2 = _disk_sum(cu, cv, planes, (width, height),
-                                  dv_range, halfwidth).T
-            front = np.flatnonzero(s2 - 2 * lab * s1 + lab * lab * n)
+            fl = lab[front]
+            planes = np.column_stack([np.ones_like(fl), fl, fl * fl])
+            n, s1, s2 = _disk_sum(cu[front], cv[front], planes,
+                                  (width, height), dv_range, halfwidth).T
+            front = front[s2 - 2 * fl * s1 + fl * fl * n != 0]
         if len(front):
             # each cross pair is seen from its first end in the half disk
             half = offs[(offs[:, 1] > 0) | ((offs[:, 1] == 0) & (offs[:, 2] > 0))]
@@ -286,14 +343,18 @@ def _dbscan_pixel_grid(uniq, mult, first_index, params: DbscanParams):
     full = np.full(m, -1, dtype=np.int64)
     full[core] = comp
     labels = _renumber(full, core, first_index, m)
+    # first indices grow with the set, so each set's clusters hold a run
+    # of the numbers; start every run at 0
+    base = np.minimum.reduceat(labels[ci], starts)
+    labels[ci] -= np.repeat(base, per_crop)
 
-    # border points within e of the core box: gather every disk offset in
-    # (d^2, du, dv) order, so the first hit is the nearest core with the
-    # canonical tie-break
+    # border points within e of their core box: gather every disk offset
+    # in (d^2, du, dv) order, so the first hit is the nearest core with
+    # the canonical tie-break
     label_img = np.full((width, height), NOISE, dtype=np.int64)
-    label_img[cu, cv] = labels[core]
-    cand = np.flatnonzero(~core & (pu >= e) & (pu < width - e)
-                          & (pv >= e) & (pv < height - e))
+    label_img[cu, cv] = labels[ci]
+    cand = np.flatnonzero(~core & (pu >= row_lo) & (pu < row_hi)
+                          & (pv >= e) & (pv < col_hi))
     for i, hit in _gather_rows(label_img.ravel(), pu[cand] * height + pv[cand],
                                offs[1:, 1] * height + offs[1:, 2]):
         found = hit != NOISE
@@ -301,7 +362,7 @@ def _dbscan_pixel_grid(uniq, mult, first_index, params: DbscanParams):
         rows = np.arange(len(hit))
         got = found[rows, first]
         labels[cand[i:i + len(hit)][got]] = hit[rows, first][got]
-    return labels
+    return np.split(labels[inverse], ends[:-1])
 
 
 def _dbscan_bucket_grid(uniq, mult, first_index, params: DbscanParams):
@@ -388,6 +449,53 @@ def _dbscan_bucket_grid(uniq, mult, first_index, params: DbscanParams):
     return labels
 
 
+def _dbscan_sets(uv_sets, params: DbscanParams):
+    """:func:`dbscan` labels of each ``(u, v)`` float64 column pair, in
+    order.
+
+    Runs of integral sets whose padded span fits ``_GRID_MAX_CELLS`` go
+    to the pixel path together, in chunks of at most ``_CHUNK_CELLS``
+    first-image cells and ``_CHUNK_EVENTS`` points (a set over either
+    budget runs alone); every other set takes the bucket path alone.
+    """
+    e = int(math.floor(params.eps))
+    offsets, boxes = [], []
+    rows = height = events = 0
+    for u, v in uv_sets:
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            raise ValueError("points must be finite")
+        u0 = v0 = 0.0
+        pixel, w, h = True, 0, 0
+        if len(u):
+            u0, v0 = u.min(), v.min()
+            w, h = u.max() - u0, v.max() - v0
+            # the test gives the same answer on the points as on their
+            # unique rows
+            span = (w + 2 * params.eps + 2) * (h + 2 * params.eps + 2)
+            pixel = (params.eps >= _GRID_MIN_EPS and span <= _GRID_MAX_CELLS
+                     and np.all(np.rint(u) == u) and np.all(np.rint(v) == v))
+            w, h = int(w) + 1, int(h) + 1
+        tile_rows = w + 2 * e if w else 0
+        if offsets and (not pixel or events + len(u) > _CHUNK_EVENTS
+                        or (rows + tile_rows) * max(height, h + 2 * e)
+                        > _CHUNK_CELLS):
+            yield from _dbscan_pixel_grid(offsets, boxes, params)
+            offsets, boxes = [], []
+            rows = height = events = 0
+        if not pixel:
+            pts = np.column_stack([u, v])
+            uniq, inverse, mult, first_index = _compress(pts)
+            yield _dbscan_bucket_grid(uniq, mult, first_index, params)[inverse]
+            continue
+        offsets.append(((u - u0).astype(np.int64), (v - v0).astype(np.int64)))
+        boxes.append((w, h))
+        rows += tile_rows
+        height = max(height, h + 2 * e)
+        events += len(u)
+    if offsets:
+        yield from _dbscan_pixel_grid(offsets, boxes, params)
+
+
 def dbscan(points, params: DbscanParams) -> np.ndarray:
     """Density-based clustering of 2D points; returns per-point labels."""
     pts = np.asarray(points, dtype=np.float64)
@@ -395,19 +503,7 @@ def dbscan(points, params: DbscanParams) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
-    # the test gives the same answer on the points as on their unique rows
-    span = (np.ptp(pts[:, 0]) + 2 * params.eps + 2) \
-        * (np.ptp(pts[:, 1]) + 2 * params.eps + 2)
-    integral = np.all(np.rint(pts) == pts)
-    if integral and params.eps >= _GRID_MIN_EPS and span <= _GRID_MAX_CELLS:
-        uniq, inverse, mult, first_index = _compress_pixels(pts)
-        labels_u = _dbscan_pixel_grid(uniq, mult, first_index, params)
-    else:
-        uniq, inverse, mult, first_index = _compress(pts)
-        labels_u = _dbscan_bucket_grid(uniq, mult, first_index, params)
-    return labels_u[inverse]
+    return next(_dbscan_sets([(pts[:, 0], pts[:, 1])], params))
 
 
 def dbscan_brute(points, params: DbscanParams) -> np.ndarray:
@@ -457,6 +553,36 @@ def dbscan_brute(points, params: DbscanParams) -> np.ndarray:
     return labels
 
 
+def extract_centroids(uv_pairs, params: DbscanParams):
+    """:func:`extract_centroid` of each ``(u, v)`` pair in a sequence,
+    yielded in order; the sets are clustered together in chunks (see
+    :func:`_dbscan_sets`), and only one chunk's labels are held at a
+    time."""
+    def columns(uv):
+        u, v = (np.asarray(x, dtype=np.float64) for x in uv)
+        if u.ndim != 1 or u.shape != v.shape:
+            raise ValueError("u and v must be 1-D arrays of equal length")
+        return u, v
+
+    for (u, _), labels in zip(uv_pairs,
+                              _dbscan_sets(map(columns, uv_pairs), params)):
+        u = np.asarray(u, dtype=np.float64)
+        if labels.max(initial=NOISE) == NOISE:
+            yield ClusterResult(labels, 0, float("nan"), False)
+            continue
+        sizes = np.bincount(labels[labels >= 0])
+        best = np.flatnonzero(sizes == sizes.max())
+        if len(best) > 1:
+            mean_us = [u[labels == c].mean() for c in best]
+            best = [best[int(np.argmin(mean_us))]]
+        c = int(best[0])
+        size = int(sizes[c])
+        valid = size >= params.min_cluster_points
+        yield ClusterResult(labels, size,
+                            float(u[labels == c].mean()) if valid
+                            else float("nan"), valid)
+
+
 def extract_centroid(u, v, params: DbscanParams) -> ClusterResult:
     """Cluster one camera's (u, v) events and take the dominant centroid.
 
@@ -464,24 +590,7 @@ def extract_centroid(u, v, params: DbscanParams) -> ClusterResult:
     the centroid; the result is invalid when no cluster reaches
     ``min_cluster_points``.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    pts = np.column_stack([u, v])
-    labels = dbscan(pts, params)
-    if labels.size == 0 or labels.max(initial=NOISE) == NOISE:
-        return ClusterResult(labels, 0, float("nan"), False)
-    sizes = np.bincount(labels[labels >= 0])
-    best = np.flatnonzero(sizes == sizes.max())
-    if len(best) > 1:
-        mean_us = [u[labels == c].mean() for c in best]
-        best = [best[int(np.argmin(mean_us))]]
-    c = int(best[0])
-    member = labels == c
-    size = int(sizes[c])
-    valid = size >= params.min_cluster_points
-    return ClusterResult(labels, size,
-                         float(u[member].mean()) if valid else float("nan"),
-                         valid)
+    return next(extract_centroids([(u, v)], params))
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,8 @@ class CusumParams:
             raise ValueError("CUSUM parameters must be positive")
         if self.min_consecutive_bins < 1:
             raise ValueError("min_consecutive_bins must be >= 1")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError("h must be a finite positive number")
 
 
 @dataclass(frozen=True)

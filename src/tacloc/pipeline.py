@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cluster import (ClusterResult, DbscanParams, exclude_press,
-                      extract_centroid)
+                      extract_centroids)
 from .events import EventStream, crop_roi
 from .geometry import CalibrationResult, calibrate, triangulate_many
 from .ingest import RunConfig, align_streams
@@ -66,16 +66,31 @@ def prepare_run(s1: EventStream, s2: EventStream, cfg: RunConfig) -> PreparedRun
     return PreparedRun(a1, a2, float(taps[0]), tuple(float(t) for t in taps))
 
 
+def press_pixels(trials) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Each camera's ``(u, v)`` press events of every trial that is not
+    missing, in trial order: camera 1's list, then camera 2's."""
+    live = [t for t in trials if not t.missing]
+    return [[(ev.u, ev.v) for ev in (press_events(t, cam) for t in live)]
+            for cam in (1, 2)]
+
+
+def _localize_rows(trials, pixels, params: DbscanParams):
+    """Stage (a) of each trial as ``(r1, r2, reason)``, from its press
+    events in ``pixels`` (see :func:`press_pixels`); each camera's sets
+    are clustered together."""
+    clustered = zip(*(extract_centroids(cam, params) for cam in pixels))
+    for trial in trials:
+        if trial.missing:
+            yield _NO_CLUSTER, _NO_CLUSTER, "missing"
+        else:
+            r1, r2 = next(clustered)
+            yield r1, r2, exclude_press(r1, r2).reason
+
+
 def localize_trial(trial: PressTrial, params: DbscanParams,
                    ) -> tuple[ClusterResult, ClusterResult, str]:
     """Stage (a): both cameras' dominant clusters and the exclusion reason."""
-    if trial.missing:
-        return _NO_CLUSTER, _NO_CLUSTER, "missing"
-    ev1 = press_events(trial, 1)
-    ev2 = press_events(trial, 2)
-    r1 = extract_centroid(ev1.u, ev1.v, params)
-    r2 = extract_centroid(ev2.u, ev2.v, params)
-    return r1, r2, exclude_press(r1, r2).reason
+    return next(_localize_rows([trial], press_pixels([trial]), params))
 
 
 def triangulate_trials(table: TrialTable, models) -> TrialTable:
@@ -97,12 +112,13 @@ def triangulate_trials(table: TrialTable, models) -> TrialTable:
     return replace(table, est_mm=est, valid=valid, reason=tuple(reason))
 
 
-def localize_trials(trials, models, params: DbscanParams) -> TrialTable:
-    """Run stage (a) on every trial, then stage (b) on the whole table."""
+def localize_pixels(trials, pixels, models, params: DbscanParams,
+                    ) -> TrialTable:
+    """Run stage (a) on the trials' press events in ``pixels`` (see
+    :func:`press_pixels`), then stage (b) on the whole table."""
     rows = []
-    for trial in trials:
+    for r1, r2, reason in _localize_rows(trials, pixels, params):
         # keep only the columns, not each trial's per-event labels
-        r1, r2, reason = localize_trial(trial, params)
         rows.append((r1.centroid_u, r2.centroid_u, r1.largest_cluster_size,
                      r2.largest_cluster_size, reason))
     n = len(rows)
@@ -120,6 +136,11 @@ def localize_trials(trials, models, params: DbscanParams) -> TrialTable:
         est_mm=np.full((n, 2), np.nan), valid=np.zeros(n, dtype=bool),
         reason=reason)
     return triangulate_trials(table, models)
+
+
+def localize_trials(trials, models, params: DbscanParams) -> TrialTable:
+    """Run stage (a) on every trial, then stage (b) on the whole table."""
+    return localize_pixels(trials, press_pixels(trials), models, params)
 
 
 def probed_area_mm2(cfg: RunConfig) -> float:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from tacloc import ablate
 from tacloc.ablate import keep_mask, run_sweep, thin
 from tacloc.events import EventStream, crop_roi
 from tacloc.ingest import RunConfig, make_schedule
+from tacloc.metrics import UndefinedMetricError, empty_report
 from tacloc.segment import segment_by_schedule
 from tacloc.synth import SynthSpec, generate
 from tacloc import pipeline
@@ -71,6 +73,19 @@ class TestThin:
         m2 = keep_mask(7, 2, s2.ordinal_array(), 4)
         assert not np.array_equal(m1, m2)
 
+    @pytest.mark.parametrize("seed", [0, -1, 2**63])
+    def test_keep_masks_nest_in_k(self, seed):
+        # an event kept at k2 is kept at every k1 <= k2, so the sweep can
+        # hash once and compare against each factor's threshold
+        ords = np.arange(200_000, dtype=np.int64)
+        factors = [1, 2, 3, 4, 7, 64, 1000, 1024, 4096, 2**20]
+        for camera in (1, 2):
+            masks = [keep_mask(seed, camera, ords, k) for k in factors]
+            assert masks[0].all()
+            for wide, narrow in zip(masks, masks[1:]):
+                assert not (narrow & ~wide).any()
+            assert masks[-2].any()
+
     def test_rejects_bad_k(self):
         rng = np.random.default_rng(6)
         s = uniform_stream(rng, 10)
@@ -95,7 +110,53 @@ def sweep_setup():
     return prepared, cfg, report, table
 
 
+def sweep_by_thinning(prepared, cfg, factors, seeds, baseline):
+    """The sweep as thin -> segment -> localize of the whole recording at
+    every cell: the oracle for :func:`run_sweep`. Returns the sweep and
+    each thinned cell's trial reasons."""
+    base_report, base_table = baseline
+    ref = base_report.reference_p95_mm
+    cells, reasons = [], {}
+    for k in factors:
+        for seed in seeds:
+            if k == 1:
+                cells.append(ablate.SweepCell(
+                    1, seed, base_report, ablate._mean_cluster_size(base_table)))
+                continue
+            thinned = replace(prepared, s1=thin(prepared.s1, k, seed),
+                              s2=thin(prepared.s2, k, seed))
+            table = pipeline.localize_trials(pipeline.segment(thinned, cfg),
+                                             cfg.camera_models, cfg.cluster)
+            try:
+                report = pipeline.evaluate_results(table, cfg,
+                                                   reference_p95_mm=ref)
+            except UndefinedMetricError:
+                report = empty_report(len(table), ref)
+            cells.append(ablate.SweepCell(k, seed, report,
+                                          ablate._mean_cluster_size(table)))
+            reasons[k, seed] = table.reason
+    return ablate.AblationSweep(tuple(factors), tuple(seeds), cells, ref), reasons
+
+
 class TestRunSweep:
+    def test_equals_thinning_the_recording(self, sweep_setup):
+        # at k = 4096 and 65536 the thinned streams end before the last
+        # presses, which the oracle flags missing
+        prepared, cfg, base, table = sweep_setup
+        factors, seeds = [1, 4, 64, 4096, 65536], [0, 1, -1, 2**63]
+        sweep = run_sweep(prepared, cfg, factors, seeds, (base, table))
+        want, reasons = sweep_by_thinning(prepared, cfg, factors, seeds,
+                                          (base, table))
+        assert "missing" not in table.reason
+        assert any("missing" in r for r in reasons.values())
+        assert json.dumps(sweep.csv_columns()) == json.dumps(want.csv_columns())
+        assert json.dumps(sweep.curve()) == json.dumps(want.curve())
+        for got, cell in zip(sweep.cells, want.cells):
+            assert (got.k, got.seed) == (cell.k, cell.seed)
+            assert json.dumps(got.report.to_json_dict()) \
+                == json.dumps(cell.report.to_json_dict())
+
+
     def test_single_factor_equals_baseline(self, sweep_setup):
         prepared, cfg, base, table = sweep_setup
         sweep = run_sweep(prepared, cfg, [1], [0, 1],

@@ -473,9 +473,13 @@ class TestAblate:
         curve = json.loads((out / "ablation_curve.json").read_text())
         assert [c["k"] for c in curve["curve"]] == [1, 4]
 
+    # a repeated factor would run its cells twice and write two equal
+    # curve rows; a repeated seed would give a spread of 0 from one cell
     @pytest.mark.parametrize("flag, value", [("--factors", "1,-4"),
                                              ("--factors", "4,x"),
-                                             ("--seeds", "0,x")])
+                                             ("--seeds", "0,x"),
+                                             ("--factors", "1,4,4"),
+                                             ("--seeds", "0,0")])
     def test_bad_list_exit_2_before_config(self, tmp_path, capsys, flag,
                                            value):
         # the config does not exist: a run that loaded it would return 2
@@ -512,6 +516,21 @@ class TestLatencyCmd:
             b"trial,onset_rel_median_s\r\n")
         # a fixed h runs no tuning grid: the ROC is the header alone
         assert (out / "roc.csv").read_bytes() == b"h,tpr,false_alarms_per_s\r\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        *[(["--h", value], "argument --h: expected a finite positive number, "
+           f"got '{value}'") for value in ("-1", "0", "nan", "inf", "x")],
+        (["--h", "4", "--tune"], "argument --tune: not allowed with argument --h"),
+    ], ids=["h-negative", "h-zero", "h-nan", "h-inf", "h-text", "h-and-tune"])
+    def test_bad_threshold_exit_2_before_config(self, tmp_path, capsys, flags,
+                                                message):
+        # the config does not exist: a run that loaded it would return 2
+        with pytest.raises(SystemExit) as stop:
+            main(["latency", "--config", str(tmp_path / "absent.json"),
+                  "--out", str(tmp_path / "out"), *flags])
+        assert stop.value.code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_no_onset_exit_4(self, sim_dir, tmp_path, caplog):
         tmp, cfgp = sim_dir

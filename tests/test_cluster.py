@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from tacloc import cluster
 from tacloc.cluster import (_GRID_MAX_CELLS, NOISE, DbscanParams, _compress,
-                            _compress_pixels, _label8, dbscan,
-                            dbscan_brute, exclude_press, extract_centroid)
+                            _label8, _tile_pixels, dbscan, dbscan_brute,
+                            exclude_press, extract_centroid)
 
 PARAMS = DbscanParams(eps=10.0, min_samples=10)
 
@@ -120,14 +121,47 @@ def _compress_cases():
     return cases
 
 
+def _tiled(sets, e):
+    """:func:`_tile_pixels` of the sets, with each unique pixel shifted
+    back to the coordinates of its set."""
+    los = [pts.min(axis=0) for pts in sets]
+    pu, pv, tile, inverse, mult, first_index, _ = _tile_pixels(
+        [tuple((pts - lo).astype(np.int64).T) for pts, lo in zip(sets, los)],
+        [tuple(np.ptp(pts, axis=0).astype(int) + 1) for pts in sets], e)
+    sizes = np.array([len(pts) for pts in sets])
+    rows = np.cumsum([np.ptp(pts[:, 0]) + 1 + 2 * e for pts in sets])
+    row0 = np.concatenate([[0], rows[:-1]])
+    uniq = np.column_stack([pu - row0[tile] - e, pv - e]) + np.array(los)[tile]
+    return uniq, tile, inverse, mult, first_index, sizes
+
+
 class TestCompress:
     @pytest.mark.parametrize("pts", [pytest.param(pts, id=name) for name, pts
                                      in _compress_cases().items()])
     def test_packed_key_matches_row_unique(self, pts):
-        for got, want in zip(_compress_pixels(pts), _compress(pts)):
+        uniq, tile, inverse, mult, first_index, _ = _tiled([pts], 3)
+        assert not tile.any()
+        for got, want in zip((uniq, inverse, mult, first_index), _compress(pts)):
             assert got.dtype == want.dtype
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+
+    def test_tiles_compress_each_set_alone(self):
+        # every case in one image: each set's unique points, in order,
+        # with its inverse and first indices offset by the sets before it
+        sets = list(_compress_cases().values())
+        uniq, tile, inverse, mult, first_index, sizes = _tiled(sets, 10)
+        assert np.all(np.diff(tile) >= 0)
+        n_uniq = np.bincount(tile, minlength=len(sets))
+        starts = np.cumsum(sizes) - sizes
+        for s, pts in enumerate(sets):
+            rows = slice(n_uniq[:s].sum(), n_uniq[:s + 1].sum())
+            want = _compress(pts)
+            assert np.array_equal(uniq[rows], want[0])
+            assert np.array_equal(inverse[starts[s]:starts[s] + sizes[s]]
+                                  - rows.start, want[1])
+            assert np.array_equal(mult[rows], want[2])
+            assert np.array_equal(first_index[rows] - starts[s], want[3])
 
     def test_wide_integral_span_takes_bucket_path(self, monkeypatch):
         def no_pixel_grid(*args):
@@ -155,6 +189,97 @@ def test_dbscan_matches_brute_on_offset_pixels(cells, u0, v0, eps, min_samples):
     pts = np.array(cells, dtype=float) + [u0, v0]
     p = DbscanParams(eps=eps, min_samples=min_samples)
     assert np.array_equal(dbscan(pts, p), dbscan_brute(pts, p))
+
+
+def dominant_centroid(u, labels, params):
+    """The dominant cluster's centroid from given labels, by the rule of
+    :func:`extract_centroid`: the largest cluster, ties to the lower mean
+    u, the mean of its members' u in input order; nan when invalid."""
+    if labels.max(initial=NOISE) == NOISE:
+        return float("nan")
+    sizes = np.bincount(labels[labels >= 0])
+    tied = np.flatnonzero(sizes == sizes.max())
+    c = min(tied, key=lambda c: (u[labels == c].mean(), c))
+    if sizes[c] < params.min_cluster_points:
+        return float("nan")
+    return float(np.mean(u[labels == c]))
+
+
+@st.composite
+def _set_batches(draw):
+    """Lists of point sets for one batched call: empty sets, single
+    points, coincident towers, integral clumps with noise, and sets with
+    fractional coordinates (bucket path), under chunk budgets that split
+    the list anywhere and leave some sets over a budget."""
+    eps = draw(st.sampled_from([0.5, 1.0, 1.5, 2.5, 4.3, 10.0]))
+    params = DbscanParams(eps=eps, min_samples=draw(st.sampled_from([1, 3, 10])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["empty", "single", "tower", "blob", "blob", "clumps", "float"]),
+            max_size=8)):
+        if kind == "empty":
+            pts = np.zeros((0, 2))
+        elif kind == "single":
+            pts = rng.integers(-50, 50, (1, 2)).astype(float)
+        elif kind == "tower":
+            pts = np.repeat(rng.integers(-50, 50, (1, 2)), rng.integers(2, 30),
+                            axis=0).astype(float)
+        elif kind == "blob":
+            pts = np.rint(rng.normal(rng.integers(-50, 50, 2), 3,
+                                     (rng.integers(1, 80), 2)))
+        else:
+            pts = random_point_set(rng, int(rng.integers(1, 120)),
+                                   2 if kind == "float" else 1)
+            pts = pts - [300, 280] if kind == "clumps" else pts
+        sets.append(pts)
+    cells = draw(st.sampled_from([1, 3000, 30_000, cluster._CHUNK_CELLS]))
+    events = draw(st.sampled_from([1, 40, 250, cluster._CHUNK_EVENTS]))
+    return sets, params, cells, events
+
+
+@settings(max_examples=150, deadline=None)
+@given(_set_batches())
+def test_batched_sets_match_each_set_alone(case):
+    sets, params, cells, events = case
+    with patch.multiple(cluster, _CHUNK_CELLS=cells, _CHUNK_EVENTS=events):
+        got = list(cluster.extract_centroids(
+            [(p[:, 0], p[:, 1]) for p in sets], params))
+    assert len(got) == len(sets)
+    for pts, r in zip(sets, got):
+        want = dbscan_brute(pts, params)
+        assert np.array_equal(r.labels, want)
+        assert np.array_equal(r.labels, dbscan(pts, params))
+        alone = extract_centroid(pts[:, 0], pts[:, 1], params)
+        centroid = dominant_centroid(pts[:, 0], want, params)
+        # equal bits, nan included
+        assert np.float64(r.centroid_u).tobytes() \
+            == np.float64(alone.centroid_u).tobytes() \
+            == np.float64(centroid).tobytes()
+        assert (r.largest_cluster_size, r.valid) \
+            == (alone.largest_cluster_size, alone.valid)
+
+
+def test_sets_share_chunks_within_the_budgets(monkeypatch):
+    # small sets share one pixel call; a set over the event budget, or a
+    # fractional one, runs alone and splits the run around it
+    calls = []
+    grid = cluster._dbscan_pixel_grid
+
+    def counted(offsets, boxes, params):
+        calls.append(len(offsets))
+        return grid(offsets, boxes, params)
+
+    monkeypatch.setattr(cluster, "_dbscan_pixel_grid", counted)
+    monkeypatch.setattr(cluster, "_CHUNK_EVENTS", 100)
+    blob = np.tile([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]], (10, 1))
+    big = np.tile(blob, (4, 1))
+    sets = [blob, blob, np.zeros((0, 2)), blob, big, blob, blob + 0.5, blob]
+    got = list(cluster.extract_centroids([(p[:, 0], p[:, 1]) for p in sets],
+                                         PARAMS))
+    assert calls == [4, 1, 1, 1]
+    for pts, r in zip(sets, got):
+        assert np.array_equal(r.labels, dbscan_brute(pts, PARAMS))
 
 
 def _nearest_lattice_vector(length):
@@ -376,6 +501,10 @@ class TestExtractCentroid:
         noisy = extract_centroid(np.concatenate([u, nu]),
                                  np.concatenate([v, nv]), PARAMS)
         assert abs(noisy.centroid_u - clean.centroid_u) < 1.0
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            extract_centroid(np.zeros(3), np.zeros(4), PARAMS)
 
     def test_largest_cluster_tie_break(self):
         # equal-size towers; the lower-mean-u one must win

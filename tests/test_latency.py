@@ -78,6 +78,12 @@ class TestSmoothedRate:
 
 
 class TestCusum:
+    @pytest.mark.parametrize("h", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_threshold_must_be_finite_positive(self, h):
+        # a threshold of 0 or less alarms on every bin; nan never alarms
+        with pytest.raises(ValueError, match="h must be a finite positive"):
+            replace(PARAMS, h=h)
+
     def test_hard_step_detected_within_5ms(self):
         rng = np.random.default_rng(3)
         mu0 = 9100.0
@@ -289,7 +295,8 @@ class TestTuneOracle:
                                 rates * 0.5)
         base = BaselineStats(1.0, 1.0)
         params = replace(PARAMS, min_consecutive_bins=m)
-        hs = np.arange(0.0, 8.0, 0.5)
+        # CusumParams refuses h = 0, so the oracle grid starts above it
+        hs = np.arange(0.5, 8.0, 0.5)
         first = _first_alarms(series, base, params, hs)
         for h, i in zip(hs.tolist(), first.tolist()):
             want = cusum_onsets(series, base, replace(params, h=h))
