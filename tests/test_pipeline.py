@@ -5,10 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tacloc import ingest, pipeline
+from tacloc import cluster, ingest, pipeline
+from tacloc.cluster import DbscanParams, dbscan_brute
 from tacloc.geometry import (DegenerateGeometryError, default_models,
                              project_points, triangulate)
 from tacloc.ingest import RunConfig, make_schedule
+from tacloc.segment import press_events
 from tacloc.synth import SynthSpec, generate
 
 from .conftest import small_layout
@@ -152,3 +154,108 @@ def test_probed_area():
     cfg = RunConfig(layout=layout)
     # bbox 16 x 12 mm padded by one 4 mm spacing on each axis
     assert pipeline.probed_area_mm2(cfg) == pytest.approx(20.0 * 16.0)
+
+
+def _reference_dominant(u, labels, params):
+    """Largest cluster size and centroid by the dominant-cluster rule: the
+    largest cluster, ties to the lower mean u, then the lower id; the
+    centroid is nan when the cluster is under ``min_cluster_points``."""
+    if labels.max(initial=-1) < 0:
+        return 0, float("nan")
+    sizes = np.bincount(labels[labels >= 0])
+    tied = np.flatnonzero(sizes == sizes.max())
+    c = min(tied, key=lambda c: (u[labels == c].mean(), c))
+    if sizes[c] < params.min_cluster_points:
+        return int(sizes[c]), float("nan")
+    return int(sizes[c]), float(np.mean(u[labels == c]))
+
+
+def _reference_table(trials, models, params):
+    """The TrialTable columns of ``trials``, one trial and camera at a time:
+    ``dbscan_brute`` on the press events, the dominant-cluster rule, and
+    scalar ``triangulate``."""
+    cols = {"centroid_u": [], "cluster_size": [], "est_mm": [], "valid": [],
+            "reason": []}
+    for trial in trials:
+        sizes, cents, failing = [], [], []
+        for cam in (1, 2):
+            if trial.missing:
+                size, cent = 0, float("nan")
+            else:
+                ev = press_events(trial, cam)
+                u = ev.u.astype(np.float64)
+                pts = np.column_stack([u, ev.v.astype(np.float64)])
+                size, cent = _reference_dominant(
+                    u, dbscan_brute(pts, params), params)
+            sizes.append(size)
+            cents.append(cent)
+            if np.isnan(cent):
+                failing.append(f"cam{cam}")
+        est, reason = (np.nan, np.nan), ""
+        if trial.missing:
+            reason = "missing"
+        elif failing:
+            reason = "no prominent cluster: " + ", ".join(failing)
+        else:
+            try:
+                tri = triangulate(models[0], cents[0], models[1], cents[1])
+                est = (tri.x_mm, tri.y_mm)
+            except DegenerateGeometryError:
+                reason = "degenerate triangulation"
+        cols["centroid_u"].append(cents)
+        cols["cluster_size"].append(sizes)
+        cols["est_mm"].append(est)
+        cols["valid"].append(reason == "")
+        cols["reason"].append(reason)
+    return cols
+
+
+@pytest.fixture(scope="module")
+def oracle_recordings():
+    """Small recordings whose background is dense enough that many
+    pixels cannot be within eps of a core, each segmented, with every
+    third trial marked missing among live ones."""
+    out = []
+    for seed, background in ((41, 900.0), (42, 2500.0)):
+        layout = small_layout(4, 3)
+        cfg = RunConfig(layout=layout, schedule=make_schedule(
+            layout, period_s=1.0, repetitions=1))
+        spec = SynthSpec(layout=layout, schedule=cfg.schedule, seed=seed,
+                         burst_events_per_press_per_camera=300.0,
+                         background_rate_per_camera=background,
+                         tap_events=3000.0)
+        prepared = pipeline.prepare_run(*generate(spec)[:2], cfg)
+        trials = [dataclasses.replace(t, missing=True) if i % 3 == 1 else t
+                  for i, t in enumerate(pipeline.segment(prepared, cfg))]
+        out.append((cfg, trials))
+    return out
+
+
+@pytest.mark.parametrize("cells, events", [(None, None), (30_000, 400),
+                                           (1, 1)])
+@pytest.mark.parametrize("params", [DbscanParams(), DbscanParams(
+    eps=6.5, min_samples=5, min_cluster_points=310)])
+def test_localize_trials_matches_per_trial_reference(oracle_recordings,
+                                                     monkeypatch, cells,
+                                                     events, params):
+    if cells is not None:
+        monkeypatch.setattr(cluster, "_CHUNK_CELLS", cells)
+        monkeypatch.setattr(cluster, "_CHUNK_EVENTS", events)
+    for cfg, trials in oracle_recordings:
+        table = pipeline.localize_trials(trials, cfg.camera_models, params)
+        want = _reference_table(trials, cfg.camera_models, params)
+        assert table.reason == tuple(want["reason"])
+        assert np.array_equal(table.valid, want["valid"])
+        assert np.array_equal(table.clustered, [r in ("", "degenerate "
+                                                      "triangulation")
+                                                for r in want["reason"]])
+        assert table.cluster_size.dtype == np.int64
+        assert np.array_equal(table.cluster_size, want["cluster_size"])
+        # equal bits, nan included
+        for name in ("centroid_u", "est_mm"):
+            got = getattr(table, name)
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.array(want[name]).tobytes(), name
+        assert np.array_equal(table.press_index,
+                              [t.press_index for t in trials])
+        assert np.array_equal(table.gt_mm, [t.ground_truth_mm for t in trials])
