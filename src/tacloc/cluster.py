@@ -23,38 +23,61 @@ picked per point set from its raw points, before removing duplicates.
 ``dbscan`` clusters one set; ``extract_centroids`` clusters many, and
 runs of consecutive integral sets share one pixel-path pass in chunks
 bounded by ``_CHUNK_CELLS`` image cells and ``_CHUNK_EVENTS`` points (a
-set over either budget runs alone, as ``dbscan`` runs its one set). The
-bucket path compresses through a row-wise ``np.unique``, one set at a
-time. ``dbscan_brute`` is the independent O(n^2) reference used in
-tests.
+set over either budget runs alone, as ``dbscan`` runs its one set).
+Integer columns go straight to the pixel path's int64 offsets, with no
+float copy and no finite or integrality test. The bucket path
+compresses through a row-wise ``np.unique``, one set at a time.
+``dbscan_brute`` is the independent O(n^2) reference used in tests.
 
-The pixel path has no Python loop over sets, components or disk
-offsets, in the spirit of de Berg, Gunawan & Roeloffzen (2017): merge
-what is surely connected, then test distances only where components may
-touch. Each phase runs once over the tiles of all sets in a chunk.
+The pixel path has no Python loop over sets, components or points, in
+the spirit of de Berg, Gunawan & Roeloffzen (2017): merge what is surely
+connected, then test distances only where components may touch. Each
+phase runs once over the tiles of all sets in a chunk, and from phase 2
+on its cost follows the occupied pixels near dense cells, not the raw
+events or the empty cells of a set's span.
 
-1. Compress and core counts: each set gets its own tile of one image,
-   with an empty margin of e = floor(eps) around its points, so no disk
-   reaches another tile. One packed int64 key per point, its flat pixel
-   index, orders the points by (set, u, v) and removes duplicates.
-   Prefix sums along u of the multiplicity image, summed over the
-   2e + 1 disk rows, give the core counts.
-2. Crop: each tile with cores is cropped to its core bounding box
-   +- 2e, and the crops are stacked into a second image; non-core points
-   beyond +- e of their box are noise.
-3. Pre-merge: the core image is dilated by the integer disk of radius
+1. Compress: each set gets its own tile of one image, with an empty
+   margin of e = floor(eps) around its points, so no disk reaches
+   another tile. One packed int64 key per point, its flat pixel index,
+   orders the points by (set, u, v). A small image with many points bins
+   the keys; otherwise one sort of ``key << b | index`` (b the bit width
+   of the point count) gives the unique keys, the inverse map, the
+   multiplicities and each key's first input index at once, since equal
+   keys sort by index.
+2. Density bound (the grid argument of Gan & Tao 2015): multiplicities
+   are summed over cells of side e. A point within eps of p differs from
+   it by at most e on each axis, so it lies in the 3x3 cell block around
+   p's cell, and the block's count bounds p's disk count from above. A
+   cell whose block reaches min_samples may hold cores; a pixel with no
+   such cell in its own block can be neither core nor within eps of a
+   core, so it is noise and is dropped. The bound stays exact: every
+   disk neighbor of a pixel in a may-core cell has that cell in its own
+   block and is kept, so that pixel's count is complete, and a kept
+   pixel in any other cell counts at most its block, below min_samples.
+   (A block may also count points of the next tile; that only weakens
+   the bound.) Each set's kept pixels are re-laid in a tile of their
+   box +- e.
+3. Core counts: a summed-area table of the multiplicities gives each
+   pixel's count over its inscribed square of half side
+   floor(eps / sqrt(2)), which lies inside the disk, so reaching
+   min_samples there makes it core; the remaining pixels sum the disk as
+   boxes, one per run of disk rows with one halfwidth.
+4. Crop: each tile with cores is cropped to its core bounding box +- 2e
+   within the tile, and the crops are stacked into a second image;
+   non-core points beyond +- e of their core box are noise.
+5. Pre-merge: the core image is dilated by the integer disk of radius
    r = floor((eps - sqrt(2)) / 2) and labeled with 8-connectivity; cores
    of one label are at most 2r + sqrt(2) <= eps apart link by link. The
    labeling is run-based (He, Chao & Suzuki 2008): runs of set pixels
    along v, one pair per run of the next u row that touches a run,
    diagonals included, and connected components over those pairs.
-4. Frontier: in crops with more than one label, one prefix-summed stack
+6. Frontier: in crops with more than one label, one summed-area table
    of (core, label, label^2) gives sum (l - L)^2 over each core's disk;
    where it is nonzero, a core of another label is within eps. Half-disk
    gathers from these cores give the label pairs to join, and connected
    components close them. Clusters are numbered per set by
    (set, first input index).
-5. Border: each non-core point near its set's cores gathers every disk
+7. Border: each non-core point near its set's cores gathers every disk
    offset in (d^2, du, dv) order at once; the first core hit is the
    nearest, with the canonical tie-break.
 """
@@ -136,7 +159,9 @@ def _renumber(comp, core_mask, first_index, m):
 @lru_cache(maxsize=16)
 def _disk(eps: float):
     """Integer offsets ``(d^2, du, dv)`` within eps in that order, the
-    row span ``dv_range`` and its halfwidths, and ``e = floor(eps)``."""
+    row span ``dv_range`` and its halfwidths, the disk as boxes
+    ``(du0, du1, dv0, dv1)`` (one per run of rows with one halfwidth),
+    and ``e = floor(eps)``."""
     e = int(math.floor(eps))
     e2 = eps * eps
     offs = np.array(sorted((du * du + dv * dv, du, dv)
@@ -145,30 +170,51 @@ def _disk(eps: float):
     dv_range = np.arange(-e, e + 1)
     halfwidth = np.floor(np.sqrt(np.maximum(e2 - dv_range.astype(float) ** 2, 0.0))
                          ).astype(np.int64)
-    return offs, dv_range, halfwidth, e
+    run = np.flatnonzero(np.diff(halfwidth, prepend=-1))
+    boxes = np.column_stack([-halfwidth[run], halfwidth[run], dv_range[run],
+                             np.append(dv_range[run[1:] - 1], e)])
+    return offs, dv_range, halfwidth, boxes, e
 
 
-def _disk_sum(pu, pv, values, shape, dv_range, halfwidth):
-    """Sums of ``values`` (one row per point, or one value) over the disk
-    around each point (pu, pv) of an image of ``shape``, from prefix sums
-    along u. Every disk must lie inside the image."""
+def _summed_area(pu, pv, values, shape):
+    """Summed-area table of the image of ``shape`` holding ``values`` (one
+    row per point, or one value) at (pu, pv): entry [u, v] sums the rows
+    before u and the columns before v. It may wrap around; box sums that
+    fit the dtype are still exact."""
     w, h = shape
-    prefix = np.zeros((w + 1, h) + values.shape[1:], dtype=values.dtype)
-    prefix[pu + 1, pv] = values
-    np.cumsum(prefix, axis=0, out=prefix, dtype=prefix.dtype)
-    hi = (halfwidth + 1) * h + dv_range
-    lo = dv_range - halfwidth * h
-    total = np.empty(values.shape, dtype=np.int64)
-    for i, g in _gather_rows(prefix.reshape((-1,) + values.shape[1:]), pu * h + pv,
-                             np.concatenate([hi, lo])):
-        total[i:i + len(g)] = (g[:, :len(hi)] - g[:, len(hi):]).sum(axis=1)
+    table = np.zeros((w + 1, h + 1) + values.shape[1:], dtype=values.dtype)
+    table[pu + 1, pv + 1] = values
+    np.cumsum(table, axis=0, out=table, dtype=table.dtype)
+    np.cumsum(table, axis=1, out=table, dtype=table.dtype)
+    return table
+
+
+def _box_sum(table, pu, pv, boxes):
+    """Sums over the union of ``boxes`` ``(du0, du1, dv0, dv1)``, each
+    shifted to every point (pu, pv), from a summed-area table: four
+    gathers per box, in chunks of about 2^18 cells. Every box must lie
+    inside the image."""
+    h = table.shape[1]
+    flat = table.reshape((-1,) + table.shape[2:])
+    du0, du1, dv0, dv1 = boxes.T
+    # the corners to add, then those to subtract; a gather with one row
+    # per corner sums over its first axis fast
+    steps = np.concatenate([(du1 + 1) * h + dv1 + 1, du0 * h + dv0,
+                            du0 * h + dv1 + 1, (du1 + 1) * h + dv0])[:, None]
+    k = 2 * len(boxes)
+    at = pu * h + pv
+    total = np.empty((len(pu),) + table.shape[2:], dtype=np.int64)
+    chunk = max(1, (1 << 18) // len(steps))
+    for i in range(0, len(at), chunk):
+        g = flat[steps + at[i:i + chunk]]
+        total[i:i + chunk] = g[:k].sum(axis=0) - g[k:].sum(axis=0)
     return total
 
 
 def _dilate(img, r: int):
     """``img`` dilated by the integer disk of radius r; its outer r rows
     and columns must be empty."""
-    _, dv_range, halfwidth, _ = _disk(float(r))
+    _, dv_range, halfwidth, _, _ = _disk(float(r))
     w, h = img.shape
     prefix = np.zeros((w + 1, h), dtype=np.int32)
     np.cumsum(img, axis=0, out=prefix[1:], dtype=np.int32)
@@ -227,6 +273,27 @@ def _label8(img):
     return labels, int(ids.max(initial=0))
 
 
+def _packed_unique(keys):
+    """Unique values of non-negative int64 ``keys``, the inverse map,
+    multiplicities and first input index, from one sort of
+    ``key << b | index`` with b the bit width of ``len(keys)``: equal keys
+    sort by index, so each run of a key starts at its first occurrence."""
+    n = len(keys)
+    b = n.bit_length()
+    assert int(keys.max()) < 1 << (63 - b), "packed keys overflow int64"
+    packed = np.sort(keys << b | np.arange(n))
+    ordered = packed >> b
+    index = packed & ((1 << b) - 1)
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    mult = np.diff(starts, append=n)
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[index] = np.repeat(np.arange(len(starts)), mult)
+    return ordered[starts], inverse, mult, index[starts]
+
+
 def _tile_pixels(offsets, boxes, e):
     """Lay point sets out as tiles of one image and compress them.
 
@@ -254,12 +321,45 @@ def _tile_pixels(offsets, boxes, e):
         occupied = np.bincount(keys, minlength=cells) > 0
         uniq = np.flatnonzero(occupied)
         inverse = (np.cumsum(occupied) - 1)[keys]
+        _, _, mult, first_index = _with_counts(uniq, inverse, len(keys))
     else:
-        uniq, inverse = np.unique(keys, return_inverse=True)
-    _, _, mult, first_index = _with_counts(uniq, inverse, len(keys))
+        uniq, inverse, mult, first_index = _packed_unique(keys)
     pu, pv = np.divmod(uniq, height)
     return (pu, pv, set_of[first_index], inverse, mult, first_index,
             (cells // height, height))
+
+
+def _box3(img):
+    """Sums over the 3x3 block around each cell of a 2-D image; the
+    outer ring of cells is left zero."""
+    out = np.zeros_like(img)
+    rows = img[:-2] + img[1:-1] + img[2:]
+    out[1:-1, 1:-1] = rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]
+    return out
+
+
+def _density_bound(pu, pv, mult, shape, e, min_samples):
+    """Mask of the unique pixels (pu, pv) of an image of ``shape`` that
+    may be core or within eps of a core (see the module docstring).
+
+    Cells have side e, widened only where the image would need more than
+    ``max(len(pu), _CHUNK_CELLS)`` of them (a lone set over a budget); any
+    side >= e keeps the bound exact.
+    """
+    s = max(e, math.isqrt(shape[0] * shape[1] // max(len(pu), _CHUNK_CELLS)))
+    cw, ch = -(-shape[0] // s) + 2, -(-shape[1] // s) + 2
+    cell = (pu // s + 1) * ch + (pv // s + 1)
+    counts = np.bincount(cell, weights=mult, minlength=cw * ch)
+    may_core = _box3(counts.reshape(cw, ch)) >= min_samples
+    return _box3(may_core).ravel()[cell]
+
+
+def _stack(lo_u, hi_u, lo_v, hi_v):
+    """Stack the boxes [lo_u, hi_u] x [lo_v, hi_v] along u in one image:
+    the shifts du and dv that take each box into it, and its shape."""
+    w = hi_u + 1 - lo_u
+    return (np.cumsum(w) - w - lo_u, -lo_v,
+            (int(w.sum()), int((hi_v + 1 - lo_v).max())))
 
 
 def _dbscan_pixel_grid(offsets, boxes, params: DbscanParams):
@@ -269,40 +369,73 @@ def _dbscan_pixel_grid(offsets, boxes, params: DbscanParams):
     ends = np.cumsum([len(du) for du, _ in offsets])
     if not ends[-1]:
         return [np.zeros(0, dtype=np.int64) for _ in offsets]
-    offs, dv_range, halfwidth, e = _disk(params.eps)
+    offs, _, _, disk, e = _disk(params.eps)
     pu, pv, tile, inverse, mult, first_index, shape = _tile_pixels(
         offsets, boxes, e)
-    m = len(pu)
-    # images are indexed [u, v]; int32 counts halve the prefix image
+    labels = np.full(len(pu), NOISE, dtype=np.int64)
+    kept = np.flatnonzero(_density_bound(pu, pv, mult, shape, e,
+                                         params.min_samples))
+    if not len(kept):
+        return np.split(labels[inverse], ends[:-1])
+
+    # re-lay each set's kept pixels in a tile of their box +- e; the
+    # pixels run in (set, u, v) order
+    pu, pv, tile, mult = pu[kept], pv[kept], tile[kept], mult[kept]
+    starts = np.flatnonzero(np.diff(tile, prepend=-1))
+    per_tile = np.diff(starts, append=len(kept))
+    du, dv, shape = _stack(pu[starts] - e, pu[starts + per_tile - 1] + e,
+                           np.minimum.reduceat(pv, starts) - e,
+                           np.maximum.reduceat(pv, starts) + e)
+    pu = pu + np.repeat(du, per_tile)
+    pv = pv + np.repeat(dv, per_tile)
+    tile_hi_u = pu[starts + per_tile - 1] + e
+    tile_hi_v = np.maximum.reduceat(pv, starts) + e
+
+    # core counts: a point whose inscribed square of half side
+    # a = floor(eps / sqrt(2)) holds min_samples points is core, and only
+    # the rest pay the sum over the disk; images are indexed [u, v], and
+    # int32 counts halve the table
     counts = mult.astype(np.int32 if ends[-1] < 2**31 else np.int64)
-    core = _disk_sum(pu, pv, counts, shape, dv_range, halfwidth) \
+    table = _summed_area(pu, pv, counts, shape)
+    a = math.isqrt(int(params.eps * params.eps / 2))
+    core = _box_sum(table, pu, pv, np.array([[-a, a, -a, a]])) \
         >= params.min_samples
-    labels = np.full(m, NOISE, dtype=np.int64)
+    rest = np.flatnonzero(~core)
+    if len(rest):
+        core[rest] = _box_sum(table, pu[rest], pv[rest], disk) \
+            >= params.min_samples
+    del table
     if not np.any(core):
         return np.split(labels[inverse], ends[:-1])
 
-    # crop each tile with cores to its core bounding box +- 2e and stack
-    # the crops along u: non-core points beyond +- e of a box are noise,
-    # and the outer e keeps the disks of the rest inside their crop
+    # crop each tile with cores to its core box +- 2e, inside the tile, and
+    # stack the crops: non-core points beyond +- e of their core box are
+    # noise, and the disks of the rest stay inside their crop
     ci = np.flatnonzero(core)
-    starts = np.flatnonzero(np.diff(tile[ci], prepend=-1))
-    per_crop = np.diff(np.append(starts, len(ci)))  # cores in each crop
-    lo_u = np.minimum.reduceat(pu[ci], starts) - 2 * e
-    lo_v = np.minimum.reduceat(pv[ci], starts) - 2 * e
-    crop_w = np.maximum.reduceat(pu[ci], starts) + 2 * e + 1 - lo_u
-    crop_h = np.maximum.reduceat(pv[ci], starts) + 2 * e + 1 - lo_v
-    crop0 = np.cumsum(crop_w) - crop_w
-    width, height = int(crop_w.sum()), int(crop_h.max())
-    # per point: the shift into the crop image, and the rows and columns
-    # of its set's border candidates (none in a set without cores)
-    per_set = np.zeros((5, len(offsets)), dtype=np.int64)
-    per_set[:, tile[ci[starts]]] = (crop0 - lo_u, -lo_v, crop0 + e,
-                                    crop0 + crop_w - e, crop_h - e)
-    shift_u, shift_v, row_lo, row_hi, col_hi = per_set[:, tile]
-    pu = pu + shift_u
-    pv = pv + shift_v
+    cstarts = np.flatnonzero(np.diff(tile[ci], prepend=-1))
+    per_crop = np.diff(cstarts, append=len(ci))
     cu, cv = pu[ci], pv[ci]
-    core_img = np.zeros((width, height), dtype=bool)
+    box = (cu[cstarts], cu[cstarts + per_crop - 1],
+           np.minimum.reduceat(cv, cstarts), np.maximum.reduceat(cv, cstarts))
+    of = np.searchsorted(starts, ci[cstarts], side="right") - 1  # its tile
+    du, dv, shape = _stack(np.maximum(box[0] - 2 * e, pu[starts[of]] - e),
+                           np.minimum(box[1] + 2 * e, tile_hi_u[of]),
+                           np.maximum(box[2] - 2 * e, 0),
+                           np.minimum(box[3] + 2 * e, tile_hi_v[of]))
+    width, height = shape
+    # border candidates: non-core points within e of their core box
+    crop_of = np.full(len(offsets), -1)
+    crop_of[tile[ci[cstarts]]] = np.arange(len(cstarts))
+    cand = np.flatnonzero(~core)
+    c = crop_of[tile[cand]]
+    cand, c = cand[c >= 0], c[c >= 0]
+    near = ((pu[cand] >= box[0][c] - e) & (pu[cand] <= box[1][c] + e)
+            & (pv[cand] >= box[2][c] - e) & (pv[cand] <= box[3][c] + e))
+    cand, c = cand[near], c[near]
+    bu, bv = pu[cand] + du[c], pv[cand] + dv[c]
+    cu = cu + np.repeat(du, per_crop)
+    cv = cv + np.repeat(dv, per_crop)
+    core_img = np.zeros(shape, dtype=bool)
     core_img[cu, cv] = True
 
     # pre-merge: cores whose radius-r disks touch or are 8-adjacent lie
@@ -314,8 +447,8 @@ def _dbscan_pixel_grid(offsets, boxes, params: DbscanParams):
     comp = lab - 1
     # labels run in raster order, so each crop holds a run of them; only
     # crops with more than one label can have cores to join
-    multi = np.repeat(np.maximum.reduceat(lab, starts)
-                      > np.minimum.reduceat(lab, starts), per_crop)
+    multi = np.repeat(np.maximum.reduceat(lab, cstarts)
+                      > np.minimum.reduceat(lab, cstarts), per_crop)
     if np.any(multi):
         # frontier: cores with a core of another label L' within eps, where
         # sum (L' - L)^2 = S2 - 2 L S1 + L^2 N over the disk is nonzero; if
@@ -324,8 +457,9 @@ def _dbscan_pixel_grid(offsets, boxes, params: DbscanParams):
         if len(offs) * n_lab ** 2 < 2**63:
             fl = lab[front]
             planes = np.column_stack([np.ones_like(fl), fl, fl * fl])
-            n, s1, s2 = _disk_sum(cu[front], cv[front], planes,
-                                  (width, height), dv_range, halfwidth).T
+            n, s1, s2 = _box_sum(_summed_area(cu[front], cv[front], planes,
+                                              shape),
+                                 cu[front], cv[front], disk).T
             front = front[s2 - 2 * fl * s1 + fl * fl * n != 0]
         if len(front):
             # each cross pair is seen from its first end in the half disk
@@ -340,28 +474,26 @@ def _dbscan_pixel_grid(offsets, boxes, params: DbscanParams):
                 dst.append(hit[cross])
             comp = _components(n_lab, np.concatenate(src) - 1,
                                 np.concatenate(dst) - 1)[comp]
-    full = np.full(m, -1, dtype=np.int64)
+    full = np.full(len(kept), -1, dtype=np.int64)
     full[core] = comp
-    labels = _renumber(full, core, first_index, m)
+    sub = _renumber(full, core, first_index[kept], len(kept))
     # first indices grow with the set, so each set's clusters hold a run
     # of the numbers; start every run at 0
-    base = np.minimum.reduceat(labels[ci], starts)
-    labels[ci] -= np.repeat(base, per_crop)
+    sub[ci] -= np.repeat(np.minimum.reduceat(sub[ci], cstarts), per_crop)
 
-    # border points within e of their core box: gather every disk offset
-    # in (d^2, du, dv) order, so the first hit is the nearest core with
-    # the canonical tie-break
-    label_img = np.full((width, height), NOISE, dtype=np.int64)
-    label_img[cu, cv] = labels[ci]
-    cand = np.flatnonzero(~core & (pu >= row_lo) & (pu < row_hi)
-                          & (pv >= e) & (pv < col_hi))
-    for i, hit in _gather_rows(label_img.ravel(), pu[cand] * height + pv[cand],
+    # border: each candidate gathers every disk offset in (d^2, du, dv)
+    # order, so the first hit is the nearest core with the canonical
+    # tie-break
+    label_img = np.full(shape, NOISE, dtype=np.int64)
+    label_img[cu, cv] = sub[ci]
+    for i, hit in _gather_rows(label_img.ravel(), bu * height + bv,
                                offs[1:, 1] * height + offs[1:, 2]):
         found = hit != NOISE
         first = found.argmax(axis=1)
         rows = np.arange(len(hit))
         got = found[rows, first]
-        labels[cand[i:i + len(hit)][got]] = hit[rows, first][got]
+        sub[cand[i:i + len(hit)][got]] = hit[rows, first][got]
+    labels[kept] = sub
     return np.split(labels[inverse], ends[:-1])
 
 
@@ -450,30 +582,34 @@ def _dbscan_bucket_grid(uniq, mult, first_index, params: DbscanParams):
 
 
 def _dbscan_sets(uv_sets, params: DbscanParams):
-    """:func:`dbscan` labels of each ``(u, v)`` float64 column pair, in
-    order.
+    """:func:`dbscan` labels of each ``(u, v)`` pair, in order.
 
     Runs of integral sets whose padded span fits ``_GRID_MAX_CELLS`` go
     to the pixel path together, in chunks of at most ``_CHUNK_CELLS``
     first-image cells and ``_CHUNK_EVENTS`` points (a set over either
     budget runs alone); every other set takes the bucket path alone.
+    Integer columns go straight to int64 offsets, with no float copy and
+    no finite or integrality test.
     """
     e = int(math.floor(params.eps))
     offsets, boxes = [], []
     rows = height = events = 0
-    for u, v in uv_sets:
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+    for u, v in map(_columns, uv_sets):
+        integer = u.dtype != np.float64
+        if not (integer or np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise ValueError("points must be finite")
-        u0 = v0 = 0.0
+        u0 = v0 = 0
         pixel, w, h = True, 0, 0
         if len(u):
-            u0, v0 = u.min(), v.min()
-            w, h = u.max() - u0, v.max() - v0
+            bounds = u.min(), u.max(), v.min(), v.max()
+            u0, u1, v0, v1 = map(int, bounds) if integer else bounds
+            w, h = u1 - u0, v1 - v0
             # the test gives the same answer on the points as on their
             # unique rows
             span = (w + 2 * params.eps + 2) * (h + 2 * params.eps + 2)
             pixel = (params.eps >= _GRID_MIN_EPS and span <= _GRID_MAX_CELLS
-                     and np.all(np.rint(u) == u) and np.all(np.rint(v) == v))
+                     and (integer or np.all(np.rint(u) == u)
+                          and np.all(np.rint(v) == v)))
             w, h = int(w) + 1, int(h) + 1
         tile_rows = w + 2 * e if w else 0
         if offsets and (not pixel or events + len(u) > _CHUNK_EVENTS
@@ -483,17 +619,34 @@ def _dbscan_sets(uv_sets, params: DbscanParams):
             offsets, boxes = [], []
             rows = height = events = 0
         if not pixel:
-            pts = np.column_stack([u, v])
+            pts = np.column_stack([u, v]).astype(np.float64)
             uniq, inverse, mult, first_index = _compress(pts)
             yield _dbscan_bucket_grid(uniq, mult, first_index, params)[inverse]
             continue
-        offsets.append(((u - u0).astype(np.int64), (v - v0).astype(np.int64)))
+        if integer:
+            offsets.append((np.subtract(u, u0, dtype=np.int64),
+                            np.subtract(v, v0, dtype=np.int64)))
+        else:
+            offsets.append(((u - u0).astype(np.int64),
+                            (v - v0).astype(np.int64)))
         boxes.append((w, h))
         rows += tile_rows
         height = max(height, h + 2 * e)
         events += len(u)
     if offsets:
         yield from _dbscan_pixel_grid(offsets, boxes, params)
+
+
+def _columns(uv):
+    """A ``(u, v)`` pair as 1-D arrays of equal length: integer columns
+    that cast safely to int64 as they are, any other as float64."""
+    u, v = (np.asarray(x) for x in uv)
+    if not all(x.dtype.kind in "iu" and np.can_cast(x.dtype, np.int64)
+               for x in (u, v)):
+        u, v = (np.asarray(x, dtype=np.float64) for x in (u, v))
+    if u.ndim != 1 or u.shape != v.shape:
+        raise ValueError("u and v must be 1-D arrays of equal length")
+    return u, v
 
 
 def dbscan(points, params: DbscanParams) -> np.ndarray:
@@ -558,28 +711,24 @@ def extract_centroids(uv_pairs, params: DbscanParams):
     yielded in order; the sets are clustered together in chunks (see
     :func:`_dbscan_sets`), and only one chunk's labels are held at a
     time."""
-    def columns(uv):
-        u, v = (np.asarray(x, dtype=np.float64) for x in uv)
-        if u.ndim != 1 or u.shape != v.shape:
-            raise ValueError("u and v must be 1-D arrays of equal length")
-        return u, v
+    def mean_u(u, members):
+        return u[members].astype(np.float64).mean()
 
-    for (u, _), labels in zip(uv_pairs,
-                              _dbscan_sets(map(columns, uv_pairs), params)):
-        u = np.asarray(u, dtype=np.float64)
+    for (u, _), labels in zip(uv_pairs, _dbscan_sets(uv_pairs, params)):
+        u = np.asarray(u)
         if labels.max(initial=NOISE) == NOISE:
             yield ClusterResult(labels, 0, float("nan"), False)
             continue
         sizes = np.bincount(labels[labels >= 0])
         best = np.flatnonzero(sizes == sizes.max())
         if len(best) > 1:
-            mean_us = [u[labels == c].mean() for c in best]
+            mean_us = [mean_u(u, labels == c) for c in best]
             best = [best[int(np.argmin(mean_us))]]
         c = int(best[0])
         size = int(sizes[c])
         valid = size >= params.min_cluster_points
         yield ClusterResult(labels, size,
-                            float(u[labels == c].mean()) if valid
+                            float(mean_u(u, labels == c)) if valid
                             else float("nan"), valid)
 
 

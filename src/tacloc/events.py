@@ -54,6 +54,8 @@ class SensorLayout:
             raise ValueError("grid_points must be an (n, 2) array")
         if np.any(pts < 0) or np.any(pts > self.side_mm):
             raise ValueError("grid points must lie within the sensor square")
+        if not self.press_duration_s > 0:
+            raise ValueError("press_duration_s must be positive")
         pts.flags.writeable = False
         object.__setattr__(self, "grid_points", pts)
 
@@ -86,6 +88,12 @@ class EventStream:
     constructed from; subsetting operations preserve them so that
     counter-based sampling keyed on ordinals commutes with cropping.
     A value of ``None`` means the identity mapping 0..n-1.
+
+    Subsets (a time slice, an ROI crop, a thinning mask) keep events in
+    their order, so they stay time-sorted and in range; they are built
+    from the parent's columns without validating them again. Every
+    subset has ordinals, and its columns are read-only like the
+    parent's: slices are views, masks gather once through one index.
     """
 
     __slots__ = ("camera_id", "t", "u", "v", "polarity", "roi",
@@ -160,18 +168,36 @@ class EventStream:
         return ((int(self.t[0]) + off) / US_PER_S,
                 (int(self.t[-1]) + off) / US_PER_S)
 
-    def _subset(self, mask_or_idx, roi=None) -> "EventStream":
-        ords = self.ordinals
-        if ords is None:
-            ords = np.arange(len(self), dtype=np.int64)
-        return EventStream(
-            self.camera_id,
-            self.t[mask_or_idx], self.u[mask_or_idx], self.v[mask_or_idx],
-            self.polarity[mask_or_idx],
-            roi=self.roi if roi is None else roi,
-            time_offset_us=self.time_offset_us,
-            ordinals=ords[mask_or_idx],
-        )
+    @classmethod
+    def _from_valid(cls, camera_id, t, u, v, polarity, roi, time_offset_us,
+                    ordinals) -> "EventStream":
+        """A stream over columns that already hold every invariant: the
+        dtypes, time order and ranges checked by ``__init__``."""
+        s = cls.__new__(cls)
+        for arr in (t, u, v, polarity, ordinals):
+            if arr is not None:
+                arr.flags.writeable = False
+        s.camera_id = camera_id
+        s.t, s.u, s.v, s.polarity = t, u, v, polarity
+        s.roi = roi
+        s.time_offset_us = int(time_offset_us)
+        s.ordinals = ordinals
+        return s
+
+    def _subset(self, keep, roi=None) -> "EventStream":
+        """The events at ``keep``, a slice or a boolean mask, in order."""
+        if isinstance(keep, slice):
+            ordinals = (np.arange(*keep.indices(len(self)))
+                        if self.ordinals is None else self.ordinals[keep])
+        else:
+            # one index serves as the gather and, from an unsubset
+            # stream, as the ordinals
+            keep = np.flatnonzero(keep)
+            ordinals = keep if self.ordinals is None else self.ordinals[keep]
+        return EventStream._from_valid(
+            self.camera_id, self.t[keep], self.u[keep], self.v[keep],
+            self.polarity[keep], self.roi if roi is None else roi,
+            self.time_offset_us, ordinals)
 
     def slice_time_s(self, t0_s: float, t1_s: float) -> "EventStream":
         """Events with aligned time in the half-open window [t0, t1)."""
@@ -183,16 +209,9 @@ class EventStream:
         return self._subset(slice(i0, i1))
 
     def with_offset_us(self, offset_us: int) -> "EventStream":
-        s = EventStream.__new__(EventStream)
-        s.camera_id = self.camera_id
-        s.t = self.t
-        s.u = self.u
-        s.v = self.v
-        s.polarity = self.polarity
-        s.roi = self.roi
-        s.time_offset_us = int(offset_us)
-        s.ordinals = self.ordinals
-        return s
+        return EventStream._from_valid(self.camera_id, self.t, self.u, self.v,
+                                       self.polarity, self.roi, offset_us,
+                                       self.ordinals)
 
 
 @dataclass(frozen=True)
@@ -233,7 +252,7 @@ def crop_roi(stream: EventStream, v_lo: int, v_hi: int) -> EventStream:
     if not (0 <= v_lo < v_hi <= SENSOR_HEIGHT):
         raise ValueError(f"invalid ROI bounds [{v_lo}, {v_hi}]")
     mask = (stream.v >= v_lo) & (stream.v <= v_hi)
-    return stream._subset(mask, roi=(v_lo, v_hi))
+    return stream._subset(mask, roi=(int(v_lo), int(v_hi)))
 
 
 def event_rate_histogram(stream: EventStream, bin_s: float) -> RateSeries:

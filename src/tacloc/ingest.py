@@ -76,7 +76,7 @@ class SyncSpec:
 class PressSchedule:
     """Nominal press timing and ground truth, relative to the first sync tap."""
 
-    onsets_s: np.ndarray          # strictly increasing
+    onsets_s: np.ndarray          # at least press_duration_s apart
     press_duration_s: float
     ground_truth_mm: np.ndarray   # (n, 2)
     press_index: np.ndarray       # index into the grid path
@@ -89,6 +89,17 @@ class PressSchedule:
         rep = np.asarray(self.repetition, dtype=np.int64)
         if np.any(np.diff(onsets) <= 0):
             raise ValueError("onsets must be strictly increasing")
+        if not self.press_duration_s > 0:
+            raise ValueError("press_duration_s must be positive")
+        # windows are cut at whole microseconds; overlapping windows would
+        # cluster the events they share once for every onset
+        close = np.flatnonzero(np.diff(np.round(onsets * US_PER_S))
+                               < round(self.press_duration_s * US_PER_S))
+        if len(close):
+            i = close[0]
+            raise ValueError(f"onsets {onsets[i]:g} s and {onsets[i + 1]:g} s "
+                             f"are closer than press_duration_s "
+                             f"{self.press_duration_s:g} s")
         if not (len(onsets) == len(gt) == len(pidx) == len(rep)):
             raise ValueError("schedule columns must have equal length")
         for arr in (onsets, gt, pidx, rep):
@@ -528,32 +539,36 @@ def camera_pair(cams, side_mm: float) -> tuple[CameraModel, CameraModel]:
     return models[0], models[1]
 
 
+def _given(d: dict, *keys, **renamed) -> dict:
+    """The ``keys`` that ``d`` sets, and the ``renamed`` ones under their
+    new names, as keyword arguments: a key the document leaves out keeps
+    the default of the function they are passed to."""
+    return {**{k: d[k] for k in keys if k in d},
+            **{new: d[k] for k, new in renamed.items() if k in d}}
+
+
 def _layout_from_dict(d: dict) -> SensorLayout:
+    args = _given(d, "side_mm", "grid_spacing_mm", "repetitions",
+                  "press_duration_s")
     if "grid_points_mm" in d:
         _only(d, "layout", set(_LAYOUT_KINDS) - set(_MEANDER_KEYS),
               "a layout with grid_points_mm")
-        grid = _pairs(d["grid_points_mm"], "layout.grid_points_mm")
-    else:
-        origin = _typed_list(d.get("grid_origin_mm", [2.0, 32.0]),
-                             "layout.grid_origin_mm", float, 2)
-        grid = meander_grid(cols=d.get("grid_cols", 25),
-                            rows=d.get("grid_rows", 10),
-                            spacing_mm=d.get("grid_spacing_mm", 4.0),
-                            origin_mm=tuple(origin))
-    return _build(SensorLayout, "layout", side_mm=d.get("side_mm", 100.0),
-                  grid_points=grid,
-                  grid_spacing_mm=d.get("grid_spacing_mm", 4.0),
-                  repetitions=d.get("repetitions", 10),
-                  press_duration_s=d.get("press_duration_s", 0.55))
+        args["grid_points"] = _pairs(d["grid_points_mm"],
+                                     "layout.grid_points_mm")
+    elif any(k in d for k in _MEANDER_KEYS):
+        meander = _given(d, grid_cols="cols", grid_rows="rows",
+                         grid_spacing_mm="spacing_mm")
+        if "grid_origin_mm" in d:
+            meander["origin_mm"] = tuple(_typed_list(
+                d["grid_origin_mm"], "layout.grid_origin_mm", float, 2))
+        args["grid_points"] = meander_grid(**meander)
+    return _build(SensorLayout, "layout", **args)
 
 
 def _schedule_from_dict(d: dict, layout: SensorLayout) -> PressSchedule:
     if not any(k in d for k in _SCHEDULE_ARRAYS):
         _only(d, "schedule", _GENERATOR_KINDS, "a generator schedule")
-        return _build(make_schedule, "schedule", layout,
-                      onset0_s=d.get("onset0_s", 5.0),
-                      period_s=d.get("period_s", 2.0),
-                      repetitions=d.get("repetitions"))
+        return _build(make_schedule, "schedule", layout, **d)
     _only(d, "schedule", _SCHEDULE_ARRAYS + ("press_duration_s",),
           "an explicit schedule")
     for key in _SCHEDULE_ARRAYS:
@@ -635,46 +650,44 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     sync = _build(SyncSpec, "sync", **_section(doc, "sync", _kinds(SyncSpec)))
     schedule = _schedule_from_dict(_section(doc, "schedule", _SCHEDULE_KINDS),
                                    layout)
-    cams = top.get("cameras")
-    models = (default_models(layout.side_mm) if cams is None
-              else camera_pair(cams, layout.side_mm))
+    args = _given(top, "baseline_s", "seed")
+    if "cameras" in top:
+        args["camera_models"] = camera_pair(top["cameras"], layout.side_mm)
     files = _section(doc, "files", dict.fromkeys(("cam1", "cam2", "format"),
                                                  str))
-    file_format = files.get("format", "bin")
-    if file_format not in ("bin", "csv"):
+    if files.get("format", "bin") not in ("bin", "csv"):
         raise FormatError('files.format must be "bin" or "csv", '
-                          f"got {json.dumps(file_format)}")
-    cam1 = files.get("cam1", "")
-    cam2 = files.get("cam2", "")
-    if base_dir is not None:
-        cam1 = str(base_dir / cam1) if cam1 else ""
-        cam2 = str(base_dir / cam2) if cam2 else ""
+                          f"got {json.dumps(files['format'])}")
+    for key in ("cam1", "cam2"):
+        if files.get(key) and base_dir is not None:
+            files[key] = str(base_dir / files[key])
+    args.update(_given(files, format="file_format", cam1="cam1_path",
+                       cam2="cam2_path"))
     clu = _section(doc, "cluster", _CLUSTER_KINDS)
     _section(doc, "calibration", {"free": None})
     cal = _section(doc, "calibration.free", _kinds(FreeParams))
-    roi = top.get("roi", DEFAULT_ROI)
-    if (not isinstance(roi, (list, tuple)) or len(roi) != 2
-            or not all(type(b) is int for b in roi)
-            or not 0 <= roi[0] < roi[1] <= SENSOR_HEIGHT):
-        raise FormatError(f"roi must be two integers 0 <= lo < hi <= "
-                          f"{SENSOR_HEIGHT}, got {json.dumps(roi, default=str)}")
+    if "roi" in top:
+        roi = top["roi"]
+        if (not isinstance(roi, (list, tuple)) or len(roi) != 2
+                or not all(type(b) is int for b in roi)
+                or not 0 <= roi[0] < roi[1] <= SENSOR_HEIGHT):
+            raise FormatError(f"roi must be two integers 0 <= lo < hi <= "
+                              f"{SENSOR_HEIGHT}, got "
+                              f"{json.dumps(roi, default=str)}")
+        args["roi"] = tuple(roi)
+    if "exclude_presses" in top:
+        args["exclude_presses"] = tuple(_typed_list(
+            top["exclude_presses"], "exclude_presses", int))
     return RunConfig(
-        cam1_path=cam1,
-        cam2_path=cam2,
-        file_format=file_format,
         layout=layout,
         sync=sync,
         schedule=schedule,
-        camera_models=models,
-        roi=tuple(roi),
-        baseline_s=top.get("baseline_s", 0.3),
-        cluster=_build(DbscanParams, "cluster", clu.pop("eps_px", 10.0),
-                       **clu),
+        cluster=_build(DbscanParams, "cluster",
+                       **_given(clu, "min_samples", "min_cluster_points",
+                                eps_px="eps")),
         calibration_free=FreeParams(**cal),
-        exclude_presses=tuple(_typed_list(top.get("exclude_presses", []),
-                                          "exclude_presses", int)),
-        seed=top.get("seed", 0),
         synth=_synth_from_dict(doc),
         latency=_build(CusumParams, "latency",
                        **_section(doc, "latency", _LATENCY_KINDS)),
+        **args,
     )

@@ -186,6 +186,18 @@ BAD_INPUTS = [
     pytest.param(lambda d: d["schedule"].update(press_duration_s=0.5), None,
                  "schedule.press_duration_s is not read by a generator "
                  "schedule", id="schedule-generator-press_duration_s"),
+    pytest.param(explicit_schedule(onsets_s=[5.0, 5.01]), None,
+                 "schedule: onsets 5 s and 5.01 s are closer than "
+                 "press_duration_s 0.55 s", id="schedule-explicit-overlap"),
+    pytest.param(lambda d: d["schedule"].update(period_s=0.01), None,
+                 "schedule: onsets 5 s and 5.01 s are closer than "
+                 "press_duration_s 0.55 s", id="schedule-generator-overlap"),
+    pytest.param(lambda d: d["layout"].update(press_duration_s=-0.5), None,
+                 "layout: press_duration_s must be positive",
+                 id="layout.press_duration_s-negative"),
+    pytest.param(explicit_schedule(press_duration_s=0.0), None,
+                 "schedule: press_duration_s must be positive",
+                 id="schedule.press_duration_s-zero"),
     pytest.param(explicit_schedule(period_s=1.5), None,
                  "schedule.period_s is not read by an explicit schedule",
                  id="schedule-explicit-period_s"),

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from tacloc import cluster
 from tacloc.cluster import (_GRID_MAX_CELLS, NOISE, DbscanParams, _compress,
-                            _label8, _tile_pixels, dbscan, dbscan_brute,
+                            _density_bound, _label8, _packed_unique,
+                            _tile_pixels, _with_counts, dbscan, dbscan_brute,
                             exclude_press, extract_centroid)
 
 PARAMS = DbscanParams(eps=10.0, min_samples=10)
@@ -180,6 +181,96 @@ class TestCompress:
         assert np.array_equal(labels, dbscan_brute(pts, PARAMS))
 
 
+@pytest.mark.parametrize("keys", [
+    pytest.param(keys, id=name) for name, keys in [
+        ("n1", np.array([7])),
+        ("n1024", np.random.default_rng(1).integers(0, 300, 1024)),
+        ("n1025", np.random.default_rng(2).integers(0, 300, 1025)),
+        ("n65536", np.random.default_rng(3).integers(0, 1 << 30, 1 << 16)),
+        ("n65537", np.random.default_rng(4).integers(0, 1 << 30, (1 << 16) + 1)),
+        ("all_equal", np.full(4097, 123456)),
+        ("zero", np.zeros(3, dtype=np.int64))]])
+def test_packed_unique_matches_unique_with_counts(keys):
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    want = _with_counts(uniq, inverse, len(keys))
+    for got, w in zip(_packed_unique(keys.astype(np.int64)), want):
+        assert got.dtype == w.dtype == np.int64
+        assert np.array_equal(got, w)
+
+
+def test_packed_unique_refuses_keys_that_overflow():
+    with pytest.raises(AssertionError):
+        _packed_unique(np.array([1 << 61, 0, 1]))  # 2 index bits
+
+
+def _count_dropped(monkeypatch):
+    """A list that gets the number of pixels each density-bound call
+    drops."""
+    dropped = []
+    bound = cluster._density_bound
+
+    def counted(*args):
+        keep = bound(*args)
+        dropped.append(int(np.count_nonzero(~keep)))
+        return keep
+
+    monkeypatch.setattr(cluster, "_density_bound", counted)
+    return dropped
+
+
+def _bound(pts, e, min_samples):
+    """:func:`_density_bound` of integer points, each unique pixel laid
+    out with a margin of e, and moved by a multiple of e so that cell
+    edges fall where they fall on the points; returns the unique points
+    and their mask."""
+    uniq, mult = np.unique(pts, axis=0, return_counts=True)
+    pix = uniq - uniq.min(axis=0) // e * e + e
+    shape = tuple(pix.max(axis=0) + e + 1)
+    return uniq, _density_bound(pix[:, 0], pix[:, 1], mult, shape, e,
+                                min_samples)
+
+
+class TestDensityBound:
+    def test_keeps_every_point_at_min_samples_1(self):
+        pts = np.random.default_rng(5).integers(0, 2000, (300, 2))
+        _, keep = _bound(pts, 10, 1)
+        assert keep.all()
+
+    @pytest.mark.parametrize("start", range(10))
+    def test_keeps_pairs_e_apart_across_a_cell_edge(self, start):
+        # every lattice offset within eps 10.7, from each start position in
+        # a cell: the pair may share a cluster, so neither may be dropped,
+        # while lone pixels far off are
+        p = DbscanParams(eps=10.7, min_samples=2)
+        offs = np.array([(a, b) for a in range(-10, 11) for b in range(-10, 11)
+                         if a * a + b * b <= p.eps ** 2 and (a, b) != (0, 0)])
+        base = np.column_stack([start + 40 * np.arange(len(offs)),
+                                np.full(len(offs), start + 20)])
+        pairs = np.stack([base, base + offs], axis=1).reshape(-1, 2)
+        lone = base + (20, 100)
+        uniq, keep = _bound(np.vstack([pairs, lone]), 10, p.min_samples)
+        assert np.array_equal(keep, (uniq[:, None] != lone).any(axis=2).all(axis=1))
+        labels = dbscan(pairs.astype(float), p)
+        assert np.array_equal(labels, np.repeat(np.arange(len(offs)), 2))
+        assert np.array_equal(labels, dbscan_brute(pairs.astype(float), p))
+
+    def test_set_with_every_pixel_dropped(self, monkeypatch):
+        dropped = _count_dropped(monkeypatch)
+        rng = np.random.default_rng(6)
+        lone = np.column_stack([np.arange(40) * 37, rng.integers(0, 100, 40)])
+        blob = np.rint(rng.normal(50, 2, (80, 2)))
+        sets = [lone, blob, lone + 5, np.zeros((0, 2))]
+        got = list(cluster.extract_centroids([tuple(p.T) for p in sets],
+                                             PARAMS))
+        for pts, r in zip(sets, got):
+            assert np.array_equal(r.labels, dbscan_brute(pts, PARAMS))
+        assert (got[0].labels == NOISE).all() and got[1].valid
+        assert dropped == [80]  # both lone sets, none of the blob
+        # a chunk whose every pixel is dropped
+        got = list(cluster.extract_centroids([tuple(lone.T)], PARAMS))
+        assert (got[0].labels == NOISE).all() and dropped[-1] == 40
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)),
                 min_size=1, max_size=60),
@@ -238,26 +329,35 @@ def _set_batches(draw):
     return sets, params, cells, events
 
 
-@settings(max_examples=150, deadline=None)
-@given(_set_batches())
-def test_batched_sets_match_each_set_alone(case):
-    sets, params, cells, events = case
-    with patch.multiple(cluster, _CHUNK_CELLS=cells, _CHUNK_EVENTS=events):
-        got = list(cluster.extract_centroids(
-            [(p[:, 0], p[:, 1]) for p in sets], params))
-    assert len(got) == len(sets)
-    for pts, r in zip(sets, got):
-        want = dbscan_brute(pts, params)
-        assert np.array_equal(r.labels, want)
-        assert np.array_equal(r.labels, dbscan(pts, params))
-        alone = extract_centroid(pts[:, 0], pts[:, 1], params)
-        centroid = dominant_centroid(pts[:, 0], want, params)
-        # equal bits, nan included
-        assert np.float64(r.centroid_u).tobytes() \
-            == np.float64(alone.centroid_u).tobytes() \
-            == np.float64(centroid).tobytes()
-        assert (r.largest_cluster_size, r.valid) \
-            == (alone.largest_cluster_size, alone.valid)
+def test_batched_sets_match_each_set_alone(monkeypatch):
+    dropped = _count_dropped(monkeypatch)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_set_batches(), st.booleans())
+    def check(case, integer):
+        sets, params, cells, events = case
+        # integer columns take the pixel path without a float copy
+        cols = [tuple(p.T.astype(np.int16) if integer and np.all(p == np.rint(p))
+                      else p.T) for p in sets]
+        with patch.multiple(cluster, _CHUNK_CELLS=cells, _CHUNK_EVENTS=events):
+            got = list(cluster.extract_centroids(cols, params))
+        assert len(got) == len(sets)
+        for pts, r in zip(sets, got):
+            want = dbscan_brute(pts, params)
+            assert np.array_equal(r.labels, want)
+            assert np.array_equal(r.labels, dbscan(pts, params))
+            alone = extract_centroid(pts[:, 0], pts[:, 1], params)
+            centroid = dominant_centroid(pts[:, 0], want, params)
+            # equal bits, nan included
+            assert np.float64(r.centroid_u).tobytes() \
+                == np.float64(alone.centroid_u).tobytes() \
+                == np.float64(centroid).tobytes()
+            assert (r.largest_cluster_size, r.valid) \
+                == (alone.largest_cluster_size, alone.valid)
+
+    check()
+    # the bound dropped pixels that the labels above still match
+    assert sum(dropped) > 0
 
 
 def test_sets_share_chunks_within_the_budgets(monkeypatch):

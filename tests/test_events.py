@@ -85,6 +85,32 @@ class TestCropRoi:
         sigma = np.sqrt(n * p * (1 - p))
         assert abs(kept - n * p) < 4 * sigma
 
+    def test_crop_without_ordinals_keeps_the_indices(self):
+        rng = np.random.default_rng(4)
+        s = uniform_stream(rng, 3000)
+        assert s.ordinals is None
+        c = crop_roi(s, 200, 360)
+        keep = np.flatnonzero((s.v >= 200) & (s.v <= 360))
+        assert np.array_equal(c.ordinals, keep)
+        for name in ("t", "u", "v", "polarity"):
+            assert np.array_equal(getattr(c, name), getattr(s, name)[keep])
+
+    def test_subsets_stay_sorted_and_read_only(self):
+        rng = np.random.default_rng(5)
+        s = uniform_stream(rng, 3000).with_offset_us(250)
+        for sub in (crop_roi(s, 200, 360), s.slice_time_s(0.2, 0.7),
+                    crop_roi(s, 200, 360).slice_time_s(0.2, 0.7),
+                    crop_roi(s.slice_time_s(0.2, 0.7), 200, 360)):
+            assert np.all(np.diff(sub.t) >= 0)
+            assert np.all(np.diff(sub.ordinals) > 0)
+            assert sub.time_offset_us == 250
+            assert np.array_equal(sub.t, s.t[sub.ordinals])
+            assert np.array_equal(sub.v, s.v[sub.ordinals])
+            for col in (sub.t, sub.u, sub.v, sub.polarity, sub.ordinals):
+                assert not col.flags.writeable
+                with pytest.raises(ValueError):
+                    col[:1] = 0
+
     def test_burst_in_band_fully_retained(self):
         rng = np.random.default_rng(3)
         burst = uniform_stream(rng, 3000, camera=1, v_lo=200, v_hi=360)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import re
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 from tacloc.ablate import thin
 from tacloc.cluster import DbscanParams
-from tacloc.events import EventStream, US_PER_S
+from tacloc.events import EventStream, SensorLayout, US_PER_S
 from tacloc.ingest import (_RECORD_DTYPE, CSV_RANGES, FormatError,
                            PressSchedule, SyncError, SyncSpec, align_streams,
-                           config_from_dict, detect_sync_taps, load_config,
-                           make_schedule, read_events, write_events)
+                           RunConfig, config_from_dict, detect_sync_taps,
+                           load_config, make_schedule, read_events,
+                           write_events)
 from tacloc.latency import CusumParams
 from tacloc.synth import RateProfile, SynthSpec, generate, spec_from_config
 
@@ -386,6 +388,33 @@ class TestSchedule:
             PressSchedule(np.array([1.0, 1.0]), 0.55,
                           np.zeros((2, 2)), np.zeros(2, int), np.zeros(2, int))
 
+    def test_onsets_at_least_one_press_apart(self):
+        layout = small_layout(5, 4)
+        # a period equal to the press duration keeps the windows disjoint,
+        # whatever the float sums of the onsets round to
+        assert len(make_schedule(layout, onset0_s=5.0,
+                                 period_s=layout.press_duration_s)) == 20
+        with pytest.raises(ValueError, match="closer than press_duration_s"):
+            make_schedule(layout, period_s=0.01)
+
+
+def _assert_same_fields(got, want, path="config"):
+    """Dataclasses equal field by field, sequences item by item and arrays
+    by dtype and value."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want), path
+        for f in dataclasses.fields(want):
+            _assert_same_fields(getattr(got, f.name), getattr(want, f.name),
+                                f"{path}.{f.name}")
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want), path
+    elif isinstance(want, (tuple, list)):
+        assert type(got) is type(want) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_fields(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, path
+
 
 class TestConfig:
     def test_load_minimal(self, tmp_path):
@@ -403,6 +432,14 @@ class TestConfig:
         assert cfg.layout.n_presses == 20
         assert len(cfg.schedule) == 40
         assert cfg.cam1_path.endswith("a.evt")
+
+    @pytest.mark.parametrize("doc, want", [
+        ({}, RunConfig()),
+        ({"layout": {"grid_spacing_mm": 3.0}},
+         RunConfig(layout=SensorLayout(grid_spacing_mm=3.0))),
+    ], ids=["empty", "layout-spacing"])
+    def test_unset_keys_keep_the_dataclass_defaults(self, doc, want):
+        _assert_same_fields(config_from_dict(doc), want)
 
     def test_sections_load_into_stage_dataclasses(self):
         cfg = config_from_dict({
