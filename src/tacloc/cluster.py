@@ -422,7 +422,7 @@ def _dbscan_pixel_grid(offsets, boxes, params: DbscanParams):
                            np.minimum(box[1] + 2 * e, tile_hi_u[of]),
                            np.maximum(box[2] - 2 * e, 0),
                            np.minimum(box[3] + 2 * e, tile_hi_v[of]))
-    width, height = shape
+    height = shape[1]
     # border candidates: non-core points within e of their core box
     crop_of = np.full(len(offsets), -1)
     crop_of[tile[ci[cstarts]]] = np.arange(len(cstarts))
