@@ -11,6 +11,12 @@ SENSOR_WIDTH = 640
 SENSOR_HEIGHT = 480
 DEFAULT_ROI = (200, 360)
 US_PER_S = 1_000_000
+# every value an event column may hold (file column names), and the dtype
+# it is stored as
+EVENT_COLUMNS = (("t_us", 0, 2**63 - 1, np.int64),
+                 ("u", 0, SENSOR_WIDTH - 1, np.int16),
+                 ("v", 0, SENSOR_HEIGHT - 1, np.int16),
+                 ("polarity", 0, 255, np.uint8))
 
 
 class CameraId(IntEnum):
@@ -72,6 +78,23 @@ class SensorLayout:
         return float(np.hypot(self.side_mm, self.side_mm))
 
 
+def _column(values, name: str, lo: int, hi: int, dtype) -> np.ndarray:
+    """``values`` as a contiguous ``dtype`` array, once each is checked to
+    be a whole number in [lo, hi], so the cast never wraps or truncates.
+    The min and max of a contiguous copy (several times faster to reduce
+    than a record field) compare exactly as Python scalars; nan fails."""
+    a = np.ascontiguousarray(values)
+    if a.size and not (a.dtype.kind in "biuf"
+                       and lo <= a.min().item() and a.max().item() <= hi
+                       and (a.dtype.kind != "f"
+                            or np.array_equal(a, np.floor(a)))):
+        bad = next((x for x in a.ravel().tolist()
+                    if not (lo <= x <= hi and x == int(x))), None)
+        if bad is not None:
+            raise ValueError(f"column {name} value {bad} outside [{lo}, {hi}]")
+    return a.astype(dtype, copy=False)
+
+
 class EventStream:
     """Time-sorted columnar event sequence for one camera.
 
@@ -79,6 +102,12 @@ class EventStream:
     u/v pixel coordinates, polarity). Instances are immutable after
     construction; all transforms return new streams that may share the
     underlying read-only arrays.
+
+    The constructor is the one gate for column values: each must be a
+    whole number in its ``EVENT_COLUMNS`` range, checked before the cast
+    to its stored dtype, or it raises ``ValueError("column <name> value
+    <x> outside [<lo>, <hi>]")``, which the file readers prefix with the
+    path. No value is ever stored wrapped or truncated.
 
     ``time_offset_us`` is the synchronization correction: analysis-time
     positions are ``t + time_offset_us`` (see :meth:`times_s`), raw
@@ -96,48 +125,28 @@ class EventStream:
     parent's: slices are views, masks gather once through one index.
     """
 
-    __slots__ = ("camera_id", "t", "u", "v", "polarity", "roi",
-                 "time_offset_us", "ordinals")
+    __slots__ = ("camera_id", "t", "u", "v", "polarity", "time_offset_us",
+                 "ordinals")
 
     def __init__(self, camera_id, t_us, u, v, polarity,
-                 roi=DEFAULT_ROI, time_offset_us: int = 0, ordinals=None):
-        t_us = np.ascontiguousarray(t_us, dtype=np.int64)
-        u = np.ascontiguousarray(u, dtype=np.int16)
-        v = np.ascontiguousarray(v, dtype=np.int16)
-        polarity = np.ascontiguousarray(polarity, dtype=np.uint8)
-        n = t_us.shape[0]
-        if not (u.shape[0] == v.shape[0] == polarity.shape[0] == n):
+                 time_offset_us: int = 0):
+        cols = [_column(values, *spec)
+                for values, spec in zip((t_us, u, v, polarity), EVENT_COLUMNS)]
+        t = cols[0]
+        if any(len(c) != len(t) for c in cols):
             raise ValueError("event columns must have equal length")
-        if n:
-            if t_us.min() < 0:
-                raise ValueError("timestamps must be non-negative")
-            if u.min() < 0 or u.max() >= SENSOR_WIDTH:
-                raise ValueError(f"u out of range [0, {SENSOR_WIDTH})")
-            if v.min() < 0 or v.max() >= SENSOR_HEIGHT:
-                raise ValueError(f"v out of range [0, {SENSOR_HEIGHT})")
-        if ordinals is not None:
-            ordinals = np.ascontiguousarray(ordinals, dtype=np.int64)
-            if ordinals.shape[0] != n:
-                raise ValueError("ordinals must match event count")
         # stable sort keeps file order for equal timestamps
-        if n and np.any(t_us[1:] < t_us[:-1]):
-            order = np.argsort(t_us, kind="stable")
-            t_us = t_us[order]
-            u = u[order]
-            v = v[order]
-            polarity = polarity[order]
-            if ordinals is not None:
-                ordinals = ordinals[order]
-        for arr in (t_us, u, v, polarity):
-            arr.flags.writeable = False
-        if ordinals is not None:
-            ordinals.flags.writeable = False
-        self.camera_id = CameraId(camera_id)
-        self.t = t_us
-        self.u = u
-        self.v = v
-        self.polarity = polarity
-        self.roi = (int(roi[0]), int(roi[1]))
+        if np.any(t[1:] < t[:-1]):
+            order = np.argsort(t, kind="stable")
+            cols = [c[order] for c in cols]
+        self._fill(CameraId(camera_id), *cols, time_offset_us, None)
+
+    def _fill(self, camera_id, t, u, v, polarity, time_offset_us, ordinals):
+        for arr in (t, u, v, polarity, ordinals):
+            if arr is not None:
+                arr.flags.writeable = False
+        self.camera_id = camera_id
+        self.t, self.u, self.v, self.polarity = t, u, v, polarity
         self.time_offset_us = int(time_offset_us)
         self.ordinals = ordinals
 
@@ -146,7 +155,7 @@ class EventStream:
 
     def __repr__(self) -> str:
         return (f"EventStream(camera={self.camera_id.name}, n={len(self)}, "
-                f"roi={self.roi}, offset_us={self.time_offset_us})")
+                f"offset_us={self.time_offset_us})")
 
     def times_s(self) -> np.ndarray:
         """Aligned event times in seconds (offset applied)."""
@@ -169,22 +178,14 @@ class EventStream:
                 (int(self.t[-1]) + off) / US_PER_S)
 
     @classmethod
-    def _from_valid(cls, camera_id, t, u, v, polarity, roi, time_offset_us,
-                    ordinals) -> "EventStream":
+    def _from_valid(cls, *args) -> "EventStream":
         """A stream over columns that already hold every invariant: the
         dtypes, time order and ranges checked by ``__init__``."""
         s = cls.__new__(cls)
-        for arr in (t, u, v, polarity, ordinals):
-            if arr is not None:
-                arr.flags.writeable = False
-        s.camera_id = camera_id
-        s.t, s.u, s.v, s.polarity = t, u, v, polarity
-        s.roi = roi
-        s.time_offset_us = int(time_offset_us)
-        s.ordinals = ordinals
+        s._fill(*args)
         return s
 
-    def _subset(self, keep, roi=None) -> "EventStream":
+    def _subset(self, keep) -> "EventStream":
         """The events at ``keep``, a slice or a boolean mask, in order."""
         if isinstance(keep, slice):
             ordinals = (np.arange(*keep.indices(len(self)))
@@ -196,8 +197,7 @@ class EventStream:
             ordinals = keep if self.ordinals is None else self.ordinals[keep]
         return EventStream._from_valid(
             self.camera_id, self.t[keep], self.u[keep], self.v[keep],
-            self.polarity[keep], self.roi if roi is None else roi,
-            self.time_offset_us, ordinals)
+            self.polarity[keep], self.time_offset_us, ordinals)
 
     def slice_time_s(self, t0_s: float, t1_s: float) -> "EventStream":
         """Events with aligned time in the half-open window [t0, t1)."""
@@ -210,8 +210,7 @@ class EventStream:
 
     def with_offset_us(self, offset_us: int) -> "EventStream":
         return EventStream._from_valid(self.camera_id, self.t, self.u, self.v,
-                                       self.polarity, self.roi, offset_us,
-                                       self.ordinals)
+                                       self.polarity, offset_us, self.ordinals)
 
 
 @dataclass(frozen=True)
@@ -239,20 +238,16 @@ class RateSeries:
     def bin_starts_s(self) -> np.ndarray:
         return self.t0_s + np.arange(len(self)) * self.bin_s
 
-    @property
-    def total_events(self) -> int:
-        return int(self.counts.sum())
-
 
 def crop_roi(stream: EventStream, v_lo: int, v_hi: int) -> EventStream:
     """Keep only events with v_lo <= v <= v_hi (inclusive band).
 
-    Order is preserved and the stream's roi metadata is updated.
+    Order is preserved.
     """
     if not (0 <= v_lo < v_hi <= SENSOR_HEIGHT):
         raise ValueError(f"invalid ROI bounds [{v_lo}, {v_hi}]")
     mask = (stream.v >= v_lo) & (stream.v <= v_hi)
-    return stream._subset(mask, roi=(int(v_lo), int(v_hi)))
+    return stream._subset(mask)
 
 
 def event_rate_histogram(stream: EventStream, bin_s: float) -> RateSeries:

@@ -98,10 +98,6 @@ class Triangulation:
     theta2_rad: float
     condition: float  # |sin(bearing difference)|
 
-    @property
-    def estimate(self) -> np.ndarray:
-        return np.array([self.x_mm, self.y_mm], dtype=np.float64)
-
 
 def pixel_to_bearing(model: CameraModel, u) -> np.ndarray | float:
     """World-frame bearing of the ray through pixel column u.

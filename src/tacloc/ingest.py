@@ -22,17 +22,18 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import DbscanParams
-from .events import (DEFAULT_ROI, SENSOR_HEIGHT, SENSOR_WIDTH, US_PER_S,
-                     EventStream, SensorLayout, event_rate_histogram,
-                     meander_grid)
+from .events import (DEFAULT_ROI, SENSOR_HEIGHT, US_PER_S, EventStream,
+                     SensorLayout, event_rate_histogram, meander_grid)
 from .geometry import (CameraModel, FreeParams, check_camera_box,
                        default_models)
-from .latency import CusumParams
+from .latency import CusumParams, check_window_bins
 
 log = logging.getLogger(__name__)
 
 BINARY_MAGIC = b"EVT1"
 BINARY_VERSION = 1
+# the sync histogram's search_window_s / bin_s bins, bounded at load
+MAX_SYNC_BINS = 100_000
 _RECORD_DTYPE = np.dtype([
     ("t", "<i8"), ("u", "<u2"), ("v", "<u2"), ("polarity", "u1"),
     ("pad", "u1", 3),
@@ -70,6 +71,10 @@ class SyncSpec:
         if min(self.tap_interval_s, self.search_window_s, self.bin_s) <= 0:
             raise ValueError("tap_interval_s, search_window_s and bin_s "
                              "must be positive")
+        if self.search_window_s / self.bin_s > MAX_SYNC_BINS:
+            raise ValueError(f"search_window_s {self.search_window_s:g} s "
+                             f"over bin_s {self.bin_s:g} s needs more than "
+                             f"MAX_SYNC_BINS {MAX_SYNC_BINS} bins")
 
 
 @dataclass(frozen=True)
@@ -130,7 +135,8 @@ def read_events(path, camera_id, fmt: str | None = None) -> EventStream:
     """Load an event file (format inferred from the suffix unless given).
 
     Malformed CSV lines are counted and logged; more than 1% malformed
-    raises FormatError.
+    raises FormatError. So does a value that ``EventStream`` refuses, with
+    its message after the file's path.
     """
     path = Path(path)
     if not path.exists():
@@ -145,10 +151,6 @@ def read_events(path, camera_id, fmt: str | None = None) -> EventStream:
 
 
 CSV_HEADER = "t_us,u,v,polarity"
-# every value an event column may hold (CSV names): what EventStream
-# stores and accepts
-CSV_RANGES = (("t_us", 0, 2**63 - 1), ("u", 0, SENSOR_WIDTH - 1),
-              ("v", 0, SENSOR_HEIGHT - 1), ("polarity", 0, 255))
 _NL, _COMMA, _MINUS = ord("\n"), ord(","), ord("-")
 _LINES_PER_BLOCK = 1 << 16
 _MAX_PLAIN_FIELD = 18  # digits and sign; any such value fits int64
@@ -256,20 +258,15 @@ def _read_csv(path: Path, camera_id) -> EventStream:
     if not total:
         log.warning("%s: empty event file", path)
 
-    for k, (name, lo, hi) in enumerate(CSV_RANGES):
-        col = [r[k] for r in rows]
-        if len(fast):
-            col += [int(fast[:, k].min()), int(fast[:, k].max())]
-        bad = [x for x in col if not lo <= x <= hi]
-        if bad:
-            raise FormatError(f"{path}: column {name} value {bad[0]} "
-                              f"outside [{lo}, {hi}]")
     if rows:
+        try:
+            rows = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            # outside every column's range: the stream's check names it
+            rows = np.array(rows, dtype=object)
         lines = np.concatenate((np.flatnonzero(plain), row_lines))
-        fast = np.concatenate((fast, np.array(rows, dtype=np.int64)))
-        fast = fast[np.argsort(lines)]
-    return EventStream(camera_id, fast[:, 0], fast[:, 1], fast[:, 2],
-                       fast[:, 3])
+        fast = np.concatenate((fast, rows))[np.argsort(lines)]
+    return _build(EventStream, str(path), camera_id, *fast.T)
 
 
 def _read_binary(path: Path, camera_id) -> EventStream:
@@ -289,13 +286,8 @@ def _read_binary(path: Path, camera_id) -> EventStream:
         raise FormatError(f"{path}: header count {count} != {len(body)} records")
     if not count:
         log.warning("%s: empty event file", path)
-    cols = (body["t"], body["u"], body["v"], body["polarity"])
-    for (name, lo, hi), col in zip(CSV_RANGES, cols):
-        if count and not lo <= col.min() <= col.max() <= hi:
-            bad = col[(col < lo) | (col > hi)][0]
-            raise FormatError(f"{path}: column {name} value {bad} outside [{lo}, {hi}]")
-    return EventStream(camera_id, body["t"], body["u"].astype(np.int16),
-                       body["v"].astype(np.int16), body["polarity"])
+    return _build(EventStream, str(path), camera_id, body["t"], body["u"],
+                  body["v"], body["polarity"])
 
 
 def write_events(stream: EventStream, path, fmt: str = "bin") -> None:
@@ -511,7 +503,7 @@ def _only(d: dict, name: str, keys, form: str) -> None:
 
 def _build(make, name: str, *args, **kwargs):
     """``make(*args, **kwargs)``; the ValueError of a broken invariant is
-    raised as FormatError at JSON path ``name``."""
+    raised as FormatError at ``name``, a JSON path or an input file."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
@@ -678,6 +670,12 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     if "exclude_presses" in top:
         args["exclude_presses"] = tuple(_typed_list(
             top["exclude_presses"], "exclude_presses", int))
+    latency = _build(CusumParams, "latency",
+                     **_section(doc, "latency", _LATENCY_KINDS))
+    # the CUSUM bins each trial's press and baseline windows
+    _build(check_window_bins, "latency", latency,
+           max(schedule.press_duration_s,
+               args.get("baseline_s", RunConfig.baseline_s)))
     return RunConfig(
         layout=layout,
         sync=sync,
@@ -687,7 +685,6 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
                                 eps_px="eps")),
         calibration_free=FreeParams(**cal),
         synth=_synth_from_dict(doc),
-        latency=_build(CusumParams, "latency",
-                       **_section(doc, "latency", _LATENCY_KINDS)),
+        latency=latency,
         **args,
     )

@@ -27,6 +27,11 @@ class UndefinedReportError(RuntimeError):
     pass
 
 
+# smoothing a window costs bins x kernel taps; both are bounded at load
+MAX_KERNEL_TAPS = 1_001
+MAX_WINDOW_BINS = 100_000
+
+
 @dataclass(frozen=True)
 class CusumParams:
     bin_s: float = 0.0002
@@ -43,6 +48,11 @@ class CusumParams:
             raise ValueError("CUSUM parameters must be positive")
         if self.min_consecutive_bins < 1:
             raise ValueError("min_consecutive_bins must be >= 1")
+        # gaussian_kernel's 2 * ceil(4 sigma / bin) + 1 taps
+        if 4.0 * self.sigma_s / self.bin_s > (MAX_KERNEL_TAPS - 1) // 2:
+            raise ValueError(f"sigma_s {self.sigma_s:g} s over bin_s "
+                             f"{self.bin_s:g} s needs more than "
+                             f"MAX_KERNEL_TAPS {MAX_KERNEL_TAPS} kernel taps")
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError("h must be a finite positive number")
 
@@ -51,6 +61,14 @@ class CusumParams:
 class BaselineStats:
     mean: float  # events/second
     sd: float
+
+
+def check_window_bins(params: CusumParams, window_s: float) -> None:
+    """Refuse a window that ``bin_s`` cuts into over MAX_WINDOW_BINS bins."""
+    if window_s / params.bin_s > MAX_WINDOW_BINS:
+        raise ValueError(f"a {window_s:g} s trial window over bin_s "
+                         f"{params.bin_s:g} s needs more than "
+                         f"MAX_WINDOW_BINS {MAX_WINDOW_BINS} bins")
 
 
 def bin_times(times_s: np.ndarray, t0_s: float, t1_s: float,

@@ -85,11 +85,8 @@ class SynthSpec:
     # adjacent pixel columns so the mean reproduces the sub-pixel center,
     # "round" puts every event on the nearest column
     burst_u_quantize: str = "split"
-    # per-(press, camera) systematic pixel offset of the burst center:
-    # a Gaussian base with an optional wide-outlier mixture component
+    # per-(press, camera) systematic Gaussian offset of the burst center
     press_offset_sigma_px: float = 0.0
-    press_offset_outlier_frac: float = 0.0
-    press_offset_outlier_mult: float = 5.0
     # optional secondary activity blob (weaker reflection) at a fixed
     # pixel offset from the main one
     secondary_blob_frac: float = 0.0
@@ -212,13 +209,7 @@ def _press_center_offsets(spec: SynthSpec, cam: int, n_press: int) -> np.ndarray
     if spec.press_offset_sigma_px <= 0:
         return np.zeros(n_press)
     rng = _rng(spec, cam, 900001)
-    off = rng.normal(0.0, spec.press_offset_sigma_px, n_press)
-    if spec.press_offset_outlier_frac > 0:
-        outlier = rng.random(n_press) < spec.press_offset_outlier_frac
-        off[outlier] = rng.normal(
-            0.0, spec.press_offset_sigma_px * spec.press_offset_outlier_mult,
-            int(outlier.sum()))
-    return off
+    return rng.normal(0.0, spec.press_offset_sigma_px, n_press)
 
 
 def generate(spec: SynthSpec) -> tuple[EventStream, EventStream, TruthManifest]:
@@ -321,8 +312,6 @@ def generate(spec: SynthSpec) -> tuple[EventStream, EventStream, TruthManifest]:
             "burst_v_halfwidth_px": spec.burst_v_halfwidth_px,
             "background_rate_per_camera": spec.background_rate_per_camera,
             "press_offset_sigma_px": spec.press_offset_sigma_px,
-            "press_offset_outlier_frac": spec.press_offset_outlier_frac,
-            "press_offset_outlier_mult": spec.press_offset_outlier_mult,
             "secondary_blob_frac": spec.secondary_blob_frac,
             "secondary_blob_offset_px": spec.secondary_blob_offset_px,
             "cam2_extra_offset_s": spec.cam2_extra_offset_s,

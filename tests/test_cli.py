@@ -215,6 +215,16 @@ BAD_INPUTS = [
     pytest.param(lambda d: d.update(latency={"bin_s": 0}), None,
                  "latency: CUSUM parameters must be positive",
                  id="latency.bin_s-zero"),
+    pytest.param(lambda d: d.update(latency={"sigma_s": 0.5}), None,
+                 "latency: sigma_s 0.5 s over bin_s 0.0002 s needs more than "
+                 "MAX_KERNEL_TAPS 1001 kernel taps", id="latency-kernel-taps"),
+    pytest.param(lambda d: d.update(latency={"bin_s": 1e-6, "sigma_s": 1e-6}),
+                 None, "latency: a 0.55 s trial window over bin_s 1e-06 s "
+                 "needs more than MAX_WINDOW_BINS 100000 bins",
+                 id="latency-window-bins"),
+    pytest.param(lambda d: d.update(sync={"bin_s": 1e-5}), None,
+                 "sync: search_window_s 15 s over bin_s 1e-05 s needs more "
+                 "than MAX_SYNC_BINS 100000 bins", id="sync-bins"),
     pytest.param(explicit_schedule(ground_truth_mm=[50.0, 54.0]), None,
                  "schedule.ground_truth_mm[0] must be a list of 2 numbers, "
                  "got 50.0", id="schedule.ground_truth_mm-1d"),

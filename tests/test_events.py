@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tacloc.events import (EventStream, SensorLayout, crop_roi,
+from tacloc.events import (EVENT_COLUMNS, EventStream, SensorLayout, crop_roi,
                            event_rate_histogram, meander_grid)
 
 from .conftest import uniform_stream
@@ -34,6 +36,27 @@ class TestEventStream:
         with pytest.raises(ValueError):
             stream_from_rows([[-1, 0, 0, 0]])
 
+    # each value a cast to the stored dtype used to wrap or truncate, and
+    # values no int64 column can hold
+    @pytest.mark.parametrize("column, value, name", [
+        (1, 65541, "u"), (2, 65546, "v"), (3, 256, "polarity"),
+        (0, -1, "t_us"), (0, 0.5, "t_us"), (0, 0.7, "t_us"),
+        (1, float("nan"), "u"), (0, 2**64, "t_us"),
+        (0, float(2**63), "t_us"), (1, -2**70, "u")])
+    def test_refuses_what_the_cast_would_change(self, column, value, name):
+        cols = [[10, 20], [1, 2], [3, 4], [0, 1]]
+        cols[column] = [cols[column][0], value]
+        with pytest.raises(ValueError, match=rf"^column {name} value "
+                           rf"{re.escape(str(value))} outside \["):
+            EventStream(1, *cols)
+
+    def test_stores_whole_floats_and_unsigned_columns(self):
+        s = EventStream(1, [10.0, 2.0**62], np.array([639, 0], np.uint16),
+                        [479.0, 0.0], np.array([255, 0], np.uint64))
+        assert s.t.tolist() == [10, 2**62]
+        assert s.u.tolist() == [639, 0] and s.v.tolist() == [479, 0]
+        assert s.polarity.tolist() == [255, 0]
+
     def test_immutable(self):
         s = stream_from_rows([[10, 1, 2, 1]])
         with pytest.raises(ValueError):
@@ -51,7 +74,6 @@ class TestCropRoi:
         s = stream_from_rows([[1, 0, 150, 0], [2, 0, 250, 0], [3, 0, 400, 0]])
         c = crop_roi(s, 200, 360)
         assert list(c.v) == [250]
-        assert c.roi == (200, 360)
 
     def test_full_band_is_identity(self):
         rng = np.random.default_rng(0)
@@ -151,7 +173,7 @@ class TestRateHistogram:
         rng = np.random.default_rng(5)
         s = uniform_stream(rng, 3333)
         h = event_rate_histogram(s, 0.007)
-        assert h.total_events == len(s)
+        assert h.counts.sum() == len(s)
 
     def test_cropped_bins_never_exceed_uncropped(self):
         rng = np.random.default_rng(6)
@@ -173,8 +195,45 @@ class TestRateHistogram:
 def test_histogram_conservation_property(rows, bin_s):
     s = stream_from_rows(rows)
     h = event_rate_histogram(s, bin_s)
-    assert h.total_events == len(rows)
+    assert h.counts.sum() == len(rows)
     assert np.isclose((h.rates * h.bin_s).sum(), len(rows))
+
+
+@st.composite
+def _int64_columns(draw):
+    """Four equal-length int64 columns: mostly values every column holds,
+    with some cells set to any int64."""
+    n = draw(st.integers(0, 12))
+    cols = [draw(st.lists(st.integers(0, 255), min_size=n, max_size=n))
+            for _ in range(4)]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        k, i = draw(st.integers(0, 3)), draw(st.integers(0, n - 1))
+        cols[k][i] = draw(st.integers(-2**63, 2**63 - 1))
+    return cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int64_columns())
+def test_gate_refuses_or_stores_exactly(cols):
+    # any int64 columns are refused naming a column that holds a value
+    # outside its range, or stored as given (sorted by time)
+    arrays = [np.array(c, dtype=np.int64) for c in cols]
+    try:
+        s = EventStream(1, *arrays)
+    except ValueError as exc:
+        m = re.fullmatch(r"column (\w+) value (-?\d+) outside \[(\d+), (\d+)\]",
+                         str(exc))
+        assert m
+        k = [name for name, *_ in EVENT_COLUMNS].index(m[1])
+        _, lo, hi, _ = EVENT_COLUMNS[k]
+        assert (int(m[3]), int(m[4])) == (lo, hi)
+        assert int(m[2]) in cols[k] and not lo <= int(m[2]) <= hi
+        return
+    for (_, lo, hi, _), c in zip(EVENT_COLUMNS, cols):
+        assert all(lo <= x <= hi for x in c)
+    order = np.argsort(arrays[0], kind="stable")
+    for got, want in zip((s.t, s.u, s.v, s.polarity), arrays):
+        assert got.tolist() == want[order].tolist()
 
 
 class TestSensorLayout:

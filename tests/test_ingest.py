@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from tacloc.ablate import thin
 from tacloc.cluster import DbscanParams
-from tacloc.events import EventStream, SensorLayout, US_PER_S
-from tacloc.ingest import (_RECORD_DTYPE, CSV_RANGES, FormatError,
+from tacloc.events import EVENT_COLUMNS, EventStream, SensorLayout, US_PER_S
+from tacloc.ingest import (_RECORD_DTYPE, FormatError,
                            PressSchedule, SyncError, SyncSpec, align_streams,
                            RunConfig, config_from_dict, detect_sync_taps,
                            load_config, make_schedule, read_events,
@@ -249,8 +249,8 @@ class TestCsvLineRule:
         p.write_bytes(doc.encode("utf-8"))
         cols, malformed, total = _line_rule(p)
         too_many = total and malformed / total > 0.01
-        out_of_range = any(not lo <= x <= hi for (_, lo, hi), col
-                           in zip(CSV_RANGES, cols) for x in col)
+        out_of_range = any(not lo <= x <= hi for (_, lo, hi, _), col
+                           in zip(EVENT_COLUMNS, cols) for x in col)
         caplog.clear()
         if too_many or out_of_range:
             with pytest.raises(FormatError):
