@@ -17,7 +17,7 @@ from .events import EventStream
 from .ingest import RunConfig
 from .metrics import EvaluationReport, UndefinedMetricError, empty_report
 from .pipeline import (PreparedRun, TrialTable, evaluate_results,
-                       localize_pixels, segment)
+                       localize_pixels, run_localization)
 from .segment import press_events
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -116,15 +116,15 @@ def _mean_cluster_size(table: TrialTable) -> float:
     return float(np.mean(sizes)) if len(sizes) else 0.0
 
 
-def run_sweep(prepared: PreparedRun, cfg: RunConfig, factors, seeds,
-              baseline: tuple[EvaluationReport, TrialTable]) -> AblationSweep:
+def run_sweep(prepared: PreparedRun, cfg: RunConfig, factors,
+              seeds) -> AblationSweep:
     """Re-run the evaluation pipeline at each (factor, seed) cell.
 
-    ``baseline`` is the unthinned run's ``(report, table)`` with
-    ``cfg.camera_models``; since thinning with k = 1 is the identity,
-    every k = 1 cell is that run. Models and the reference error
-    percentile stay fixed at their unthinned values. Per-press failures
-    inside a cell are recorded as exclusions, never raised.
+    One unthinned :func:`run_localization` with ``cfg.camera_models``
+    gives the trials, the reference error percentile and, since thinning
+    with k = 1 is the identity, every k = 1 cell. Models and the
+    reference percentile stay fixed at their unthinned values. Per-press
+    failures inside a cell are recorded as exclusions, never raised.
 
     Thinning keeps times and order, so a trial's press events in the
     thinned recording are its unthinned press events under the keep
@@ -137,9 +137,8 @@ def run_sweep(prepared: PreparedRun, cfg: RunConfig, factors, seeds,
     """
     factors = tuple(int(k) for k in factors)
     seeds = tuple(int(s) for s in seeds)
-    base_report, base_table = baseline
+    base_report, base_table, trials = run_localization(prepared, cfg)
     reference_p95_mm = base_report.reference_p95_mm
-    trials = segment(prepared, cfg)
     press = [[press_events(t, cam) for t in trials if not t.missing]
              for cam in (1, 2)]
     thinned = {k: _keep_below(k) for k in sorted(set(factors) - {1})}

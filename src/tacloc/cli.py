@@ -159,11 +159,8 @@ def cmd_calibrate(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 def cmd_ablate(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     prepared = _prepare(cfg)
-    with _stage("baseline"):
-        report, table, _ = pipeline.run_localization(prepared, cfg)
     with _stage("sweep"):
-        sweep = ablate_mod.run_sweep(prepared, cfg, args.factors, args.seeds,
-                                     (report, table))
+        sweep = ablate_mod.run_sweep(prepared, cfg, args.factors, args.seeds)
     p_csv = out_dir / "ablation.csv"
     p_json = out_dir / "ablation_curve.json"
     _write_csv(p_csv, sweep.csv_columns())

@@ -536,8 +536,6 @@ def _dbscan_bucket_grid(uniq, mult, first_index, params: DbscanParams):
             b_start, b_cnt = occ_start[loc_c[hit]], occ_count[loc_c[hit]]
             ab = a_cnt * b_cnt
             total = int(ab.sum())
-            if not total:
-                continue
             k_of = np.repeat(np.arange(len(ab)), ab)
             starts = np.concatenate(([0], np.cumsum(ab)[:-1]))
             r = np.arange(total) - starts[k_of]
@@ -555,9 +553,10 @@ def _dbscan_bucket_grid(uniq, mult, first_index, params: DbscanParams):
             pair_j.append(dst)
             pair_d2.append(d2)
 
-    pi = np.concatenate(pair_i) if pair_i else np.zeros(0, dtype=np.int64)
-    pj = np.concatenate(pair_j) if pair_j else np.zeros(0, dtype=np.int64)
-    pd2 = np.concatenate(pair_d2) if pair_d2 else np.zeros(0, dtype=np.float64)
+    # never empty: the (0, 0) block pairs each point with itself
+    pi = np.concatenate(pair_i)
+    pj = np.concatenate(pair_j)
+    pd2 = np.concatenate(pair_d2)
 
     core = weight >= params.min_samples
     comp = np.full(m, -1, dtype=np.int64)

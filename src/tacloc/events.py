@@ -82,15 +82,20 @@ def _column(values, name: str, lo: int, hi: int, dtype) -> np.ndarray:
     """``values`` as a contiguous ``dtype`` array, once each is checked to
     be a whole number in [lo, hi], so the cast never wraps or truncates.
     The min and max of a contiguous copy (several times faster to reduce
-    than a record field) compare exactly as Python scalars; nan fails."""
+    than a record field) compare exactly as Python scalars; nan fails.
+    A refused list or tuple is named by its own item, not a float copy."""
+    def outside(x):
+        return not (lo <= x <= hi and x == int(x))
+
     a = np.ascontiguousarray(values)
     if a.size and not (a.dtype.kind in "biuf"
                        and lo <= a.min().item() and a.max().item() <= hi
                        and (a.dtype.kind != "f"
                             or np.array_equal(a, np.floor(a)))):
-        bad = next((x for x in a.ravel().tolist()
-                    if not (lo <= x <= hi and x == int(x))), None)
+        bad = next(filter(outside, a.ravel().tolist()), None)
         if bad is not None:
+            if isinstance(values, (list, tuple)):
+                bad = next(filter(outside, values), bad)
             raise ValueError(f"column {name} value {bad} outside [{lo}, {hi}]")
     return a.astype(dtype, copy=False)
 
@@ -101,7 +106,8 @@ class EventStream:
     Events are stored as parallel numpy arrays (t in integer microseconds,
     u/v pixel coordinates, polarity). Instances are immutable after
     construction; all transforms return new streams that may share the
-    underlying read-only arrays.
+    underlying read-only arrays. The constructor copies a column that
+    would share memory with its argument, so the caller's stays writable.
 
     The constructor is the one gate for column values: each must be a
     whole number in its ``EVENT_COLUMNS`` range, checked before the cast
@@ -130,8 +136,9 @@ class EventStream:
 
     def __init__(self, camera_id, t_us, u, v, polarity,
                  time_offset_us: int = 0):
+        args = (t_us, u, v, polarity)
         cols = [_column(values, *spec)
-                for values, spec in zip((t_us, u, v, polarity), EVENT_COLUMNS)]
+                for values, spec in zip(args, EVENT_COLUMNS)]
         t = cols[0]
         if any(len(c) != len(t) for c in cols):
             raise ValueError("event columns must have equal length")
@@ -139,6 +146,8 @@ class EventStream:
         if np.any(t[1:] < t[:-1]):
             order = np.argsort(t, kind="stable")
             cols = [c[order] for c in cols]
+        cols = [c.copy() if np.may_share_memory(c, values) else c
+                for c, values in zip(cols, args)]
         self._fill(CameraId(camera_id), *cols, time_offset_us, None)
 
     def _fill(self, camera_id, t, u, v, polarity, time_offset_us, ordinals):

@@ -17,6 +17,8 @@ import numpy as np
 from .events import SENSOR_WIDTH
 
 DEGENERACY_MIN_SIN = 1e-6
+CALIBRATION_MAX_ITERATIONS = 200  # accepted Levenberg-Marquardt steps
+CALIBRATION_REL_TOL = 1e-10  # converged below this relative cost drop
 
 
 class GeometryError(ValueError):
@@ -251,8 +253,7 @@ def _unpack(models, names, x):
 
 
 def calibrate(models0, u1, u2, ground_truth, free: FreeParams = FreeParams(),
-              side_mm: float = 100.0, max_iterations: int = 200,
-              rel_tol: float = 1e-10) -> CalibrationResult:
+              side_mm: float = 100.0) -> CalibrationResult:
     """Levenberg-Marquardt fit of camera parameters to press observations.
 
     Minimizes the summed squared distance between triangulated positions
@@ -261,7 +262,8 @@ def calibrate(models0, u1, u2, ground_truth, free: FreeParams = FreeParams(),
     are accepted (damping x10 on reject, /10 on accept), and a step that
     takes a camera out of the camera box of a ``side_mm`` skin is
     rejected; converged when the relative cost decrease of an accepted
-    step falls below ``rel_tol``.
+    step falls below ``CALIBRATION_REL_TOL``, or after
+    ``CALIBRATION_MAX_ITERATIONS`` accepted steps.
     """
     u1 = np.asarray(u1, dtype=np.float64)
     u2 = np.asarray(u2, dtype=np.float64)
@@ -304,7 +306,7 @@ def calibrate(models0, u1, u2, ground_truth, free: FreeParams = FreeParams(),
     if cost < 1e-20:
         converged = True
     else:
-        for _ in range(max_iterations):
+        for _ in range(CALIBRATION_MAX_ITERATIONS):
             # forward-difference Jacobian, backward where the forward probe
             # would leave the camera box
             J = np.empty((len(r), len(x)))
@@ -349,7 +351,7 @@ def calibrate(models0, u1, u2, ground_truth, free: FreeParams = FreeParams(),
             cost = c_new
             lam = max(lam / 10.0, 1e-15)
             iterations += 1
-            if drop < rel_tol:
+            if drop < CALIBRATION_REL_TOL:
                 converged = True
                 break
 

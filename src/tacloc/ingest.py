@@ -34,6 +34,7 @@ BINARY_MAGIC = b"EVT1"
 BINARY_VERSION = 1
 # the sync histogram's search_window_s / bin_s bins, bounded at load
 MAX_SYNC_BINS = 100_000
+MAX_TAP_RESIDUAL_S = 0.050  # per-tap onset mismatch left after alignment
 _RECORD_DTYPE = np.dtype([
     ("t", "<i8"), ("u", "<u2"), ("v", "<u2"), ("polarity", "u1"),
     ("pad", "u1", 3),
@@ -370,12 +371,12 @@ def detect_sync_taps(stream: EventStream, spec: SyncSpec = SyncSpec()) -> np.nda
 
 
 def align_streams(s1: EventStream, s2: EventStream,
-                  spec: SyncSpec = SyncSpec(), max_residual_s: float = 0.050,
+                  spec: SyncSpec = SyncSpec(),
                   ) -> tuple[EventStream, EventStream, np.ndarray, np.ndarray]:
     """Set s2's time offset so the mean tap onsets of both streams agree.
 
     The offset is averaged over all taps to soak up per-tap onset jitter;
-    per-tap residuals beyond ``max_residual_s`` raise SyncError. Returns
+    per-tap residuals beyond ``MAX_TAP_RESIDUAL_S`` raise SyncError. Returns
     both streams and the tap onsets found in each, before alignment.
     """
     taps1 = detect_sync_taps(s1, spec)
@@ -384,9 +385,9 @@ def align_streams(s1: EventStream, s2: EventStream,
     offset_us = int(round(offset_s * US_PER_S))
     out2 = s2.with_offset_us(s2.time_offset_us + offset_us)
     residual = np.abs((taps2 + offset_us / US_PER_S) - taps1)
-    if np.any(residual > max_residual_s):
+    if np.any(residual > MAX_TAP_RESIDUAL_S):
         raise SyncError(
-            f"tap residuals after alignment exceed {max_residual_s}s: "
+            f"tap residuals after alignment exceed {MAX_TAP_RESIDUAL_S}s: "
             f"{residual.tolist()}")
     return s1, out2, taps1, taps2
 

@@ -30,6 +30,7 @@ class UndefinedReportError(RuntimeError):
 # smoothing a window costs bins x kernel taps; both are bounded at load
 MAX_KERNEL_TAPS = 1_001
 MAX_WINDOW_BINS = 100_000
+TUNE_MIN_TPR = 0.95  # the true-positive rate a tuned threshold keeps
 
 
 @dataclass(frozen=True)
@@ -125,15 +126,13 @@ def smoothed_rate(times_s: np.ndarray, t0_s: float, t1_s: float,
     return SmoothedSeries(t0_s, bin_s, counts, sm)
 
 
-def baseline_stats(series, n_bins: int | None = None) -> BaselineStats:
-    """Mean and sd of the smoothed rate over (the first n bins of) a series.
+def baseline_stats(series) -> BaselineStats:
+    """Mean and sd of the smoothed rate over a series.
 
     An empty baseline falls back to one event per window; a degenerate
     zero sd falls back to the unsmoothed Poisson prediction.
     """
     r = series.rates
-    if n_bins is not None:
-        r = r[:n_bins]
     duration = len(r) * series.bin_s
     mu = float(r.mean()) if len(r) else 0.0
     if mu <= 0.0:
@@ -190,17 +189,14 @@ def _trial_series(trial: PressTrial,
                   params: CusumParams) -> tuple[SmoothedSeries, BaselineStats]:
     """A trial's smoothed press-window series and its baseline statistics.
 
-    A zero-length baseline window falls back to one event per bin.
+    The statistics are those of the trial's background snippet (see
+    :func:`trial_background_snippets`); a zero-length baseline window,
+    which has none, falls back to one event per bin.
     """
-    if trial.baseline_t1_s - trial.baseline_t0_s <= 0:
-        base = BaselineStats(1.0 / params.bin_s, math.sqrt(1.0 / params.bin_s))
-    else:
-        base_times = merge_times_s(baseline_events(trial, 1),
-                                   baseline_events(trial, 2))
-        base_series = smoothed_rate(base_times, trial.baseline_t0_s,
-                                    trial.baseline_t1_s, params.bin_s,
-                                    params.sigma_s)
-        base = baseline_stats(base_series)
+    background, _ = _snippet_series(trial_background_snippets([trial]),
+                                    params)
+    base = background[0][1] if background else BaselineStats(
+        1.0 / params.bin_s, math.sqrt(1.0 / params.bin_s))
     press_times = merge_times_s(press_events(trial, 1), press_events(trial, 2))
     series = smoothed_rate(press_times, trial.t0_s, trial.t1_s,
                            params.bin_s, params.sigma_s)
@@ -309,16 +305,17 @@ def trial_background_snippets(trials) -> list[tuple[float, float, np.ndarray]]:
     """Baseline windows of a trial list as (t0, t1, merged times) tuples."""
     out = []
     for tr in trials:
-        if tr.baseline_t1_s - tr.baseline_t0_s <= 0:
+        if tr.t0_s - tr.baseline_t0_s <= 0:
             continue
         times = merge_times_s(baseline_events(tr, 1), baseline_events(tr, 2))
-        out.append((tr.baseline_t0_s, tr.baseline_t1_s, times))
+        out.append((tr.baseline_t0_s, tr.t0_s, times))
     return out
 
 
 def tune_threshold(press_trials, background_snippets, params: CusumParams,
-                   h_grid=None, min_tpr: float = 0.95) -> TuneResult:
-    """Largest h on a log grid keeping the true-positive rate at target.
+                   h_grid=None) -> TuneResult:
+    """Largest h on a log grid keeping the true-positive rate at
+    ``TUNE_MIN_TPR``.
 
     The TPR counts trials whose detected onset falls within the
     acceptance window of the population median onset at that h. The ROC
@@ -340,12 +337,12 @@ def tune_threshold(press_trials, background_snippets, params: CusumParams,
     for h, row, fa in zip(hs, onsets, rates):
         tpr, _ = _tpr_at(row, params.detect_window_s)
         roc.append(RocPoint(h, tpr, fa))
-        if tpr >= min_tpr:
+        if tpr >= TUNE_MIN_TPR:
             best = roc[-1]
     if best is None:
         top = max(roc, key=lambda r: r.tpr)
         raise TuningError(
-            f"no threshold reaches {min_tpr:.0%} TPR "
+            f"no threshold reaches {TUNE_MIN_TPR:.0%} TPR "
             f"(best {top.tpr:.1%} at h={top.h:.3g})",
             best_tpr=top.tpr, best_h=top.h)
     return TuneResult(best.h, best.tpr, roc)

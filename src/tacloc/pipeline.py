@@ -21,6 +21,8 @@ from .ingest import RunConfig, align_streams
 from .metrics import EvaluationReport, evaluate
 from .segment import PressTrial, press_events, segment_by_schedule
 
+CALIBRATION_REPETITION = 0  # the repetition calibration fits models on
+
 _NO_CLUSTER = ClusterResult(np.zeros(0, dtype=np.int64), 0, float("nan"),
                             False)
 
@@ -176,20 +178,22 @@ def run_localization(prepared: PreparedRun, cfg: RunConfig,
     return report, table, trials
 
 
-def calibration_observations(table: TrialTable, cfg: RunConfig,
-                             repetition: int = 0):
-    """(u1, u2, ground truth) from one repetition's valid, non-excluded trials."""
-    rows = (table.valid & (table.repetition == repetition)
+def calibration_observations(table: TrialTable, cfg: RunConfig):
+    """(u1, u2, ground truth) from the valid, non-excluded trials of
+    ``CALIBRATION_REPETITION``."""
+    rows = (table.valid & (table.repetition == CALIBRATION_REPETITION)
             & ~np.isin(table.press_index, list(cfg.exclude_presses)))
     return table.centroid_u[rows, 0], table.centroid_u[rows, 1], table.gt_mm[rows]
 
 
 def run_calibration(prepared: PreparedRun, cfg: RunConfig,
                     ) -> tuple[CalibrationResult, TrialTable]:
-    """Fit camera parameters on repetition 0 of a prepared recording."""
-    rep0 = [t for t in segment(prepared, cfg) if t.repetition == 0]
+    """Fit camera parameters on ``CALIBRATION_REPETITION`` of a prepared
+    recording."""
+    rep0 = [t for t in segment(prepared, cfg)
+            if t.repetition == CALIBRATION_REPETITION]
     table = localize_trials(rep0, cfg.camera_models, cfg.cluster)
-    u1, u2, gt = calibration_observations(table, cfg, repetition=0)
+    u1, u2, gt = calibration_observations(table, cfg)
     fit = calibrate(cfg.camera_models, u1, u2, gt, free=cfg.calibration_free,
                     side_mm=cfg.layout.side_mm)
     return fit, table

@@ -13,14 +13,14 @@ if TYPE_CHECKING:  # ingest imports latency, which imports this module
 
 @dataclass(frozen=True)
 class PressTrial:
-    """One scheduled press: its event slices, window, and ground truth."""
+    """One scheduled press: its event slices, its press window [t0_s,
+    t1_s), its baseline window [baseline_t0_s, t0_s), and ground truth."""
 
     press_index: int
     repetition: int
     t0_s: float
     t1_s: float
     baseline_t0_s: float
-    baseline_t1_s: float
     events_cam1: EventStream
     events_cam2: EventStream
     ground_truth_mm: tuple[float, float]
@@ -38,14 +38,9 @@ def segment_by_schedule(s1: EventStream, s2: EventStream,
     schedule's relative onsets are measured from. Onsets outside the
     stream extent produce trials flagged missing rather than dropped.
     """
-    ext1 = s1.extent_s()
-    ext2 = s2.extent_s()
-    extents = [e for e in (ext1, ext2) if e is not None]
-    if extents:
-        lo = min(e[0] for e in extents)
-        hi = max(e[1] for e in extents)
-    else:
-        lo = hi = None
+    extents = [e for e in (s1.extent_s(), s2.extent_s()) if e is not None]
+    lo = min((e[0] for e in extents), default=None)
+    hi = max((e[1] for e in extents), default=None)
     dur = schedule.press_duration_s
     trials = []
     prev_end = None
@@ -60,7 +55,7 @@ def segment_by_schedule(s1: EventStream, s2: EventStream,
         trials.append(PressTrial(
             press_index=int(schedule.press_index[i]),
             repetition=int(schedule.repetition[i]),
-            t0_s=t0, t1_s=t1, baseline_t0_s=b0, baseline_t1_s=t0,
+            t0_s=t0, t1_s=t1, baseline_t0_s=b0,
             events_cam1=s1.slice_time_s(b0, t1),
             events_cam2=s2.slice_time_s(b0, t1),
             ground_truth_mm=(float(schedule.ground_truth_mm[i, 0]),
@@ -79,4 +74,4 @@ def press_events(trial: PressTrial, camera: int) -> EventStream:
 
 def baseline_events(trial: PressTrial, camera: int) -> EventStream:
     s = trial.events_cam1 if camera == 1 else trial.events_cam2
-    return s.slice_time_s(trial.baseline_t0_s, trial.baseline_t1_s)
+    return s.slice_time_s(trial.baseline_t0_s, trial.t0_s)

@@ -44,20 +44,16 @@ class RateProfile:
         a, b, c = self.rise, self.plateau, self.fall
         # areas of the trapezoid pieces (peak density 1)
         w = np.array([a / 2.0, b, c / 2.0])
-        total = w.sum()
-        if total <= 0:
-            return rng.random(n)
-        w = w / total
+        w = w / w.sum()
         x = rng.random(n)
         out = np.empty(n)
+        # a piece of zero width has an empty mask, except that w[0] + w[1]
+        # may round below 1 when c is 0
         m0 = x < w[0]
         m2 = x >= w[0] + w[1]
         m1 = ~(m0 | m2)
-        if a > 0:
-            out[m0] = a * np.sqrt(x[m0] / w[0])
-        else:
-            out[m0] = 0.0
-        out[m1] = a + (x[m1] - w[0]) / w[1] * b if b > 0 else a
+        out[m0] = a * np.sqrt(x[m0] / w[0])
+        out[m1] = a + (x[m1] - w[0]) / w[1] * b
         if c > 0:
             out[m2] = 1.0 - c * np.sqrt((1.0 - (x[m2] - w[0] - w[1]) / w[2]).clip(0))
         else:

@@ -144,7 +144,7 @@ class TestRunSweep:
         # presses, which the oracle flags missing
         prepared, cfg, base, table = sweep_setup
         factors, seeds = [1, 4, 64, 4096, 65536], [0, 1, -1, 2**63]
-        sweep = run_sweep(prepared, cfg, factors, seeds, (base, table))
+        sweep = run_sweep(prepared, cfg, factors, seeds)
         want, reasons = sweep_by_thinning(prepared, cfg, factors, seeds,
                                           (base, table))
         assert "missing" not in table.reason
@@ -159,8 +159,7 @@ class TestRunSweep:
 
     def test_single_factor_equals_baseline(self, sweep_setup):
         prepared, cfg, base, table = sweep_setup
-        sweep = run_sweep(prepared, cfg, [1], [0, 1],
-                          (base, table))
+        sweep = run_sweep(prepared, cfg, [1], [0, 1])
         for cell in sweep.cells:
             assert cell.report.rmse_mm == base.rmse_mm
             assert cell.report.pass_rate_percent == base.pass_rate_percent
@@ -186,8 +185,7 @@ class TestRunSweep:
 
     def test_curve_non_increasing_within_noise(self, sweep_setup):
         prepared, cfg, base, table = sweep_setup
-        sweep = run_sweep(prepared, cfg, [1, 4, 16, 64], [0, 1, 2],
-                          (base, table))
+        sweep = run_sweep(prepared, cfg, [1, 4, 16, 64], [0, 1, 2])
         curve = sweep.curve()
         base_rate = curve[0]["pass_rate_mean"]
         for row in curve[1:]:
@@ -196,8 +194,7 @@ class TestRunSweep:
 
     def test_csv_rows_complete(self, sweep_setup):
         prepared, cfg, base, table = sweep_setup
-        sweep = run_sweep(prepared, cfg, [1, 8], [0],
-                          (base, table))
+        sweep = run_sweep(prepared, cfg, [1, 8], [0])
         cols = sweep.csv_columns()
         assert len(cols["k"]) == 2
         assert set(cols["k"]) == {1, 8}
@@ -207,8 +204,7 @@ class TestRunSweep:
         # a factor harsh enough to kill every cluster must still produce
         # a sweep row (pass rate 0), not abort the sweep
         prepared, cfg, base, table = sweep_setup
-        sweep = run_sweep(prepared, cfg, [1, 4096], [0],
-                          (base, table))
+        sweep = run_sweep(prepared, cfg, [1, 4096], [0])
         dead = [c for c in sweep.cells if c.k == 4096][0]
         assert dead.report.n_valid == 0
         assert dead.report.pass_rate_percent == 0.0
@@ -216,8 +212,7 @@ class TestRunSweep:
 
     def test_mean_cluster_size_scales_inversely(self, sweep_setup):
         prepared, cfg, base, table = sweep_setup
-        sweep = run_sweep(prepared, cfg, [1, 4], [0],
-                          (base, table))
+        sweep = run_sweep(prepared, cfg, [1, 4], [0])
         sizes = {c.k: c.mean_cluster_size for c in sweep.cells}
         ratio = sizes[1] / sizes[4]
         sigma = 4 / np.sqrt(sizes[4])

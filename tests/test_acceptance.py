@@ -232,9 +232,8 @@ class TestCriterion5Thinning:
                          background_rate_per_camera=0.0)
         s1, s2, _ = generate(spec)
         prepared = pipeline.prepare_run(s1, s2, cfg)
-        base, table, _ = pipeline.run_localization(prepared, cfg)
-        sweep = run_sweep(prepared, cfg, [1, 4, 64, 1024], [0, 1, 2, 3, 4],
-                          (base, table))
+        sweep = run_sweep(prepared, cfg, [1, 4, 64, 1024], [0, 1, 2, 3, 4])
+        base = next(c.report for c in sweep.cells if c.k == 1)
         curve = {row["k"]: row for row in sweep.curve()}
 
         base_rate = curve[1]["pass_rate_mean"]

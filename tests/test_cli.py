@@ -17,12 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tacloc
-from tacloc import latency
+from tacloc import ablate, cli, latency, pipeline
 from tacloc.cli import main
 from tacloc.events import EventStream, SensorLayout
 from tacloc.geometry import CameraModel, FreeParams
 from tacloc.ingest import (IngestError, PressSchedule, SyncSpec,
-                           config_from_dict, read_events, write_events)
+                           config_from_dict, load_config, read_events,
+                           write_events)
 from tacloc.latency import CusumParams
 from tacloc.segment import segment_by_schedule
 from tacloc.synth import SynthSpec, spec_from_config
@@ -494,6 +495,34 @@ class TestAblate:
             b"k,seed,rmse_mm,pass_rate_percent,mean_cluster_size,n_valid\r\n")
         curve = json.loads((out / "ablation_curve.json").read_text())
         assert [c["k"] for c in curve["curve"]] == [1, 4]
+
+    def test_segments_once_and_k1_cells_are_the_unthinned_run(
+            self, sim_dir, tmp_path, monkeypatch):
+        tmp, cfgp = sim_dir
+        segmented, sweeps = [], []
+        segment, run_sweep = pipeline.segment_by_schedule, ablate.run_sweep
+
+        def counted(*args, **kwargs):
+            segmented.append(args)
+            return segment(*args, **kwargs)
+
+        def kept(*args):
+            sweeps.append(run_sweep(*args))
+            return sweeps[-1]
+
+        monkeypatch.setattr(pipeline, "segment_by_schedule", counted)
+        monkeypatch.setattr(ablate, "run_sweep", kept)
+        assert main(["ablate", "--config", str(cfgp), "--out",
+                     str(tmp_path / "abl"), "--factors", "1,4",
+                     "--seeds", "0,1"]) == 0
+        assert len(segmented) == 1
+        cfg = load_config(cfgp)
+        report, _, _ = pipeline.run_localization(cli._prepare(cfg), cfg)
+        k1 = [c.report for c in sweeps[0].cells if c.k == 1]
+        assert len(k1) == 2
+        for got in k1:
+            assert json.dumps(got.to_json_dict()) \
+                == json.dumps(report.to_json_dict())
 
     # a repeated factor would run its cells twice and write two equal
     # curve rows; a repeated seed would give a spread of 0 from one cell

@@ -42,7 +42,9 @@ class TestEventStream:
         (1, 65541, "u"), (2, 65546, "v"), (3, 256, "polarity"),
         (0, -1, "t_us"), (0, 0.5, "t_us"), (0, 0.7, "t_us"),
         (1, float("nan"), "u"), (0, 2**64, "t_us"),
-        (0, float(2**63), "t_us"), (1, -2**70, "u")])
+        (0, float(2**63), "t_us"), (1, -2**70, "u"),
+        # a list that numpy holds as float64 is named by its exact int
+        (0, 2**63, "t_us")])
     def test_refuses_what_the_cast_would_change(self, column, value, name):
         cols = [[10, 20], [1, 2], [3, 4], [0, 1]]
         cols[column] = [cols[column][0], value]
@@ -56,6 +58,15 @@ class TestEventStream:
         assert s.t.tolist() == [10, 2**62]
         assert s.u.tolist() == [639, 0] and s.v.tolist() == [479, 0]
         assert s.polarity.tolist() == [255, 0]
+
+    def test_leaves_the_callers_arrays_writable(self):
+        t = np.array([10, 20, 30], dtype=np.int64)
+        u = np.array([1, 2, 3], dtype=np.int16)
+        s = EventStream(1, t, u, [0, 0, 0], [0, 0, 0])
+        t[0] = 5
+        u[0] = 7
+        assert s.t.tolist() == [10, 20, 30]
+        assert s.u.tolist() == [1, 2, 3]
 
     def test_immutable(self):
         s = stream_from_rows([[10, 1, 2, 1]])

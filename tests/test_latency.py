@@ -41,7 +41,7 @@ def jittered_trials(rng, n_trials, idle_rate, press_rate, jitter_s=0.030,
             streams.append(EventStream(cam, t_us, rng.integers(0, 640, m),
                                        rng.integers(200, 361, m),
                                        rng.integers(0, 2, m)))
-        trials.append(PressTrial(i, 0, t0, t0 + duration_s, b0, t0,
+        trials.append(PressTrial(i, 0, t0, t0 + duration_s, b0,
                                  streams[0], streams[1], (0.0, 0.0)))
     return trials, np.array(true_onsets)
 
@@ -228,7 +228,7 @@ def report_by_trial(trials, snippets, params):
 def without_baseline(trial):
     """The trial with a zero-length baseline window."""
     return PressTrial(trial.press_index, trial.repetition, trial.t0_s,
-                      trial.t1_s, trial.t0_s, trial.t0_s, trial.events_cam1,
+                      trial.t1_s, trial.t0_s, trial.events_cam1,
                       trial.events_cam2, trial.ground_truth_mm)
 
 
@@ -369,7 +369,7 @@ class TestLatencyReport:
                                     press_rate=14_300.0, jitter_s=0.0)
         rep_full = latency_report(trials, replace(PARAMS, h=3.0))
         thinned = [PressTrial(t.press_index, t.repetition, t.t0_s, t.t1_s,
-                              t.baseline_t0_s, t.baseline_t1_s,
+                              t.baseline_t0_s,
                               thin(t.events_cam1, 1024, seed=1),
                               thin(t.events_cam2, 1024, seed=1),
                               t.ground_truth_mm)

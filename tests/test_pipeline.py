@@ -130,11 +130,11 @@ class TestCalibrationFlow:
     def test_observations_filter(self, run20):
         cfg, prepared, _ = run20
         _, results, _ = pipeline.run_localization(prepared, cfg)
-        u1, u2, gt = pipeline.calibration_observations(results, cfg, repetition=0)
+        u1, u2, gt = pipeline.calibration_observations(results, cfg)
         assert len(u1) == 20
         cfg_excl = RunConfig(layout=cfg.layout, schedule=cfg.schedule,
                              exclude_presses=(0, 1, 2))
-        u1b, _, _ = pipeline.calibration_observations(results, cfg_excl, 0)
+        u1b, _, _ = pipeline.calibration_observations(results, cfg_excl)
         assert len(u1b) == 17
 
     def test_run_calibration_improves_perturbed_start(self, run20):

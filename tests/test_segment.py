@@ -31,7 +31,6 @@ class TestSegmentBySchedule:
         for tr, onset in zip(trials, schedule.onsets_s):
             assert tr.t0_s == pytest.approx(spec.tap_start_s + onset)
             assert tr.t1_s - tr.t0_s == pytest.approx(layout.press_duration_s)
-            assert tr.baseline_t1_s == tr.t0_s
             assert not tr.missing
 
     def test_slices_contain_own_burst_only(self):

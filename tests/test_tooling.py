@@ -4,7 +4,8 @@ import ast
 import importlib
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def _wrapped() -> dict:
@@ -30,3 +31,14 @@ def test_traced_names_exist():
                if not callable(getattr(importlib.import_module(
                    f"tacloc.{layer}"), name, None))]
     assert missing == []
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject's requires-python floor; only a 3.10 interpreter would
+    # otherwise notice syntax from a later version
+    paths = [p for d in ("src/tacloc", "tests", "bench")
+             for p in sorted((ROOT / d).glob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
