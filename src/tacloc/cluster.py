@@ -90,6 +90,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .events import sort_packed
+
 NOISE = -1
 
 # the pixel-grid path needs 8-adjacent pixels to be eps-neighbors and a
@@ -275,15 +277,13 @@ def _label8(img):
 
 def _packed_unique(keys):
     """Unique values of non-negative int64 ``keys``, the inverse map,
-    multiplicities and first input index, from one sort of
-    ``key << b | index`` with b the bit width of ``len(keys)``: equal keys
-    sort by index, so each run of a key starts at its first occurrence."""
+    multiplicities and first input index, from one ``sort_packed``: equal
+    keys sort by index, so each run of a key starts at its first
+    occurrence."""
     n = len(keys)
-    b = n.bit_length()
-    assert int(keys.max()) < 1 << (63 - b), "packed keys overflow int64"
-    packed = np.sort(keys << b | np.arange(n))
-    ordered = packed >> b
-    index = packed & ((1 << b) - 1)
+    assert int(keys.max()) < 1 << (63 - n.bit_length()), \
+        "packed keys overflow int64"
+    ordered, index = sort_packed(keys)
     new = np.empty(n, dtype=bool)
     new[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])

@@ -315,7 +315,7 @@ def write_events(stream: EventStream, path, fmt: str = "bin") -> None:
         with open(path, "wb") as fh:
             fh.write(struct.pack("<4sB3xQ", BINARY_MAGIC, BINARY_VERSION,
                                  len(stream)))
-            fh.write(rec.tobytes())
+            fh.write(rec.data)
         return
     raise ValueError(f"unknown event format: {fmt}")
 

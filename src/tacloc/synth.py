@@ -4,6 +4,9 @@ Forward-projects scheduled presses through ground-truth camera models
 into timed event bursts, adds frame-wide background noise and the
 three-tap synchronization preamble, and keeps a per-event source map so
 tests can check any pipeline stage against construction truth.
+Each stream is in time order, and events with equal timestamps keep
+the order of their sources: the taps, then each press's bursts in
+schedule order, then the background.
 
 Every random quantity is drawn from a substream keyed by
 (seed, camera, source), so generation order (or parallelism) cannot
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .events import (DEFAULT_ROI, SENSOR_HEIGHT, SENSOR_WIDTH, US_PER_S,
-                     CameraId, EventStream, SensorLayout)
+                     CameraId, EventStream, SensorLayout, sort_times)
 from .geometry import CameraModel, default_models, project_points
 from .ingest import PressSchedule, SyncSpec, make_schedule
 
@@ -212,7 +215,10 @@ def generate(spec: SynthSpec) -> tuple[EventStream, EventStream, TruthManifest]:
     """Produce the two camera streams and their construction truth.
 
     Presses that do not project into a camera's field of view are flagged
-    in the manifest and generate no burst for that camera.
+    in the manifest and generate no burst for that camera. Each stream,
+    and its source map, is sorted by time; ties keep source order (the
+    taps, then each press's main and secondary burst, then the
+    background).
     """
     schedule = spec.schedule
     gt = schedule.ground_truth_mm
@@ -283,13 +289,13 @@ def generate(spec: SynthSpec) -> tuple[EventStream, EventStream, TruthManifest]:
 
         t_all, u_all, v_all, p_all, src_all = (np.concatenate(col)
                                                for col in zip(*bursts))
+        t_all, order = sort_times(t_all)
         if cam == 2 and spec.cam2_extra_offset_s:
-            shift = int(round(spec.cam2_extra_offset_s * US_PER_S))
-            t_all = t_all + shift
-            if len(t_all) and t_all.min() < 0:
-                t_all = t_all - t_all.min()
-        order = np.argsort(t_all, kind="stable")
-        streams.append(EventStream(CameraId(cam), t_all[order], u_all[order],
+            # a uniform shift keeps the order
+            t_all += int(round(spec.cam2_extra_offset_s * US_PER_S))
+            if len(t_all) and t_all[0] < 0:
+                t_all -= t_all[0]
+        streams.append(EventStream(CameraId(cam), t_all, u_all[order],
                                    v_all[order], p_all[order]))
         sources.append(src_all[order])
 

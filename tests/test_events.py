@@ -4,11 +4,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tacloc.events import (EVENT_COLUMNS, EventStream, SensorLayout, crop_roi,
-                           event_rate_histogram, meander_grid)
+                           event_rate_histogram, meander_grid, sort_times)
 
 from .conftest import uniform_stream
 
@@ -35,6 +35,9 @@ class TestEventStream:
             stream_from_rows([[10, 0, 480, 0]])
         with pytest.raises(ValueError):
             stream_from_rows([[-1, 0, 0, 0]])
+        for t in ([[1, 2]], [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="^column t_us must be one-"):
+                EventStream(1, t, [[0, 0]], [[0, 0]], [[0, 0]])
 
     # each value a cast to the stored dtype used to wrap or truncate, and
     # values no int64 column can hold
@@ -58,6 +61,26 @@ class TestEventStream:
         assert s.t.tolist() == [10, 2**62]
         assert s.u.tolist() == [639, 0] and s.v.tolist() == [479, 0]
         assert s.polarity.tolist() == [255, 0]
+        # an int item beside a float, which float64 would round to 2**63
+        # (refused) or to 2**62
+        for t in ([0.0, 2**63 - 1], (0.0, 2**62 + 1)):
+            s = EventStream(1, t, [0, 0], [0, 0], [0, 0])
+            assert s.t.tolist() == [0, t[1]]
+
+    def test_sorts_tied_times_stably_with_one_packed_sort(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        n = 5000
+        t = rng.integers(0, 50, n)  # about 100 events per timestamp
+        u = rng.integers(0, 640, n)
+        order = np.argsort(t, kind="stable")
+
+        def no_argsort(*args, **kwargs):
+            raise AssertionError("a span this small takes the packed sort")
+
+        monkeypatch.setattr(np, "argsort", no_argsort)
+        s = EventStream(1, t, u, np.zeros(n), np.ones(n))
+        assert s.t.tolist() == t[order].tolist()
+        assert s.u.tolist() == u[order].tolist()
 
     def test_leaves_the_callers_arrays_writable(self):
         t = np.array([10, 20, 30], dtype=np.int64)
@@ -245,6 +268,33 @@ def test_gate_refuses_or_stores_exactly(cols):
     order = np.argsort(arrays[0], kind="stable")
     for got, want in zip((s.t, s.u, s.v, s.polarity), arrays):
         assert got.tolist() == want[order].tolist()
+
+
+@st.composite
+def _tied_times(draw):
+    """At least two heavily tied int64 times whose span is 3, one less
+    than the bound below which ``sort_times`` packs, or that bound."""
+    n = draw(st.integers(2, 60))
+    bound = 1 << (63 - n.bit_length())
+    span = draw(st.sampled_from([3, bound - 1, bound]))
+    t0 = draw(st.integers(-2**63, 2**63 - 1 - span))
+    offsets = draw(st.lists(st.sampled_from([0, 1, 2, span // 2, span]),
+                            min_size=n - 2, max_size=n - 2))
+    for end in (0, span):
+        offsets.insert(draw(st.integers(0, len(offsets))), end)
+    return np.array([t0 + x for x in offsets], dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_times())
+@example(np.zeros(0, dtype=np.int64))
+@example(np.array([-2**63]))
+@example(np.array([2**63 - 1]))
+def test_sort_times_is_the_stable_argsort(t):
+    order = np.argsort(t, kind="stable")
+    got_t, got_order = sort_times(t)
+    assert got_order.tolist() == order.tolist()
+    assert got_t.tolist() == t[order].tolist()
 
 
 class TestSensorLayout:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import logging
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -88,6 +89,10 @@ class TestEventFiles:
         raw = p.read_bytes()
         assert len(raw) == 16 + 16 * 7
         assert raw[:4] == b"EVT1"
+        assert raw[16:] == b"".join(
+            struct.pack("<qHHB3x", *row)
+            for row in zip(s.t.tolist(), s.u.tolist(), s.v.tolist(),
+                           s.polarity.tolist()))
 
     def test_binary_bad_magic(self, tmp_path):
         p = tmp_path / "a.evt"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tacloc import synth
 from tacloc.geometry import project_points
 from tacloc.ingest import make_schedule
 from tacloc.synth import RateProfile, SynthSpec, generate
@@ -124,6 +125,26 @@ class TestGenerate:
         _, s2a, _ = generate(base)
         _, s2b, _ = generate(off)
         assert np.array_equal(s2b.t, s2a.t + 500_000)
+
+    def test_packed_sort_matches_a_stable_argsort(self, monkeypatch):
+        kw = dict(seed=12, secondary_blob_frac=0.3)
+        got = generate(make_spec(cam2_extra_offset_s=-2.5, **kw))
+        unshifted = generate(make_spec(**kw))
+
+        def argsort_times(t):
+            order = np.argsort(t, kind="stable")
+            return t[order], order
+
+        monkeypatch.setattr(synth, "sort_times", argsort_times)
+        want = generate(make_spec(cam2_extra_offset_s=-2.5, **kw))
+        for a, b in zip(got[:2], want[:2]):
+            assert np.any(np.diff(a.t) == 0)  # ties to keep in order
+            for col in ("t", "u", "v", "polarity"):
+                assert np.array_equal(getattr(a, col), getattr(b, col))
+        assert np.array_equal(got[2].sources_cam1, want[2].sources_cam1)
+        assert np.array_equal(got[2].sources_cam2, want[2].sources_cam2)
+        # a shift below zero moves the first event to zero
+        assert np.array_equal(got[1].t, unshifted[1].t - unshifted[1].t[0])
 
     def test_projected_center_matches_geometry(self):
         spec = make_spec(seed=9, background_rate_per_camera=0.0,

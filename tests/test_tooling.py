@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import ast
 import importlib
+import warnings
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
@@ -42,3 +45,14 @@ def test_sources_parse_as_python_3_10():
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                   feature_version=(3, 10))
+
+
+def test_deprecations_in_the_program_fail():
+    # pyproject turns a DeprecationWarning raised from a tacloc module
+    # into an error; one from elsewhere stays a warning
+    with pytest.raises(DeprecationWarning):
+        warnings.warn_explicit("old API", DeprecationWarning, "ingest.py", 1,
+                               module="tacloc.ingest")
+    with pytest.warns(DeprecationWarning):
+        warnings.warn_explicit("old API", DeprecationWarning, "x.py", 1,
+                               module="numpy")
