@@ -71,12 +71,10 @@ events or the empty cells of a set's span.
    labeling is run-based (He, Chao & Suzuki 2008): runs of set pixels
    along v, one pair per run of the next u row that touches a run,
    diagonals included, and connected components over those pairs.
-6. Frontier: in crops with more than one label, one summed-area table
-   of (core, label, label^2) gives sum (l - L)^2 over each core's disk;
-   where it is nonzero, a core of another label is within eps. Half-disk
-   gathers from these cores give the label pairs to join, and connected
-   components close them. Clusters are numbered per set by
-   (set, first input index).
+6. Frontier: in a crop with more than one label, every core gathers
+   the labels of the cores in its half disk; the pairs of different
+   labels are the ones to join, and connected components close them.
+   Clusters are numbered per set by (set, first input index).
 7. Border: each non-core point near its set's cores gathers every disk
    offset in (d^2, du, dv) order at once; the first core hit is the
    nearest, with the canonical tie-break.
@@ -179,12 +177,11 @@ def _disk(eps: float):
 
 
 def _summed_area(pu, pv, values, shape):
-    """Summed-area table of the image of ``shape`` holding ``values`` (one
-    row per point, or one value) at (pu, pv): entry [u, v] sums the rows
-    before u and the columns before v. It may wrap around; box sums that
-    fit the dtype are still exact."""
+    """Summed-area table of the image of ``shape`` holding the point
+    counts ``values`` at (pu, pv): entry [u, v] sums the rows before u
+    and the columns before v."""
     w, h = shape
-    table = np.zeros((w + 1, h + 1) + values.shape[1:], dtype=values.dtype)
+    table = np.zeros((w + 1, h + 1), dtype=values.dtype)
     table[pu + 1, pv + 1] = values
     np.cumsum(table, axis=0, out=table, dtype=table.dtype)
     np.cumsum(table, axis=1, out=table, dtype=table.dtype)
@@ -192,12 +189,12 @@ def _summed_area(pu, pv, values, shape):
 
 
 def _box_sum(table, pu, pv, boxes):
-    """Sums over the union of ``boxes`` ``(du0, du1, dv0, dv1)``, each
-    shifted to every point (pu, pv), from a summed-area table: four
-    gathers per box, in chunks of about 2^18 cells. Every box must lie
-    inside the image."""
+    """Each point's sum over the union of ``boxes`` ``(du0, du1, dv0,
+    dv1)`` shifted to (pu, pv), from a summed-area table: four gathers
+    per box, in chunks of about 2^18 cells. Every box must lie inside
+    the image."""
     h = table.shape[1]
-    flat = table.reshape((-1,) + table.shape[2:])
+    flat = table.ravel()
     du0, du1, dv0, dv1 = boxes.T
     # the corners to add, then those to subtract; a gather with one row
     # per corner sums over its first axis fast
@@ -205,7 +202,7 @@ def _box_sum(table, pu, pv, boxes):
                             du0 * h + dv1 + 1, (du1 + 1) * h + dv0])[:, None]
     k = 2 * len(boxes)
     at = pu * h + pv
-    total = np.empty((len(pu),) + table.shape[2:], dtype=np.int64)
+    total = np.empty(len(pu), dtype=np.int64)
     chunk = max(1, (1 << 18) // len(steps))
     for i in range(0, len(at), chunk):
         g = flat[steps + at[i:i + chunk]]
@@ -450,30 +447,20 @@ def _dbscan_pixel_grid(offsets, boxes, params: DbscanParams):
     multi = np.repeat(np.maximum.reduceat(lab, cstarts)
                       > np.minimum.reduceat(lab, cstarts), per_crop)
     if np.any(multi):
-        # frontier: cores with a core of another label L' within eps, where
-        # sum (L' - L)^2 = S2 - 2 L S1 + L^2 N over the disk is nonzero; if
-        # that sum could leave int64, every such core is on the frontier
+        # frontier: every core of such a crop gathers its half disk, so
+        # each cross pair is seen from its first end
         front = np.flatnonzero(multi)
-        if len(offs) * n_lab ** 2 < 2**63:
-            fl = lab[front]
-            planes = np.column_stack([np.ones_like(fl), fl, fl * fl])
-            n, s1, s2 = _box_sum(_summed_area(cu[front], cv[front], planes,
-                                              shape),
-                                 cu[front], cv[front], disk).T
-            front = front[s2 - 2 * fl * s1 + fl * fl * n != 0]
-        if len(front):
-            # each cross pair is seen from its first end in the half disk
-            half = offs[(offs[:, 1] > 0) | ((offs[:, 1] == 0) & (offs[:, 2] > 0))]
-            lab_flat = (lab_img * core_img).ravel()
-            src, dst = [], []
-            for i, hit in _gather_rows(lab_flat, cu[front] * height + cv[front],
-                                       half[:, 1] * height + half[:, 2]):
-                own = lab[front[i:i + len(hit)], None]
-                cross = (hit != 0) & (hit != own)
-                src.append(np.broadcast_to(own, hit.shape)[cross])
-                dst.append(hit[cross])
-            comp = _components(n_lab, np.concatenate(src) - 1,
-                                np.concatenate(dst) - 1)[comp]
+        half = offs[(offs[:, 1] > 0) | ((offs[:, 1] == 0) & (offs[:, 2] > 0))]
+        lab_flat = (lab_img * core_img).ravel()
+        src, dst = [], []
+        for i, hit in _gather_rows(lab_flat, cu[front] * height + cv[front],
+                                   half[:, 1] * height + half[:, 2]):
+            own = lab[front[i:i + len(hit)], None]
+            cross = (hit != 0) & (hit != own)
+            src.append(np.broadcast_to(own, hit.shape)[cross])
+            dst.append(hit[cross])
+        comp = _components(n_lab, np.concatenate(src) - 1,
+                           np.concatenate(dst) - 1)[comp]
     full = np.full(len(kept), -1, dtype=np.int64)
     full[core] = comp
     sub = _renumber(full, core, first_index[kept], len(kept))

@@ -313,13 +313,3 @@ def event_rate_histogram(stream: EventStream, bin_s: float) -> RateSeries:
     idx = (t - t0) // bin_us
     counts = np.bincount(idx, minlength=n_bins)
     return RateSeries(t0 / US_PER_S, bin_us / US_PER_S, counts)
-
-
-def merge_times_s(*streams: EventStream) -> np.ndarray:
-    """Sorted aligned event times (seconds) pooled across streams."""
-    parts = [s.times_s() for s in streams if len(s)]
-    if not parts:
-        return np.zeros(0, dtype=np.float64)
-    merged = np.concatenate(parts)
-    merged.sort(kind="stable")
-    return merged

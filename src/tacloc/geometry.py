@@ -96,8 +96,6 @@ def default_models(side_mm: float = 100.0) -> tuple[CameraModel, CameraModel]:
 class Triangulation:
     x_mm: float
     y_mm: float
-    theta1_rad: float
-    theta2_rad: float
     condition: float  # |sin(bearing difference)|
 
 
@@ -168,7 +166,7 @@ def triangulate(m1: CameraModel, u1: float, m2: CameraModel, u2: float) -> Trian
     if cond < DEGENERACY_MIN_SIN:
         raise DegenerateGeometryError(
             f"rays nearly parallel (|sin| = {cond:.3e})")
-    return Triangulation(float(est[0]), float(est[1]), th1, th2, float(cond))
+    return Triangulation(float(est[0]), float(est[1]), float(cond))
 
 
 def _intersect(p1, th1, p2, th2):
@@ -236,7 +234,6 @@ class CalibrationResult:
     initial_rmse_mm: float
     residuals_mm: np.ndarray  # (n, 2); nan rows were degenerate
     n_degenerate: int
-    final_cost: float
 
 
 def _pack(models, names):
@@ -363,4 +360,4 @@ def calibrate(models0, u1, u2, ground_truth, free: FreeParams = FreeParams(),
     n_eff = max(1, int(valid.sum()))
     rmse = math.sqrt(np.nansum(res * res) / n_eff)
     return CalibrationResult((m1, m2), rmse, iterations, converged,
-                             initial_rmse, res, n_deg, cost)
+                             initial_rmse, res, n_deg)

@@ -342,7 +342,7 @@ def detect_sync_taps(stream: EventStream, spec: SyncSpec = SyncSpec()) -> np.nda
     above = rates > thr
     if not np.any(above):
         raise SyncError("no rate peaks above the sync threshold")
-    # contiguous peak regions: (onset bin, peak rate)
+    # contiguous peak regions: (onset bin, peak rate), in time order
     edges = np.flatnonzero(np.diff(np.concatenate(([0], above.view(np.int8), [0]))))
     starts, ends = edges[::2], edges[1::2]
     onsets = hist.bin_starts_s[starts]
@@ -354,20 +354,17 @@ def detect_sync_taps(stream: EventStream, spec: SyncSpec = SyncSpec()) -> np.nda
             f"found {len(onsets)} rate peaks, need {n}",
             candidates_s=onsets.tolist())
     best = None
-    order = np.argsort(onsets)
-    ot = onsets[order]
-    op = peak[order]
-    for combo in combinations(range(len(ot)), n):
-        gaps = np.diff(ot[list(combo)])
+    for combo in combinations(range(len(onsets)), n):
+        gaps = np.diff(onsets[list(combo)])
         if np.all(np.abs(gaps - spec.tap_interval_s) <= spec.spacing_tolerance_s):
-            score = op[list(combo)].sum()
+            score = peak[list(combo)].sum()
             if best is None or score > best[0]:
                 best = (score, combo)
     if best is None:
         raise SyncError(
             "no tap triple with the expected spacing",
-            candidates_s=ot.tolist())
-    return ot[list(best[1])]
+            candidates_s=onsets.tolist())
+    return onsets[list(best[1])]
 
 
 def align_streams(s1: EventStream, s2: EventStream,

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .events import merge_times_s
 from .segment import PressTrial, baseline_events, press_events
 
 
@@ -197,7 +196,8 @@ def _trial_series(trial: PressTrial,
                                     params)
     base = background[0][1] if background else BaselineStats(
         1.0 / params.bin_s, math.sqrt(1.0 / params.bin_s))
-    press_times = merge_times_s(press_events(trial, 1), press_events(trial, 2))
+    press_times = np.concatenate([press_events(trial, cam).times_s()
+                                  for cam in (1, 2)])
     series = smoothed_rate(press_times, trial.t0_s, trial.t1_s,
                            params.bin_s, params.sigma_s)
     return series, base
@@ -302,12 +302,14 @@ def _alarm_rates(snippets, params: CusumParams, hs: list[float]) -> list[float]:
 
 
 def trial_background_snippets(trials) -> list[tuple[float, float, np.ndarray]]:
-    """Baseline windows of a trial list as (t0, t1, merged times) tuples."""
+    """Baseline windows of a trial list as (t0, t1, times) tuples; the
+    times are both cameras' events, camera 1's first, unsorted."""
     out = []
     for tr in trials:
         if tr.t0_s - tr.baseline_t0_s <= 0:
             continue
-        times = merge_times_s(baseline_events(tr, 1), baseline_events(tr, 2))
+        times = np.concatenate([baseline_events(tr, cam).times_s()
+                                for cam in (1, 2)])
         out.append((tr.baseline_t0_s, tr.t0_s, times))
     return out
 

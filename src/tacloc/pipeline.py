@@ -52,12 +52,16 @@ class TrialTable:
 
 @dataclass(frozen=True)
 class PreparedRun:
-    """Aligned, ROI-cropped streams plus the schedule time anchor."""
+    """Aligned, ROI-cropped streams and camera 1's sync tap onsets; the
+    schedule time anchor ``anchor_s`` is the first tap onset."""
 
     s1: EventStream
     s2: EventStream
-    anchor_s: float
     tap_onsets_s: tuple[float, ...]
+
+    @property
+    def anchor_s(self) -> float:
+        return self.tap_onsets_s[0]
 
 
 def prepare_run(s1: EventStream, s2: EventStream, cfg: RunConfig) -> PreparedRun:
@@ -65,7 +69,7 @@ def prepare_run(s1: EventStream, s2: EventStream, cfg: RunConfig) -> PreparedRun
     c1 = crop_roi(s1, cfg.roi[0], cfg.roi[1])
     c2 = crop_roi(s2, cfg.roi[0], cfg.roi[1])
     a1, a2, taps, _ = align_streams(c1, c2, cfg.sync)
-    return PreparedRun(a1, a2, float(taps[0]), tuple(float(t) for t in taps))
+    return PreparedRun(a1, a2, tuple(float(t) for t in taps))
 
 
 def press_pixels(trials) -> list[list[tuple[np.ndarray, np.ndarray]]]:

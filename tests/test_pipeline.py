@@ -34,6 +34,7 @@ class TestPrepareRun:
         cfg, prepared, man = run20
         assert abs(prepared.anchor_s - man.tap_times_s[0]) < 0.020
         assert len(prepared.tap_onsets_s) == 3
+        assert prepared.anchor_s == prepared.tap_onsets_s[0]
 
     def test_sync_taps_detected_once_per_camera(self, run20, monkeypatch):
         cfg, prepared, _ = run20
@@ -230,10 +231,13 @@ def oracle_recordings():
     return out
 
 
+ORACLE_PARAMS = [DbscanParams(), DbscanParams(eps=6.5, min_samples=5,
+                                              min_cluster_points=310)]
+
+
 @pytest.mark.parametrize("cells, events", [(None, None), (30_000, 400),
                                            (1, 1)])
-@pytest.mark.parametrize("params", [DbscanParams(), DbscanParams(
-    eps=6.5, min_samples=5, min_cluster_points=310)])
+@pytest.mark.parametrize("params", ORACLE_PARAMS)
 def test_localize_trials_matches_per_trial_reference(oracle_recordings,
                                                      monkeypatch, cells,
                                                      events, params):
@@ -258,3 +262,28 @@ def test_localize_trials_matches_per_trial_reference(oracle_recordings,
         assert np.array_equal(table.press_index,
                               [t.press_index for t in trials])
         assert np.array_equal(table.gt_mm, [t.ground_truth_mm for t in trials])
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS)
+def test_localize_trial_matches_per_trial_reference(oracle_recordings,
+                                                    params):
+    missing_events = 0
+    for cfg, trials in oracle_recordings:
+        want = _reference_table(trials, cfg.camera_models, params)
+        for i, trial in enumerate(trials):
+            r1, r2, reason = pipeline.localize_trial(trial, params)
+            # stage (b) gives the degenerate reason; stage (a) passes the trial
+            assert reason == want["reason"][i].replace(
+                "degenerate triangulation", "")
+            # equal bits, nan included
+            assert (np.array([r1.centroid_u, r2.centroid_u]).tobytes()
+                    == np.array(want["centroid_u"][i]).tobytes())
+            assert ([r1.largest_cluster_size, r2.largest_cluster_size]
+                    == want["cluster_size"][i])
+            if trial.missing:
+                assert not r1.valid and not r2.valid
+                assert len(r1.labels) == len(r2.labels) == 0
+                missing_events += sum(len(press_events(trial, cam))
+                                      for cam in (1, 2))
+    # a missing trial is not clustered, even when it holds events
+    assert missing_events > 0

@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
+import re
 import warnings
 from pathlib import Path
 
 import pytest
 
+from tacloc.ingest import config_from_dict
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
+README = ROOT / "README.md"
 
 
 def _wrapped() -> dict:
@@ -56,3 +61,25 @@ def test_deprecations_in_the_program_fail():
     with pytest.warns(DeprecationWarning):
         warnings.warn_explicit("old API", DeprecationWarning, "x.py", 1,
                                module="numpy")
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    """The bodies of the README's fenced ``lang`` code blocks."""
+    return re.findall(rf"^```{lang}\n(.*?)^```\n",
+                      README.read_text(encoding="utf-8"), flags=re.M | re.S)
+
+
+def test_readme_config_loads():
+    # a README config that names a deleted or misspelt key fails to load
+    blocks = _readme_blocks("json")
+    assert len(blocks) == 1
+    cfg = config_from_dict(json.loads(blocks[0]))
+    assert cfg.seed == 17
+    assert cfg.cluster.eps == 10
+
+
+def test_readme_imports_run():
+    # a README that names a deleted entry point fails to import it
+    blocks = _readme_blocks("python")
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
