@@ -1,7 +1,7 @@
 """DBSCAN over per-trial pixel coordinates, dominant-cluster centroids,
 and the both-camera press exclusion rule.
 
-Clustering semantics (shared by every implementation path):
+Clustering semantics (shared by ``dbscan`` and ``dbscan_brute``):
 
 * A point is core when the number of points within ``eps`` (Euclidean,
   counting the point itself and any coincident duplicates) is at least
@@ -16,21 +16,20 @@ Clustering semantics (shared by every implementation path):
 * Cluster ids are assigned in first-core-point scan order: clusters are
   numbered by the smallest input index among their core points.
 
-Two accelerated paths implement these semantics: a pixel-grid path for
-integer coordinates and a bucket-grid path for general coordinates
-(eps-sized cells, neighbor candidates from the 3x3 block). The path is
-picked per point set from its raw points, before removing duplicates.
-``dbscan`` clusters one set; ``extract_centroids`` clusters many, and
-runs of consecutive integral sets share one pixel-path pass in chunks
-bounded by ``_CHUNK_CELLS`` image cells and ``_CHUNK_EVENTS`` points (a
-set over either budget runs alone, as ``dbscan`` runs its one set).
-Integer columns go straight to the pixel path's int64 offsets, with no
-float copy and no finite or integrality test. The bucket path
-compresses through a row-wise ``np.unique``, one set at a time.
-``dbscan_brute`` is the independent O(n^2) reference used in tests.
+One pixel-grid path implements these semantics, over whole pixel
+coordinates: integer columns go straight to int64 offsets, with no float
+copy, and any other column must be finite and whole (see ``_columns``).
+``eps`` lies in [``MIN_EPS_PX``, ``MAX_EPS_PX``], and a set whose padded
+span is over ``MAX_SPAN_CELLS`` image cells is refused, so the work is
+linear in the points at a cost bounded by eps^2 each. ``dbscan``
+clusters one set; ``extract_centroids`` clusters many, and runs of
+consecutive sets share one pass in chunks bounded by ``_CHUNK_CELLS``
+image cells and ``_CHUNK_EVENTS`` points (a set over either budget runs
+alone, as ``dbscan`` runs its one set). ``dbscan_brute`` is the
+independent O(n^2) reference used in tests; it takes any float points.
 
-The pixel path has no Python loop over sets, components or points, in
-the spirit of de Berg, Gunawan & Roeloffzen (2017): merge what is surely
+The path has no Python loop over sets, components or points, in the
+spirit of de Berg, Gunawan & Roeloffzen (2017): merge what is surely
 connected, then test distances only where components may touch. Each
 phase runs once over the tiles of all sets in a chunk, and from phase 2
 on its cost follows the occupied pixels near dense cells, not the raw
@@ -92,12 +91,15 @@ from .events import sort_packed
 
 NOISE = -1
 
-# the pixel-grid path needs 8-adjacent pixels to be eps-neighbors and a
-# boundable image size
-_GRID_MIN_EPS = math.sqrt(2.0)
-_GRID_MAX_CELLS = 8_000_000
-# point sets clustered together on the pixel path share images of at
-# most this many first-image cells and points; a larger set runs alone
+# the pre-merge needs 8-adjacent pixels to be eps-neighbors; the disk of
+# offsets, and each border point's gather over it, grow as eps^2
+MIN_EPS_PX = math.sqrt(2.0)
+MAX_EPS_PX = 100.0
+# a set's tile, its span padded by floor(eps) on each side, holds at most
+# this many cells; events (u < 640, v < 480) stay far below it
+MAX_SPAN_CELLS = 8_000_000
+# point sets clustered together share images of at most this many
+# first-image cells and points; a larger set runs alone
 _CHUNK_CELLS = 1 << 19
 _CHUNK_EVENTS = 1 << 16
 
@@ -109,8 +111,10 @@ class DbscanParams:
     min_cluster_points: int | None = None  # validity threshold; defaults to min_samples
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not MIN_EPS_PX <= self.eps <= MAX_EPS_PX:
+            raise ValueError(f"eps must lie in [MIN_EPS_PX sqrt(2), "
+                             f"MAX_EPS_PX {MAX_EPS_PX:g}] px, got "
+                             f"{self.eps:.15g}")
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
         if self.min_cluster_points is None:
@@ -127,33 +131,12 @@ class ClusterResult:
     valid: bool
 
 
-def _compress(pts):
-    """Unique coordinates, inverse map, multiplicities, first input index."""
-    uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
-    return _with_counts(uniq, inverse.ravel(), pts.shape[0])
-
-
 def _with_counts(uniq, inverse, n):
     m = uniq.shape[0]
     mult = np.bincount(inverse, minlength=m).astype(np.int64)
     first_index = np.full(m, n, dtype=np.int64)
     np.minimum.at(first_index, inverse, np.arange(n, dtype=np.int64))
     return uniq, inverse, mult, first_index
-
-
-def _renumber(comp, core_mask, first_index, m):
-    """Labels for unique points: components numbered by first core index."""
-    labels = np.full(m, NOISE, dtype=np.int64)
-    if not np.any(core_mask):
-        return labels
-    n_comp = int(comp[core_mask].max()) + 1
-    comp_first = np.full(n_comp, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(comp_first, comp[core_mask], first_index[core_mask])
-    order = np.argsort(comp_first, kind="stable")
-    relabel = np.empty(n_comp, dtype=np.int64)
-    relabel[order] = np.arange(n_comp)
-    labels[core_mask] = relabel[comp[core_mask]]
-    return labels
 
 
 @lru_cache(maxsize=16)
@@ -437,7 +420,7 @@ def _dbscan_pixel_grid(offsets, boxes, params: DbscanParams):
 
     # pre-merge: cores whose radius-r disks touch or are 8-adjacent lie
     # at most 2r + sqrt(2) <= eps apart, so they share a cluster
-    r = int(math.floor((params.eps - _GRID_MIN_EPS) / 2))
+    r = int(math.floor((params.eps - MIN_EPS_PX) / 2))
     grown = _dilate(core_img, r) if r else core_img
     lab_img, n_lab = _label8(grown)
     lab = lab_img[cu, cv]
@@ -461,11 +444,15 @@ def _dbscan_pixel_grid(offsets, boxes, params: DbscanParams):
             dst.append(hit[cross])
         comp = _components(n_lab, np.concatenate(src) - 1,
                            np.concatenate(dst) - 1)[comp]
-    full = np.full(len(kept), -1, dtype=np.int64)
-    full[core] = comp
-    sub = _renumber(full, core, first_index[kept], len(kept))
-    # first indices grow with the set, so each set's clusters hold a run
-    # of the numbers; start every run at 0
+    # number the clusters by first input index: those grow with the set,
+    # so each set's clusters hold a run of the numbers; start every run
+    # at 0
+    first = np.full(n_lab, np.iinfo(np.int64).max)
+    np.minimum.at(first, comp, first_index[kept[ci]])
+    rank = np.empty(n_lab, dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(n_lab)
+    sub = np.full(len(kept), NOISE, dtype=np.int64)
+    sub[ci] = rank[comp]
     sub[ci] -= np.repeat(np.minimum.reduceat(sub[ci], cstarts), per_crop)
 
     # border: each candidate gathers every disk offset in (d^2, du, dv)
@@ -484,137 +471,36 @@ def _dbscan_pixel_grid(offsets, boxes, params: DbscanParams):
     return np.split(labels[inverse], ends[:-1])
 
 
-def _dbscan_bucket_grid(uniq, mult, first_index, params: DbscanParams):
-    """General-coordinate DBSCAN using eps-sized cells.
-
-    All candidate neighbor pairs are emitted per 3x3 cell block in bulk;
-    distances, core status, core connectivity, and border assignment are
-    derived from that pair list.
-    """
-    m = uniq.shape[0]
-    eps2 = params.eps * params.eps
-    ux = uniq[:, 0]
-    uy = uniq[:, 1]
-    cx = np.floor((ux - ux.min()) / params.eps).astype(np.int64)
-    cy = np.floor((uy - uy.min()) / params.eps).astype(np.int64)
-    ny = int(cy.max()) + 3
-    cell = cx * ny + (cy + 1)  # +1 pad keeps dy = -1/+1 collision-free
-    order = np.argsort(cell, kind="stable")
-    sorted_cell = cell[order]
-    occ_cells, occ_start = np.unique(sorted_cell, return_index=True)
-    occ_count = np.diff(np.append(occ_start, m))
-
-    # tie-break rank: position in lexicographic (u, v) order
-    colkey = np.empty(m, dtype=np.int64)
-    colkey[np.lexsort((uy, ux))] = np.arange(m)
-
-    weight = np.zeros(m, dtype=np.int64)
-    pair_i, pair_j, pair_d2 = [], [], []
-    for dxc in (-1, 0, 1):
-        for dyc in (-1, 0, 1):
-            target = occ_cells + dxc * ny + dyc
-            loc = np.searchsorted(occ_cells, target)
-            ok = loc < len(occ_cells)
-            loc_c = np.where(ok, loc, 0)
-            hit = ok & (occ_cells[loc_c] == target)
-            if not np.any(hit):
-                continue
-            a_start, a_cnt = occ_start[hit], occ_count[hit]
-            b_start, b_cnt = occ_start[loc_c[hit]], occ_count[loc_c[hit]]
-            ab = a_cnt * b_cnt
-            total = int(ab.sum())
-            k_of = np.repeat(np.arange(len(ab)), ab)
-            starts = np.concatenate(([0], np.cumsum(ab)[:-1]))
-            r = np.arange(total) - starts[k_of]
-            ai = r // b_cnt[k_of]
-            bi = r - ai * b_cnt[k_of]
-            src = order[a_start[k_of] + ai]
-            dst = order[b_start[k_of] + bi]
-            dx = ux[src] - ux[dst]
-            dy = uy[src] - uy[dst]
-            d2 = dx * dx + dy * dy
-            keep = d2 <= eps2
-            src, dst, d2 = src[keep], dst[keep], d2[keep]
-            weight += np.bincount(src, weights=mult[dst], minlength=m).astype(np.int64)
-            pair_i.append(src)
-            pair_j.append(dst)
-            pair_d2.append(d2)
-
-    # never empty: the (0, 0) block pairs each point with itself
-    pi = np.concatenate(pair_i)
-    pj = np.concatenate(pair_j)
-    pd2 = np.concatenate(pair_d2)
-
-    core = weight >= params.min_samples
-    comp = np.full(m, -1, dtype=np.int64)
-    n_core = int(core.sum())
-    if n_core:
-        core_ids = np.full(m, -1, dtype=np.int64)
-        core_ids[core] = np.arange(n_core)
-        cc = core[pi] & core[pj]
-        comp[core] = _components(n_core, core_ids[pi[cc]], core_ids[pj[cc]])
-    labels = _renumber(comp, core, first_index, m)
-
-    # border points: nearest core, ties by the core's (u, v) rank
-    bc = (~core[pi]) & core[pj]
-    bi_, bj_, bd2 = pi[bc], pj[bc], pd2[bc]
-    if len(bi_):
-        so = np.lexsort((colkey[bj_], bd2, bi_))
-        bi_, bj_ = bi_[so], bj_[so]
-        first = np.ones(len(bi_), dtype=bool)
-        first[1:] = bi_[1:] != bi_[:-1]
-        labels[bi_[first]] = labels[bj_[first]]
-    return labels
-
-
 def _dbscan_sets(uv_sets, params: DbscanParams):
     """:func:`dbscan` labels of each ``(u, v)`` pair, in order.
 
-    Runs of integral sets whose padded span fits ``_GRID_MAX_CELLS`` go
-    to the pixel path together, in chunks of at most ``_CHUNK_CELLS``
-    first-image cells and ``_CHUNK_EVENTS`` points (a set over either
-    budget runs alone); every other set takes the bucket path alone.
-    Integer columns go straight to int64 offsets, with no float copy and
-    no finite or integrality test.
+    Runs of sets go to the pixel path together, in chunks of at most
+    ``_CHUNK_CELLS`` first-image cells and ``_CHUNK_EVENTS`` points (a
+    set over either budget runs alone). A set whose tile, its span plus
+    ``floor(eps)`` on each side, has more than ``MAX_SPAN_CELLS`` cells
+    raises ValueError.
     """
     e = int(math.floor(params.eps))
     offsets, boxes = [], []
     rows = height = events = 0
     for u, v in map(_columns, uv_sets):
-        integer = u.dtype != np.float64
-        if not (integer or np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise ValueError("points must be finite")
-        u0 = v0 = 0
-        pixel, w, h = True, 0, 0
+        u0 = v0 = w = h = 0
         if len(u):
-            bounds = u.min(), u.max(), v.min(), v.max()
-            u0, u1, v0, v1 = map(int, bounds) if integer else bounds
-            w, h = u1 - u0, v1 - v0
-            # the test gives the same answer on the points as on their
-            # unique rows
-            span = (w + 2 * params.eps + 2) * (h + 2 * params.eps + 2)
-            pixel = (params.eps >= _GRID_MIN_EPS and span <= _GRID_MAX_CELLS
-                     and (integer or np.all(np.rint(u) == u)
-                          and np.all(np.rint(v) == v)))
-            w, h = int(w) + 1, int(h) + 1
+            u0, u1, v0, v1 = map(int, (u.min(), u.max(), v.min(), v.max()))
+            w, h = u1 - u0 + 1, v1 - v0 + 1
+            if (w + 2 * e) * (h + 2 * e) > MAX_SPAN_CELLS:
+                raise ValueError(
+                    f"points span {w} x {h} pixels, more than MAX_SPAN_CELLS "
+                    f"{MAX_SPAN_CELLS} cells with the eps margin")
         tile_rows = w + 2 * e if w else 0
-        if offsets and (not pixel or events + len(u) > _CHUNK_EVENTS
+        if offsets and (events + len(u) > _CHUNK_EVENTS
                         or (rows + tile_rows) * max(height, h + 2 * e)
                         > _CHUNK_CELLS):
             yield from _dbscan_pixel_grid(offsets, boxes, params)
             offsets, boxes = [], []
             rows = height = events = 0
-        if not pixel:
-            pts = np.column_stack([u, v]).astype(np.float64)
-            uniq, inverse, mult, first_index = _compress(pts)
-            yield _dbscan_bucket_grid(uniq, mult, first_index, params)[inverse]
-            continue
-        if integer:
-            offsets.append((np.subtract(u, u0, dtype=np.int64),
-                            np.subtract(v, v0, dtype=np.int64)))
-        else:
-            offsets.append(((u - u0).astype(np.int64),
-                            (v - v0).astype(np.int64)))
+        offsets.append((np.subtract(u, u0, dtype=np.int64),
+                        np.subtract(v, v0, dtype=np.int64)))
         boxes.append((w, h))
         rows += tile_rows
         height = max(height, h + 2 * e)
@@ -624,20 +510,30 @@ def _dbscan_sets(uv_sets, params: DbscanParams):
 
 
 def _columns(uv):
-    """A ``(u, v)`` pair as 1-D arrays of equal length: integer columns
-    that cast safely to int64 as they are, any other as float64."""
+    """A ``(u, v)`` pair as integer 1-D arrays of equal length: integer
+    columns that cast safely to int64 as they are; any other column must
+    hold whole numbers of magnitude at most 2^53 (float64 holds those
+    exactly), and is cast to int64."""
     u, v = (np.asarray(x) for x in uv)
-    if not all(x.dtype.kind in "iu" and np.can_cast(x.dtype, np.int64)
-               for x in (u, v)):
-        u, v = (np.asarray(x, dtype=np.float64) for x in (u, v))
     if u.ndim != 1 or u.shape != v.shape:
         raise ValueError("u and v must be 1-D arrays of equal length")
-    return u, v
+    cols = []
+    for x in (u, v):
+        if not (x.dtype.kind in "iu" and np.can_cast(x.dtype, np.int64)):
+            x = np.asarray(x, dtype=np.float64)
+            # NaN fails the bound too
+            if not (np.all(np.abs(x) <= 2.0**53) and np.all(np.rint(x) == x)):
+                raise ValueError("points must be whole pixel coordinates")
+            x = x.astype(np.int64)
+        cols.append(x)
+    return cols
 
 
 def dbscan(points, params: DbscanParams) -> np.ndarray:
-    """Density-based clustering of 2D points; returns per-point labels."""
-    pts = np.asarray(points, dtype=np.float64)
+    """Density-based clustering of 2D whole pixel coordinates; returns
+    per-point labels. Fractional or non-finite coordinates, and a set whose
+    padded span is over ``MAX_SPAN_CELLS`` cells, raise ValueError."""
+    pts = np.asarray(points)
     if pts.size == 0:
         return np.zeros(0, dtype=np.int64)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -719,7 +615,8 @@ def extract_centroids(uv_pairs, params: DbscanParams):
 
 
 def extract_centroid(u, v, params: DbscanParams) -> ClusterResult:
-    """Cluster one camera's (u, v) events and take the dominant centroid.
+    """Cluster one camera's (u, v) events, whole pixel coordinates as
+    :func:`dbscan` takes them, and take the dominant centroid.
 
     The largest cluster (ties broken toward the lower mean u) provides
     the centroid; the result is invalid when no cluster reaches

@@ -72,6 +72,9 @@ class SyncSpec:
         if min(self.tap_interval_s, self.search_window_s, self.bin_s) <= 0:
             raise ValueError("tap_interval_s, search_window_s and bin_s "
                              "must be positive")
+        if min(self.spacing_tolerance_s, self.onset_threshold_multiple) < 0:
+            raise ValueError("spacing_tolerance_s and "
+                             "onset_threshold_multiple must not be negative")
         if self.search_window_s / self.bin_s > MAX_SYNC_BINS:
             raise ValueError(f"search_window_s {self.search_window_s:g} s "
                              f"over bin_s {self.bin_s:g} s needs more than "
@@ -641,6 +644,9 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     schedule = _schedule_from_dict(_section(doc, "schedule", _SCHEDULE_KINDS),
                                    layout)
     args = _given(top, "baseline_s", "seed")
+    if args.get("baseline_s", 0) < 0:
+        raise FormatError(f"baseline_s must not be negative, got "
+                          f"{args['baseline_s']:g}")
     if "cameras" in top:
         args["camera_models"] = camera_pair(top["cameras"], layout.side_mm)
     files = _section(doc, "files", dict.fromkeys(("cam1", "cam2", "format"),

@@ -191,7 +191,8 @@ def _burst(spec: SynthSpec, rng, center_u: float, t0_s: float, dur_s: float,
         rel = profile.sample_times(rng, n)
     t_us = (np.asarray(t0_s + rel * dur_s) * US_PER_S).round().astype(np.int64)
     u = _quantize_u(rng, center_u, spec.sigma_u_px, n, spec.burst_u_quantize)
-    v_lo, v_hi = spec.roi
+    # a ROI may end at SENSOR_HEIGHT, one past the last sensor row
+    v_lo, v_hi = spec.roi[0], min(spec.roi[1], SENSOR_HEIGHT - 1)
     if spec.burst_v_halfwidth_px is not None:
         mid = (v_lo + v_hi) // 2
         half = int(spec.burst_v_halfwidth_px)

@@ -205,8 +205,21 @@ BAD_INPUTS = [
     pytest.param(lambda d: d["layout"].update(grid_points_mm=[[50.0, 50.0]]),
                  None, "layout.grid_cols is not read by a layout with "
                  "grid_points_mm", id="layout-grid_cols-with-grid_points_mm"),
-    pytest.param(lambda d: d.update(cluster={"eps_px": 0}), None,
-                 "cluster: eps must be positive", id="cluster.eps_px-zero"),
+    *[pytest.param(lambda d, v=value: d.update(cluster={"eps_px": v}), None,
+                   "cluster: eps must lie in [MIN_EPS_PX sqrt(2), MAX_EPS_PX "
+                   f"100] px, got {value}", id=f"cluster.eps_px-{name}")
+      for name, value in [("zero", 0), ("one", 1), ("over-max", 101)]],
+    pytest.param(lambda d: d.update(sync={"spacing_tolerance_s": -0.1}), None,
+                 "sync: spacing_tolerance_s and onset_threshold_multiple "
+                 "must not be negative",
+                 id="sync.spacing_tolerance_s-negative"),
+    pytest.param(lambda d: d.update(sync={"onset_threshold_multiple": -1}),
+                 None, "sync: spacing_tolerance_s and "
+                 "onset_threshold_multiple must not be negative",
+                 id="sync.onset_threshold_multiple-negative"),
+    pytest.param(lambda d: d.update(baseline_s=-0.2), None,
+                 "baseline_s must not be negative, got -0.2",
+                 id="baseline_s-negative"),
     pytest.param(lambda d: d.update(cluster={"min_samples": 0}), None,
                  "cluster: min_samples must be >= 1",
                  id="cluster.min_samples-zero"),
@@ -268,6 +281,17 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfgp), "--out", str(out2),
                      "--seed", "99"]) == 0
         assert digest(tmp / "cam1.evt") != digest(out2 / "cam1.evt")
+
+    def test_roi_to_the_last_sensor_row(self, tmp_path):
+        # roi hi may be SENSOR_HEIGHT; bursts still stay on the sensor
+        cfgp = base_config(tmp_path, roi=[300, 480])
+        assert main(["simulate", "--config", str(cfgp),
+                     "--out", str(tmp_path)]) == 0
+        for cam in (1, 2):
+            v = read_events(tmp_path / f"cam{cam}.evt", cam).v
+            assert v.max() <= 479 and np.count_nonzero(v >= 300) > 0
+        assert main(["localize", "--config", str(cfgp),
+                     "--out", str(tmp_path / "loc")]) == 0
 
     def test_invalid_json_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

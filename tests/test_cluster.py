@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from unittest.mock import patch
@@ -10,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tacloc import cluster
-from tacloc.cluster import (_GRID_MAX_CELLS, NOISE, DbscanParams, _compress,
-                            _density_bound, _label8, _packed_unique,
-                            _tile_pixels, _with_counts, dbscan, dbscan_brute,
-                            exclude_press, extract_centroid)
+from tacloc.cluster import (MAX_EPS_PX, MAX_SPAN_CELLS, MIN_EPS_PX, NOISE,
+                            DbscanParams, _density_bound, _label8,
+                            _packed_unique, _tile_pixels, _with_counts, dbscan,
+                            dbscan_brute, exclude_press, extract_centroid)
 
 PARAMS = DbscanParams(eps=10.0, min_samples=10)
 
@@ -39,9 +40,9 @@ def random_point_set(rng, n, mode):
         parts.append(np.column_stack([rng.uniform(0, 640, max(1, n // 4)),
                                       rng.uniform(200, 361, max(1, n // 4))]))
         return np.rint(np.vstack(parts)).clip([0, 200], [639, 360])
-    if mode == 2:  # float coordinates
-        return np.column_stack([rng.uniform(0, 640, n),
-                                rng.uniform(200, 361, n)])
+    if mode == 2:  # a uniform draw rounded to whole pixels, kept float64
+        return np.rint(np.column_stack([rng.uniform(0, 640, n),
+                                        rng.uniform(200, 361, n)]))
     # duplicate-heavy tiny range: many exact ties
     return np.column_stack([rng.integers(0, 40, n),
                             rng.integers(0, 12, n)]).astype(float)
@@ -100,10 +101,17 @@ class TestOracleEquivalence:
 
     def test_other_parameters(self):
         rng = np.random.default_rng(99)
-        for eps, ms in ((3.0, 4), (25.0, 40), (1.0, 2)):
+        for eps, ms in ((3.0, 4), (25.0, 40), (math.sqrt(2), 2)):
             p = DbscanParams(eps=eps, min_samples=ms)
             pts = random_point_set(rng, 300, 1)
             assert np.array_equal(dbscan(pts, p), dbscan_brute(pts, p))
+
+
+def _row_unique(pts):
+    """Unique rows of ``pts``, the inverse map, multiplicities and first
+    input index, from ``np.unique(axis=0)``."""
+    uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
+    return _with_counts(uniq, inverse.ravel(), pts.shape[0])
 
 
 def _compress_cases():
@@ -142,7 +150,8 @@ class TestCompress:
     def test_packed_key_matches_row_unique(self, pts):
         uniq, tile, inverse, mult, first_index, _ = _tiled([pts], 3)
         assert not tile.any()
-        for got, want in zip((uniq, inverse, mult, first_index), _compress(pts)):
+        for got, want in zip((uniq, inverse, mult, first_index),
+                             _row_unique(pts)):
             assert got.dtype == want.dtype
             assert got.shape == want.shape
             assert np.array_equal(got, want)
@@ -157,28 +166,23 @@ class TestCompress:
         starts = np.cumsum(sizes) - sizes
         for s, pts in enumerate(sets):
             rows = slice(n_uniq[:s].sum(), n_uniq[:s + 1].sum())
-            want = _compress(pts)
+            want = _row_unique(pts)
             assert np.array_equal(uniq[rows], want[0])
             assert np.array_equal(inverse[starts[s]:starts[s] + sizes[s]]
                                   - rows.start, want[1])
             assert np.array_equal(mult[rows], want[2])
             assert np.array_equal(first_index[rows] - starts[s], want[3])
 
-    def test_wide_integral_span_takes_bucket_path(self, monkeypatch):
-        def no_pixel_grid(*args):
-            raise AssertionError("pixel path taken")
-
-        monkeypatch.setattr(cluster, "_dbscan_pixel_grid", no_pixel_grid)
+    def test_wide_span_refused(self):
         rng = np.random.default_rng(32)
         corners = np.array([[0, 0], [4000, 0], [0, 2500], [4000, 2500]])
         pts = np.rint(np.vstack([c + rng.normal(0, 3, (40, 2)) for c in corners]
                                 + [rng.uniform(0, 4000, (40, 2))]))
-        span = (np.ptp(pts[:, 0]) + 2 * PARAMS.eps + 2) \
-            * (np.ptp(pts[:, 1]) + 2 * PARAMS.eps + 2)
-        assert span > _GRID_MAX_CELLS
-        labels = dbscan(pts, PARAMS)
-        assert labels.max() == 3
-        assert np.array_equal(labels, dbscan_brute(pts, PARAMS))
+        assert _tile_cells(pts, PARAMS.eps) > MAX_SPAN_CELLS
+        with pytest.raises(ValueError, match="MAX_SPAN_CELLS"):
+            dbscan(pts, PARAMS)
+        # four clusters that the oracle still finds
+        assert dbscan_brute(pts, PARAMS).max() == 3
 
 
 @pytest.mark.parametrize("keys", [
@@ -275,11 +279,95 @@ class TestDensityBound:
 @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)),
                 min_size=1, max_size=60),
        st.integers(-1_000_000, 0), st.integers(-1_000_000, 0),
-       st.sampled_from([1.0, 1.5, 2.0, 3.0, 5.0]), st.integers(1, 6))
+       st.sampled_from([math.sqrt(2), 1.5, 2.0, 3.0, 5.0]), st.integers(1, 6))
 def test_dbscan_matches_brute_on_offset_pixels(cells, u0, v0, eps, min_samples):
     pts = np.array(cells, dtype=float) + [u0, v0]
     p = DbscanParams(eps=eps, min_samples=min_samples)
     assert np.array_equal(dbscan(pts, p), dbscan_brute(pts, p))
+
+
+def _tile_cells(pts, eps):
+    """Cells of a set's tile: its span plus floor(eps) on each side."""
+    e = math.floor(eps)
+    return math.prod(int(np.ptp(col)) + 1 + 2 * e for col in pts.T)
+
+
+@st.composite
+def _coordinate_cases(draw):
+    """Point sets for the input contract: whole coordinates in float64 or
+    int64 columns, at most one entry made fractional or non-finite, and
+    perhaps a far point that puts the tile one cell row under, at or over
+    ``MAX_SPAN_CELLS``, along either axis."""
+    eps = draw(st.sampled_from([MIN_EPS_PX, 2.5, 10.0, MAX_EPS_PX]))
+    e = math.floor(eps)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = (rng.integers(-20, 21, (draw(st.integers(1, 40)), 2))
+           + draw(st.integers(-10**6, 10**6))).astype(float)
+    far = draw(st.sampled_from([None, -1, 0, 1]))
+    if far is not None:
+        h = int(np.ptp(pts[:, 1])) + 1
+        w = MAX_SPAN_CELLS // (h + 2 * e) - 2 * e + far
+        pts = np.vstack([pts, [pts[:, 0].min() + w - 1, pts[0, 1]]])
+    if draw(st.booleans()):
+        pts = pts[:, ::-1]
+    bad = draw(st.sampled_from([None, None, 0.5, 1e-6, np.nan, np.inf,
+                                -np.inf]))
+    if bad is not None:
+        i, j = rng.integers(len(pts)), rng.integers(2)
+        pts[i, j] = pts[i, j] + bad if np.isfinite(bad) else bad
+    if bad is None and draw(st.booleans()):
+        pts = pts.astype(np.int64)
+    # min_samples >= 2 leaves a far point noise, so its tile stays small
+    return pts, DbscanParams(eps=eps,
+                             min_samples=draw(st.sampled_from([2, 3, 5, 10])))
+
+
+def test_dbscan_refuses_exactly_what_the_pixel_path_cannot_serve():
+    # fractional or non-finite coordinates, and a tile over the cell
+    # bound, raise ValueError; every other set matches the oracle
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_coordinate_cases())
+    def check(case):
+        pts, p = case
+        if not (np.all(np.isfinite(pts)) and np.all(np.rint(pts) == pts)):
+            seen.add("not whole")
+            with pytest.raises(ValueError, match="whole pixel coordinates"):
+                dbscan(pts, p)
+        elif _tile_cells(pts, p.eps) > MAX_SPAN_CELLS:
+            seen.add("too wide")
+            with pytest.raises(ValueError, match="MAX_SPAN_CELLS"):
+                dbscan(pts, p)
+        else:
+            seen.add("at the bound" if _tile_cells(pts, p.eps)
+                     > MAX_SPAN_CELLS // 2 else "small")
+            assert np.array_equal(dbscan(pts, p), dbscan_brute(pts, p))
+
+    check()
+    assert seen == {"not whole", "too wide", "at the bound", "small"}
+
+
+def test_float_columns_beyond_2_53_refused():
+    # float64 holds whole numbers exactly only up to 2^53; int64 columns
+    # have no such limit
+    lone = DbscanParams(min_samples=1)
+    with pytest.raises(ValueError, match="whole pixel coordinates"):
+        dbscan(np.array([[2.0**60, 0.0]]), lone)
+    assert dbscan(np.array([[2**60, 0]]), lone).tolist() == [0]
+
+
+@pytest.mark.parametrize("eps", [MIN_EPS_PX, 10.0, MAX_EPS_PX])
+def test_eps_bounds_accepted(eps):
+    assert DbscanParams(eps=eps).eps == eps
+
+
+@pytest.mark.parametrize("eps", [MIN_EPS_PX - 1e-9, MAX_EPS_PX + 1e-9, 0.0,
+                                 -1.0, math.nan, math.inf])
+def test_eps_outside_bounds_refused(eps):
+    with pytest.raises(ValueError, match=r"\[MIN_EPS_PX sqrt\(2\), "
+                       r"MAX_EPS_PX 100\] px"):
+        DbscanParams(eps=eps)
 
 
 def dominant_centroid(u, labels, params):
@@ -299,10 +387,10 @@ def dominant_centroid(u, labels, params):
 @st.composite
 def _set_batches(draw):
     """Lists of point sets for one batched call: empty sets, single
-    points, coincident towers, integral clumps with noise, and sets with
-    fractional coordinates (bucket path), under chunk budgets that split
-    the list anywhere and leave some sets over a budget."""
-    eps = draw(st.sampled_from([0.5, 1.0, 1.5, 2.5, 4.3, 10.0]))
+    points, coincident towers, integral clumps with noise, and uniform
+    draws rounded to whole pixels, under chunk budgets that split the list
+    anywhere and leave some sets over a budget."""
+    eps = draw(st.sampled_from([1.5, 2.5, 4.3, 10.0]))
     params = DbscanParams(eps=eps, min_samples=draw(st.sampled_from([1, 3, 10])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sets = []
@@ -336,9 +424,8 @@ def test_batched_sets_match_each_set_alone(monkeypatch):
     @given(_set_batches(), st.booleans())
     def check(case, integer):
         sets, params, cells, events = case
-        # integer columns take the pixel path without a float copy
-        cols = [tuple(p.T.astype(np.int16) if integer and np.all(p == np.rint(p))
-                      else p.T) for p in sets]
+        # integer columns go to the offsets without a float copy
+        cols = [tuple(p.T.astype(np.int16) if integer else p.T) for p in sets]
         with patch.multiple(cluster, _CHUNK_CELLS=cells, _CHUNK_EVENTS=events):
             got = list(cluster.extract_centroids(cols, params))
         assert len(got) == len(sets)
@@ -361,8 +448,8 @@ def test_batched_sets_match_each_set_alone(monkeypatch):
 
 
 def test_sets_share_chunks_within_the_budgets(monkeypatch):
-    # small sets share one pixel call; a set over the event budget, or a
-    # fractional one, runs alone and splits the run around it
+    # small sets share one pixel call; a set over the event budget runs
+    # alone and splits the run around it
     calls = []
     grid = cluster._dbscan_pixel_grid
 
@@ -374,10 +461,10 @@ def test_sets_share_chunks_within_the_budgets(monkeypatch):
     monkeypatch.setattr(cluster, "_CHUNK_EVENTS", 100)
     blob = np.tile([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]], (10, 1))
     big = np.tile(blob, (4, 1))
-    sets = [blob, blob, np.zeros((0, 2)), blob, big, blob, blob + 0.5, blob]
+    sets = [blob, blob, np.zeros((0, 2)), blob, big, blob, blob + 1, blob]
     got = list(cluster.extract_centroids([(p[:, 0], p[:, 1]) for p in sets],
                                          PARAMS))
-    assert calls == [4, 1, 1, 1]
+    assert calls == [4, 1, 3]
     for pts, r in zip(sets, got):
         assert np.array_equal(r.labels, dbscan_brute(pts, PARAMS))
 

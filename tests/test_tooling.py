@@ -7,6 +7,7 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tacloc.ingest import config_from_dict
@@ -61,6 +62,17 @@ def test_deprecations_in_the_program_fail():
     with pytest.warns(DeprecationWarning):
         warnings.warn_explicit("old API", DeprecationWarning, "x.py", 1,
                                module="numpy")
+
+
+def test_runtime_warnings_in_the_program_fail():
+    # pyproject turns a RuntimeWarning raised from a tacloc frame into an
+    # error, such as numpy's divide-by-zero; one from elsewhere stays a
+    # warning
+    divide = compile("np.float64(1.0) / np.float64(0.0)", "cluster.py", "exec")
+    with pytest.raises(RuntimeWarning, match="divide by zero"):
+        exec(divide, {"np": np, "__name__": "tacloc.cluster"})
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        exec(divide, {"np": np, "__name__": "numpy.core"})
 
 
 def _readme_blocks(lang: str) -> list[str]:
