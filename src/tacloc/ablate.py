@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cluster import WeightedPixels, weigh
 from .events import EventStream
 from .ingest import RunConfig
 from .metrics import EvaluationReport, UndefinedMetricError, empty_report
-from .pipeline import (PreparedRun, TrialTable, evaluate_results,
-                       localize_pixels, run_localization)
+from .pipeline import (PreparedRun, TrialTable, cluster_pixels,
+                       evaluate_results, localize_pixels, segment)
 from .segment import press_events
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -116,49 +117,85 @@ def _mean_cluster_size(table: TrialTable) -> float:
     return float(np.mean(sizes)) if len(sizes) else 0.0
 
 
+def _thinned_counts(ws: WeightedPixels, inverse, h, tops):
+    """The weighted pixels of one press set at each threshold of ``tops``
+    (ascending, at least one), from each event's pixel ``inverse`` and
+    hash ``h``.
+
+    An event passes every threshold from the first one that is not below
+    its hash. The events that pass the last threshold are counted once
+    over (pixel, thresholds below the hash), and a cumulative sum over
+    the thresholds gives every threshold's multiplicities. Pixels with
+    none drop out; the box stays the set's.
+    """
+    passed = np.flatnonzero(h <= tops[-1])
+    h = h[passed]
+    key = inverse[passed] * np.intp(len(tops))
+    for top in tops[:-1]:
+        key += h > top
+    counts = np.bincount(key, minlength=len(ws.mult) * len(tops))
+    kept = np.cumsum(counts.reshape(-1, len(tops)), axis=1)
+    for mult in kept.T:
+        at = np.flatnonzero(mult)
+        yield WeightedPixels(ws.du[at], ws.dv[at], mult[at], ws.box,
+                             ws.origin)
+
+
 def run_sweep(prepared: PreparedRun, cfg: RunConfig, factors,
               seeds) -> AblationSweep:
     """Re-run the evaluation pipeline at each (factor, seed) cell.
 
-    One unthinned :func:`run_localization` with ``cfg.camera_models``
-    gives the trials, the reference error percentile and, since thinning
-    with k = 1 is the identity, every k = 1 cell. Models and the
+    The recording is segmented once, and each camera's press events of
+    each trial are compressed once to weighted pixels (see
+    :func:`tacloc.cluster.weigh`). Those give one unthinned localization
+    with ``cfg.camera_models``: the reference error percentile and, since
+    thinning with k = 1 is the identity, every k = 1 cell. Models and the
     reference percentile stay fixed at their unthinned values. Per-press
     failures inside a cell are recorded as exclusions, never raised.
 
     Thinning keeps times and order, so a trial's press events in the
     thinned recording are its unthinned press events under the keep
-    mask. The recording is segmented once, each press event is hashed
-    once per seed, and each factor compares the hashes with its
-    threshold. A trial whose window lies outside the extent of the
-    thinned streams is not flagged missing, as segmenting them would
-    flag it; it keeps no events, so its row differs only in its reason
-    ("no prominent cluster" for "missing"), which no sweep report reads.
+    mask, and clustering them needs only each pixel's count of kept
+    events. Each press event is hashed once per seed, the nested keep
+    masks count every factor's pixels at once, and the factors of one
+    seed share one clustering pass per camera. A trial whose window lies
+    outside the extent of the thinned streams is not flagged missing, as
+    segmenting them would flag it; it keeps no events, so its row differs
+    only in its reason ("no prominent cluster" for "missing"), which no
+    sweep report reads.
     """
     factors = tuple(int(k) for k in factors)
     seeds = tuple(int(s) for s in seeds)
-    base_report, base_table, trials = run_localization(prepared, cfg)
-    reference_p95_mm = base_report.reference_p95_mm
+    trials = segment(prepared, cfg)
     press = [[press_events(t, cam) for t in trials if not t.missing]
              for cam in (1, 2)]
-    thinned = {k: _keep_below(k) for k in sorted(set(factors) - {1})}
+    weighed = [[weigh(ev.u, ev.v, return_inverse=True) for ev in events]
+               for events in press]
+    base_table = localize_pixels(trials, cluster_pixels(
+        [[ws for ws, _ in cam] for cam in weighed], cfg.cluster),
+        cfg.camera_models)
+    base_report = evaluate_results(base_table, cfg)
+    reference_p95_mm = base_report.reference_p95_mm
     cells = {(1, seed): SweepCell(1, seed, base_report,
                                   _mean_cluster_size(base_table))
              for seed in seeds}
-    for seed in seeds:
-        pixels = {k: ([], []) for k in thinned}
-        for cam, events in enumerate(press):
-            for ev in events:
-                h, u, v = _event_hash(seed, cam + 1, ev.ordinal_array()), \
-                    ev.u, ev.v
-                # factors ascend, and each keeps a subset of the last
-                for k, top in thinned.items():
-                    kept = np.flatnonzero(h <= top)
-                    h, u, v = h[kept], u[kept], v[kept]
-                    pixels[k][cam].append((u, v))
+    # thresholds ascending, so factors descending
+    thinned = sorted(set(factors) - {1}, reverse=True)
+    tops = np.array([_keep_below(k) for k in thinned], dtype=np.uint64)
+    # with k = 1 alone there is nothing to thin
+    for seed in seeds if thinned else ():
+        pixels = []
+        for cam, (events, sets) in enumerate(zip(press, weighed)):
+            by_factor = [[] for _ in thinned]
+            for ev, (ws, inverse) in zip(events, sets):
+                h = _event_hash(seed, cam + 1, ev.ordinal_array())
+                for kept, thin_ws in zip(by_factor, _thinned_counts(
+                        ws, inverse, h, tops)):
+                    kept.append(thin_ws)
+            pixels.append([ws for kept in by_factor for ws in kept])
+        clustered = cluster_pixels(pixels, cfg.cluster)
         for k in thinned:
-            table = localize_pixels(trials, pixels.pop(k), cfg.camera_models,
-                                    cfg.cluster)
+            table = localize_pixels(trials, clustered, cfg.camera_models)
             try:
                 report = evaluate_results(table, cfg,
                                           reference_p95_mm=reference_p95_mm)

@@ -17,32 +17,34 @@ Clustering semantics (shared by ``dbscan`` and ``dbscan_brute``):
   numbered by the smallest input index among their core points.
 
 One pixel-grid path implements these semantics, over whole pixel
-coordinates: integer columns go straight to int64 offsets, with no float
+coordinates: integer columns go straight to int64 keys, with no float
 copy, and any other column must be finite and whole (see ``_columns``).
 ``eps`` lies in [``MIN_EPS_PX``, ``MAX_EPS_PX``], and a set whose padded
 span is over ``MAX_SPAN_CELLS`` image cells is refused, so the work is
-linear in the points at a cost bounded by eps^2 each. ``dbscan``
-clusters one set; ``extract_centroids`` clusters many, and runs of
-consecutive sets share one pass in chunks bounded by ``_CHUNK_CELLS``
-image cells and ``_CHUNK_EVENTS`` points (a set over either budget runs
-alone, as ``dbscan`` runs its one set). ``dbscan_brute`` is the
-independent O(n^2) reference used in tests; it takes any float points.
+linear in the points at a cost bounded by eps^2 each.
+
+The path clusters weighted pixel sets (``WeightedPixels``): a set's
+unique pixels, as offsets from its minimum corner, with their
+multiplicities. ``weigh`` compresses a set once, and duplicates then
+count as weights, which keeps every step below exact. ``dbscan``
+clusters one set and maps the pixel labels back to its points;
+``extract_centroids`` clusters many, and runs of consecutive sets share
+one pass in chunks of at most ``_CHUNK_CELLS`` first-image cells (a set
+over the budget runs alone, as ``dbscan`` runs its one set).
+``dbscan_brute`` is the independent O(n^2) reference used in tests; it
+takes any float points.
 
 The path has no Python loop over sets, components or points, in the
 spirit of de Berg, Gunawan & Roeloffzen (2017): merge what is surely
 connected, then test distances only where components may touch. Each
-phase runs once over the tiles of all sets in a chunk, and from phase 2
-on its cost follows the occupied pixels near dense cells, not the raw
-events or the empty cells of a set's span.
+phase runs once over the tiles of all sets in a chunk, and its cost
+follows the occupied pixels, from phase 2 on only those near dense
+cells, not the raw events or the empty cells of a set's span.
 
-1. Compress: each set gets its own tile of one image, with an empty
-   margin of e = floor(eps) around its points, so no disk reaches
-   another tile. One packed int64 key per point, its flat pixel index,
-   orders the points by (set, u, v). A small image with many points bins
-   the keys; otherwise one sort of ``key << b | index`` (b the bit width
-   of the point count) gives the unique keys, the inverse map, the
-   multiplicities and each key's first input index at once, since equal
-   keys sort by index.
+1. Tile: each set gets its own tile of one image, with an empty margin
+   of e = floor(eps) around its box, so no disk reaches another tile.
+   A set's pixels are unique and in (du, dv) order, so the image pixels
+   are unique and run in (set, u, v) order with no sort.
 2. Density bound (the grid argument of Gan & Tao 2015): multiplicities
    are summed over cells of side e. A point within eps of p differs from
    it by at most e on each axis, so it lies in the 3x3 cell block around
@@ -73,7 +75,8 @@ events or the empty cells of a set's span.
 6. Frontier: in a crop with more than one label, every core gathers
    the labels of the cores in its half disk; the pairs of different
    labels are the ones to join, and connected components close them.
-   Clusters are numbered per set by (set, first input index).
+   A cluster is numbered by the pre-merge label that roots it; ``dbscan``
+   renumbers its clusters by first input index.
 7. Border: each non-core point near its set's cores gathers every disk
    offset in (d^2, du, dv) order at once; the first core hit is the
    nearest, with the canonical tie-break.
@@ -84,6 +87,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,9 +103,8 @@ MAX_EPS_PX = 100.0
 # this many cells; events (u < 640, v < 480) stay far below it
 MAX_SPAN_CELLS = 8_000_000
 # point sets clustered together share images of at most this many
-# first-image cells and points; a larger set runs alone
+# first-image cells; a larger set runs alone
 _CHUNK_CELLS = 1 << 19
-_CHUNK_EVENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -125,18 +128,63 @@ class DbscanParams:
 class ClusterResult:
     """Outcome of clustering one camera's events for one press."""
 
-    labels: np.ndarray
     largest_cluster_size: int
     centroid_u: float  # nan when invalid
     valid: bool
 
 
-def _with_counts(uniq, inverse, n):
-    m = uniq.shape[0]
-    mult = np.bincount(inverse, minlength=m).astype(np.int64)
-    first_index = np.full(m, n, dtype=np.int64)
-    np.minimum.at(first_index, inverse, np.arange(n, dtype=np.int64))
-    return uniq, inverse, mult, first_index
+class WeightedPixels(NamedTuple):
+    """A point set as whole pixels with multiplicities (see :func:`weigh`):
+    the unique int64 offsets ``du``, ``dv`` from ``origin`` (u0, v0), in
+    ascending (du, dv) order, their positive int64 multiplicities
+    ``mult``, and a ``box`` (w, h) that holds every offset."""
+
+    du: np.ndarray
+    dv: np.ndarray
+    mult: np.ndarray
+    box: tuple[int, int]
+    origin: tuple[int, int]
+
+
+def weigh(u, v, return_inverse: bool = False):
+    """The :class:`WeightedPixels` of whole pixel coordinates (u, v), as
+    :func:`dbscan` takes them, with the origin at their minimum corner
+    and the tight box; with ``return_inverse``, also the index of each
+    point's pixel.
+
+    One int64 key per point, ``du * h + dv``, orders the pixels. A small
+    box with many points bins the keys; otherwise one sort gives the
+    unique keys and their counts (and, with the inverse map, it sorts
+    ``key << b | index``, b the bit width of the point count). A box
+    over ``MAX_SPAN_CELLS`` cells raises ValueError.
+    """
+    u, v = _columns((u, v))
+    n = len(u)
+    if not n:
+        none = np.zeros(0, dtype=np.int64)
+        ws = WeightedPixels(none, none, none, (0, 0), (0, 0))
+        return (ws, none) if return_inverse else ws
+    u0, u1, v0, v1 = map(int, (u.min(), u.max(), v.min(), v.max()))
+    w, h = u1 - u0 + 1, v1 - v0 + 1
+    _check_span(w, h, 0)
+    keys = np.subtract(u, u0, dtype=np.int64)
+    keys *= h
+    keys += np.subtract(v, v0, dtype=np.int64)
+    inverse = None
+    if w * h <= min(4 * n, _CHUNK_CELLS):
+        counts = np.bincount(keys, minlength=w * h)
+        uniq = np.flatnonzero(counts)
+        mult = counts[uniq]
+        if return_inverse:
+            inverse = (np.cumsum(counts > 0) - 1)[keys]
+    elif return_inverse:
+        uniq, inverse, mult = _packed_unique(keys)
+    else:
+        uniq, mult = np.unique(keys, return_counts=True)
+    du, dv = np.divmod(uniq, h)
+    ws = WeightedPixels(du, dv, mult.astype(np.int64, copy=False), (w, h),
+                        (u0, v0))
+    return (ws, inverse) if return_inverse else ws
 
 
 @lru_cache(maxsize=16)
@@ -256,10 +304,8 @@ def _label8(img):
 
 
 def _packed_unique(keys):
-    """Unique values of non-negative int64 ``keys``, the inverse map,
-    multiplicities and first input index, from one ``sort_packed``: equal
-    keys sort by index, so each run of a key starts at its first
-    occurrence."""
+    """Unique values of non-negative int64 ``keys``, the inverse map and
+    the multiplicities, from one ``sort_packed``."""
     n = len(keys)
     assert int(keys.max()) < 1 << (63 - n.bit_length()), \
         "packed keys overflow int64"
@@ -271,42 +317,29 @@ def _packed_unique(keys):
     mult = np.diff(starts, append=n)
     inverse = np.empty(n, dtype=np.int64)
     inverse[index] = np.repeat(np.arange(len(starts)), mult)
-    return ordered[starts], inverse, mult, index[starts]
+    return ordered[starts], inverse, mult
 
 
-def _tile_pixels(offsets, boxes, e):
-    """Lay point sets out as tiles of one image and compress them.
+def _tile_pixels(sets, e):
+    """Lay weighted pixel sets out as tiles of one image.
 
-    ``offsets[s]`` holds set s's points as int64 columns (du, dv) of
-    offsets from its minimum corner, and ``boxes[s]`` their extent
-    (w, h). Set s takes the w + 2e rows from ``row0[s]`` and its point
-    (du, dv) the pixel (row0[s] + e + du, e + dv): a margin of e around
-    each tile keeps every disk inside it. A point's packed key is its
-    flat pixel index, so ascending keys are the (set, u, v) order.
-    Returns the pixels (pu, pv) of the unique points, the set of each,
-    the inverse map, multiplicities, first index into the concatenated
-    sets, and the image shape.
+    Set s takes the w + 2e rows from ``row0[s]`` of the image, its box
+    (w, h) padded by a margin of e that keeps every disk inside the tile,
+    and its pixel (du, dv) the image pixel (row0[s] + e + du, e + dv). A
+    set's pixels are unique and in (du, dv) order, so the image pixels
+    run in (set, u, v) order with no sort. Returns the pixels (pu, pv),
+    the set of each, their multiplicities, and the image shape.
     """
-    sizes = np.array([len(du) for du, _ in offsets])
-    w, h = np.array(boxes, dtype=np.int64).reshape(-1, 2).T
+    sizes = np.array([len(ws.mult) for ws in sets])
+    w, h = np.array([ws.box for ws in sets], dtype=np.int64).reshape(-1, 2).T
     rows = np.where(sizes > 0, w + 2 * e, 0)
     row0 = np.cumsum(rows) - rows
-    height = int(h.max()) + 2 * e
-    set_of = np.repeat(np.arange(len(offsets)), sizes)
-    du, dv = (np.concatenate(col) for col in zip(*offsets))
-    keys = (du + (row0 + e)[set_of]) * height + (dv + e)
-    cells = int(rows.sum()) * height
-    if cells <= min(4 * len(keys), _CHUNK_CELLS):
-        # a small image with many points: bin the keys instead of sorting
-        occupied = np.bincount(keys, minlength=cells) > 0
-        uniq = np.flatnonzero(occupied)
-        inverse = (np.cumsum(occupied) - 1)[keys]
-        _, _, mult, first_index = _with_counts(uniq, inverse, len(keys))
-    else:
-        uniq, inverse, mult, first_index = _packed_unique(keys)
-    pu, pv = np.divmod(uniq, height)
-    return (pu, pv, set_of[first_index], inverse, mult, first_index,
-            (cells // height, height))
+    set_of = np.repeat(np.arange(len(sets)), sizes)
+    pu = np.concatenate([ws.du for ws in sets]) + (row0 + e)[set_of]
+    pv = np.concatenate([ws.dv for ws in sets]) + e
+    mult = np.concatenate([ws.mult for ws in sets])
+    return (pu, pv, set_of, mult,
+            (int(rows.sum()), int(h[sizes > 0].max(initial=0)) + 2 * e))
 
 
 def _box3(img):
@@ -342,21 +375,24 @@ def _stack(lo_u, hi_u, lo_v, hi_v):
             (int(w.sum()), int((hi_v + 1 - lo_v).max())))
 
 
-def _dbscan_pixel_grid(offsets, boxes, params: DbscanParams):
-    """Exact DBSCAN labels of integral point sets, each phase run once
-    over tiles of one image (see :func:`_tile_pixels` and the module
-    docstring)."""
-    ends = np.cumsum([len(du) for du, _ in offsets])
-    if not ends[-1]:
-        return [np.zeros(0, dtype=np.int64) for _ in offsets]
+def _dbscan_pixel_grid(sets, params: DbscanParams):
+    """Exact DBSCAN of weighted pixel sets, each phase run once over tiles
+    of one image (see :func:`_tile_pixels` and the module docstring).
+
+    Returns the label of each pixel of the sets in turn, with clusters
+    numbered apart across the sets but in no set order (NOISE for noise),
+    and the mask of core pixels.
+    """
     offs, _, _, disk, e = _disk(params.eps)
-    pu, pv, tile, inverse, mult, first_index, shape = _tile_pixels(
-        offsets, boxes, e)
+    pu, pv, tile, mult, shape = _tile_pixels(sets, e)
     labels = np.full(len(pu), NOISE, dtype=np.int64)
+    is_core = np.zeros(len(pu), dtype=bool)
+    if not len(pu):
+        return labels, is_core
     kept = np.flatnonzero(_density_bound(pu, pv, mult, shape, e,
                                          params.min_samples))
     if not len(kept):
-        return np.split(labels[inverse], ends[:-1])
+        return labels, is_core
 
     # re-lay each set's kept pixels in a tile of their box +- e; the
     # pixels run in (set, u, v) order
@@ -375,7 +411,7 @@ def _dbscan_pixel_grid(offsets, boxes, params: DbscanParams):
     # a = floor(eps / sqrt(2)) holds min_samples points is core, and only
     # the rest pay the sum over the disk; images are indexed [u, v], and
     # int32 counts halve the table
-    counts = mult.astype(np.int32 if ends[-1] < 2**31 else np.int64)
+    counts = mult.astype(np.int32 if mult.sum() < 2**31 else np.int64)
     table = _summed_area(pu, pv, counts, shape)
     a = math.isqrt(int(params.eps * params.eps / 2))
     core = _box_sum(table, pu, pv, np.array([[-a, a, -a, a]])) \
@@ -386,7 +422,7 @@ def _dbscan_pixel_grid(offsets, boxes, params: DbscanParams):
             >= params.min_samples
     del table
     if not np.any(core):
-        return np.split(labels[inverse], ends[:-1])
+        return labels, is_core
 
     # crop each tile with cores to its core box +- 2e, inside the tile, and
     # stack the crops: non-core points beyond +- e of their core box are
@@ -404,7 +440,7 @@ def _dbscan_pixel_grid(offsets, boxes, params: DbscanParams):
                            np.minimum(box[3] + 2 * e, tile_hi_v[of]))
     height = shape[1]
     # border candidates: non-core points within e of their core box
-    crop_of = np.full(len(offsets), -1)
+    crop_of = np.full(len(sets), -1)
     crop_of[tile[ci[cstarts]]] = np.arange(len(cstarts))
     cand = np.flatnonzero(~core)
     c = crop_of[tile[cand]]
@@ -444,16 +480,9 @@ def _dbscan_pixel_grid(offsets, boxes, params: DbscanParams):
             dst.append(hit[cross])
         comp = _components(n_lab, np.concatenate(src) - 1,
                            np.concatenate(dst) - 1)[comp]
-    # number the clusters by first input index: those grow with the set,
-    # so each set's clusters hold a run of the numbers; start every run
-    # at 0
-    first = np.full(n_lab, np.iinfo(np.int64).max)
-    np.minimum.at(first, comp, first_index[kept[ci]])
-    rank = np.empty(n_lab, dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(n_lab)
+    # a cluster is numbered by the pre-merge label that roots it
     sub = np.full(len(kept), NOISE, dtype=np.int64)
-    sub[ci] = rank[comp]
-    sub[ci] -= np.repeat(np.minimum.reduceat(sub[ci], cstarts), per_crop)
+    sub[ci] = comp
 
     # border: each candidate gathers every disk offset in (d^2, du, dv)
     # order, so the first hit is the nearest core with the canonical
@@ -468,45 +497,44 @@ def _dbscan_pixel_grid(offsets, boxes, params: DbscanParams):
         got = found[rows, first]
         sub[cand[i:i + len(hit)][got]] = hit[rows, first][got]
     labels[kept] = sub
-    return np.split(labels[inverse], ends[:-1])
+    is_core[kept[ci]] = True
+    return labels, is_core
 
 
-def _dbscan_sets(uv_sets, params: DbscanParams):
-    """:func:`dbscan` labels of each ``(u, v)`` pair, in order.
+def _check_span(w: int, h: int, margin: int) -> None:
+    if (w + 2 * margin) * (h + 2 * margin) > MAX_SPAN_CELLS:
+        raise ValueError(
+            f"points span {w} x {h} pixels, more than MAX_SPAN_CELLS "
+            f"{MAX_SPAN_CELLS} cells with a margin of {margin}")
 
-    Runs of sets go to the pixel path together, in chunks of at most
-    ``_CHUNK_CELLS`` first-image cells and ``_CHUNK_EVENTS`` points (a
-    set over either budget runs alone). A set whose tile, its span plus
+
+def _dbscan_sets(sets, params: DbscanParams):
+    """Runs of consecutive weighted pixel sets, each with the
+    :func:`_dbscan_pixel_grid` labels and core mask of its pixels.
+
+    A run holds at most ``_CHUNK_CELLS`` first-image cells, and a set
+    over that budget runs alone. A set whose tile, its box plus
     ``floor(eps)`` on each side, has more than ``MAX_SPAN_CELLS`` cells
     raises ValueError.
     """
     e = int(math.floor(params.eps))
-    offsets, boxes = [], []
-    rows = height = events = 0
-    for u, v in map(_columns, uv_sets):
-        u0 = v0 = w = h = 0
-        if len(u):
-            u0, u1, v0, v1 = map(int, (u.min(), u.max(), v.min(), v.max()))
-            w, h = u1 - u0 + 1, v1 - v0 + 1
-            if (w + 2 * e) * (h + 2 * e) > MAX_SPAN_CELLS:
-                raise ValueError(
-                    f"points span {w} x {h} pixels, more than MAX_SPAN_CELLS "
-                    f"{MAX_SPAN_CELLS} cells with the eps margin")
-        tile_rows = w + 2 * e if w else 0
-        if offsets and (events + len(u) > _CHUNK_EVENTS
-                        or (rows + tile_rows) * max(height, h + 2 * e)
-                        > _CHUNK_CELLS):
-            yield from _dbscan_pixel_grid(offsets, boxes, params)
-            offsets, boxes = [], []
-            rows = height = events = 0
-        offsets.append((np.subtract(u, u0, dtype=np.int64),
-                        np.subtract(v, v0, dtype=np.int64)))
-        boxes.append((w, h))
+    run = []
+    rows = height = 0
+    for ws in sets:
+        tile_rows = tile_height = 0
+        if len(ws.mult):
+            w, h = ws.box
+            _check_span(w, h, e)
+            tile_rows, tile_height = w + 2 * e, h + 2 * e
+        if run and (rows + tile_rows) * max(height, tile_height) > _CHUNK_CELLS:
+            yield run, *_dbscan_pixel_grid(run, params)
+            run = []
+            rows = height = 0
+        run.append(ws)
         rows += tile_rows
-        height = max(height, h + 2 * e)
-        events += len(u)
-    if offsets:
-        yield from _dbscan_pixel_grid(offsets, boxes, params)
+        height = max(height, tile_height)
+    if run:
+        yield run, *_dbscan_pixel_grid(run, params)
 
 
 def _columns(uv):
@@ -538,7 +566,19 @@ def dbscan(points, params: DbscanParams) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
-    return next(_dbscan_sets([(pts[:, 0], pts[:, 1])], params))
+    ws, inverse = weigh(pts[:, 0], pts[:, 1], return_inverse=True)
+    _, labels, core = next(_dbscan_sets([ws], params))
+    # number the clusters by the first input index of their core points
+    n = len(inverse)
+    first = np.full(len(ws.mult), n)
+    np.minimum.at(first, inverse, np.arange(n))
+    first_core = np.full(labels.max(initial=NOISE) + 1, n)
+    np.minimum.at(first_core, labels[core], first[core])
+    found = np.flatnonzero(first_core < n)
+    # one slot more, left NOISE, for the noise label -1
+    rank = np.full(len(first_core) + 1, NOISE, dtype=np.int64)
+    rank[found[np.argsort(first_core[found])]] = np.arange(len(found))
+    return rank[labels][inverse]
 
 
 def dbscan_brute(points, params: DbscanParams) -> np.ndarray:
@@ -588,30 +628,48 @@ def dbscan_brute(points, params: DbscanParams) -> np.ndarray:
     return labels
 
 
-def extract_centroids(uv_pairs, params: DbscanParams):
-    """:func:`extract_centroid` of each ``(u, v)`` pair in a sequence,
-    yielded in order; the sets are clustered together in chunks (see
-    :func:`_dbscan_sets`), and only one chunk's labels are held at a
-    time."""
-    def mean_u(u, members):
-        return u[members].astype(np.float64).mean()
+def extract_centroids(sets, params: DbscanParams):
+    """:func:`extract_centroid` of each :class:`WeightedPixels` set in a
+    sequence, yielded in order; the sets are clustered together in runs
+    (see :func:`_dbscan_sets`), and only one run's labels are held at a
+    time.
 
-    for (u, _), labels in zip(uv_pairs, _dbscan_sets(uv_pairs, params)):
-        u = np.asarray(u)
-        if labels.max(initial=NOISE) == NOISE:
-            yield ClusterResult(labels, 0, float("nan"), False)
-            continue
-        sizes = np.bincount(labels[labels >= 0])
-        best = np.flatnonzero(sizes == sizes.max())
-        if len(best) > 1:
-            mean_us = [mean_u(u, labels == c) for c in best]
-            best = [best[int(np.argmin(mean_us))]]
-        c = int(best[0])
-        size = int(sizes[c])
-        valid = size >= params.min_cluster_points
-        yield ClusterResult(labels, size,
-                            float(mean_u(u, labels == c)) if valid
-                            else float("nan"), valid)
+    A cluster's size is the sum of its multiplicities, and its centroid
+    is the exact sum of u times multiplicity over its pixels, divided
+    once by the size: bit for bit the mean of its members' u in float64
+    whenever that sum is exact, as it is for any sensor column. Among
+    the largest clusters of a set, the lowest sum of u has the lowest
+    mean u.
+    """
+    for run, labels, _ in _dbscan_sets(sets, params):
+        member = np.flatnonzero(labels >= 0)
+        cluster = labels[member]
+        set_of = np.repeat(np.arange(len(run)),
+                           [len(ws.mult) for ws in run])[member]
+        mult = np.concatenate([ws.mult for ws in run])[member]
+        du = np.concatenate([ws.du for ws in run])[member]
+        n_clusters = labels.max(initial=NOISE) + 1
+        size = np.zeros(n_clusters, dtype=np.int64)
+        np.add.at(size, cluster, mult)
+        sum_du = np.zeros(n_clusters, dtype=np.int64)
+        np.add.at(sum_du, cluster, du * mult)
+        set_of_cluster = np.zeros(n_clusters, dtype=np.int64)
+        set_of_cluster[cluster] = set_of
+        # each set's first cluster by (largest size, lowest sum of u)
+        order = np.flatnonzero(size)
+        order = order[np.lexsort((sum_du[order], -size[order],
+                                  set_of_cluster[order]))]
+        owner = set_of_cluster[order]
+        lead = np.diff(owner, prepend=-1) != 0
+        best_size = np.zeros(len(run), dtype=np.int64)
+        best_sum = np.zeros(len(run), dtype=np.int64)
+        best_size[owner[lead]] = size[order[lead]]
+        best_sum[owner[lead]] = sum_du[order[lead]]
+        for ws, n, total in zip(run, best_size.tolist(), best_sum.tolist()):
+            valid = n > 0 and n >= params.min_cluster_points
+            # Python ints: the sum stays exact and the division rounds once
+            yield ClusterResult(n, (ws.origin[0] * n + total) / n if valid
+                                else float("nan"), valid)
 
 
 def extract_centroid(u, v, params: DbscanParams) -> ClusterResult:
@@ -622,7 +680,7 @@ def extract_centroid(u, v, params: DbscanParams) -> ClusterResult:
     the centroid; the result is invalid when no cluster reaches
     ``min_cluster_points``.
     """
-    return next(extract_centroids([(u, v)], params))
+    return next(extract_centroids([weigh(u, v)], params))
 
 
 @dataclass(frozen=True)

@@ -585,13 +585,18 @@ def _schedule_from_dict(d: dict, layout: SensorLayout) -> PressSchedule:
 
 def _synth_from_dict(doc: dict) -> dict:
     """The "synth" section as SynthSpec keyword arguments."""
-    from .synth import SYNTH_KINDS, RateProfile  # synth imports this module
+    # synth imports this module
+    from .synth import SYNTH_KINDS, RateProfile, check_synth_values
 
     syn = _section(doc, "synth", SYNTH_KINDS)
     half = syn.get("burst_v_halfwidth_px")
     if half is not None:
         syn["burst_v_halfwidth_px"] = _typed(
             half, "synth.burst_v_halfwidth_px", float)
+    try:
+        check_synth_values(syn, "synth.")
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
     quantize = syn.get("burst_u_quantize", "split")
     if quantize not in ("split", "round"):
         raise FormatError('synth.burst_u_quantize must be "split" or "round", '

@@ -9,12 +9,13 @@ estimates with one vectorized triangulation over the whole table.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cluster import (ClusterResult, DbscanParams, exclude_press,
-                      extract_centroids)
+from .cluster import (ClusterResult, DbscanParams, WeightedPixels,
+                      exclude_press, extract_centroids, weigh)
 from .events import EventStream, crop_roi
 from .geometry import CalibrationResult, calibrate, triangulate_many
 from .ingest import RunConfig, align_streams
@@ -23,8 +24,7 @@ from .segment import PressTrial, press_events, segment_by_schedule
 
 CALIBRATION_REPETITION = 0  # the repetition calibration fits models on
 
-_NO_CLUSTER = ClusterResult(np.zeros(0, dtype=np.int64), 0, float("nan"),
-                            False)
+_NO_CLUSTER = ClusterResult(0, float("nan"), False)
 
 
 @dataclass(frozen=True)
@@ -72,19 +72,27 @@ def prepare_run(s1: EventStream, s2: EventStream, cfg: RunConfig) -> PreparedRun
     return PreparedRun(a1, a2, tuple(float(t) for t in taps))
 
 
-def press_pixels(trials) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Each camera's ``(u, v)`` press events of every trial that is not
-    missing, in trial order: camera 1's list, then camera 2's."""
+def press_pixels(trials) -> list[Iterator[WeightedPixels]]:
+    """Each camera's press events of every trial that is not missing, as
+    weighted pixels in trial order: camera 1's iterator, then camera 2's.
+    A set is compressed only when it is read, so clustering holds one
+    chunk's sets at a time."""
     live = [t for t in trials if not t.missing]
-    return [[(ev.u, ev.v) for ev in (press_events(t, cam) for t in live)]
-            for cam in (1, 2)]
+    return [map(lambda ev: weigh(ev.u, ev.v),
+                [press_events(t, cam) for t in live]) for cam in (1, 2)]
 
 
-def _localize_rows(trials, pixels, params: DbscanParams):
-    """Stage (a) of each trial as ``(r1, r2, reason)``, from its press
-    events in ``pixels`` (see :func:`press_pixels`); each camera's sets
-    are clustered together."""
-    clustered = zip(*(extract_centroids(cam, params) for cam in pixels))
+def cluster_pixels(pixels, params: DbscanParams):
+    """Both cameras' :class:`ClusterResult` of each set pair in ``pixels``
+    (see :func:`press_pixels`), in order; each camera's sets are
+    clustered together."""
+    return zip(*(extract_centroids(cam, params) for cam in pixels))
+
+
+def _localize_rows(trials, clustered):
+    """Stage (a) of each trial as ``(r1, r2, reason)``: a trial that is not
+    missing takes the next pair of ``clustered`` (see
+    :func:`cluster_pixels`)."""
     for trial in trials:
         if trial.missing:
             yield _NO_CLUSTER, _NO_CLUSTER, "missing"
@@ -96,7 +104,8 @@ def _localize_rows(trials, pixels, params: DbscanParams):
 def localize_trial(trial: PressTrial, params: DbscanParams,
                    ) -> tuple[ClusterResult, ClusterResult, str]:
     """Stage (a): both cameras' dominant clusters and the exclusion reason."""
-    return next(_localize_rows([trial], press_pixels([trial]), params))
+    return next(_localize_rows(
+        [trial], cluster_pixels(press_pixels([trial]), params)))
 
 
 def triangulate_trials(table: TrialTable, models) -> TrialTable:
@@ -118,15 +127,13 @@ def triangulate_trials(table: TrialTable, models) -> TrialTable:
     return replace(table, est_mm=est, valid=valid, reason=tuple(reason))
 
 
-def localize_pixels(trials, pixels, models, params: DbscanParams,
-                    ) -> TrialTable:
-    """Run stage (a) on the trials' press events in ``pixels`` (see
-    :func:`press_pixels`), then stage (b) on the whole table."""
-    rows = []
-    for r1, r2, reason in _localize_rows(trials, pixels, params):
-        # keep only the columns, not each trial's per-event labels
-        rows.append((r1.centroid_u, r2.centroid_u, r1.largest_cluster_size,
-                     r2.largest_cluster_size, reason))
+def localize_pixels(trials, clustered, models) -> TrialTable:
+    """Stage (a) of the trials, each trial that is not missing taking the
+    next pair of ``clustered`` (see :func:`cluster_pixels`), then stage (b)
+    on the whole table."""
+    rows = [(r1.centroid_u, r2.centroid_u, r1.largest_cluster_size,
+             r2.largest_cluster_size, reason)
+            for r1, r2, reason in _localize_rows(trials, clustered)]
     n = len(rows)
     reason = tuple(r[4] for r in rows)
     table = TrialTable(
@@ -146,7 +153,8 @@ def localize_pixels(trials, pixels, models, params: DbscanParams,
 
 def localize_trials(trials, models, params: DbscanParams) -> TrialTable:
     """Run stage (a) on every trial, then stage (b) on the whole table."""
-    return localize_pixels(trials, press_pixels(trials), models, params)
+    return localize_pixels(
+        trials, cluster_pixels(press_pixels(trials), params), models)
 
 
 def probed_area_mm2(cfg: RunConfig) -> float:

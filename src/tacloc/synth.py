@@ -98,6 +98,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_synth_values(vars(self))
         if self.models is None:
             object.__setattr__(self, "models", default_models(self.layout.side_mm))
         if self.schedule is None:
@@ -108,6 +109,27 @@ class SynthSpec:
         if len(self.schedule):
             last += float(self.schedule.onsets_s[-1]) + self.schedule.press_duration_s
         return last + self.tail_s
+
+
+# the counts, rates, sigmas and half-widths the generator draws with; a
+# half-width of None means the whole ROI band
+_NON_NEGATIVE = ("burst_events_per_press_per_camera", "sigma_u_px",
+                 "burst_v_halfwidth_px", "background_rate_per_camera",
+                 "press_offset_sigma_px", "tap_events")
+
+
+def check_synth_values(values: dict, prefix: str = "") -> None:
+    """Refuse, among SynthSpec keyword ``values``, a negative count, rate,
+    sigma or half-width and a ``secondary_blob_frac`` outside [0, 1]; the
+    ValueError names the key after ``prefix`` and the value."""
+    for key in _NON_NEGATIVE:
+        x = values.get(key)
+        if x is not None and not x >= 0:
+            raise ValueError(f"{prefix}{key} must not be negative, got {x:g}")
+    frac = values.get("secondary_blob_frac", 0.0)
+    if not 0 <= frac <= 1:
+        raise ValueError(f"{prefix}secondary_blob_frac must lie in [0, 1], "
+                         f"got {frac:g}")
 
 
 # the config "synth" keys: every number field of SynthSpec takes a number;

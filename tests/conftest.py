@@ -39,3 +39,18 @@ def uniform_stream(rng, n, t_span_s=1.0, camera=1, v_lo=0, v_hi=479):
                        rng.integers(0, 640, n),
                        rng.integers(v_lo, v_hi + 1, n),
                        rng.integers(0, 2, n))
+
+
+def reference_dominant(u, labels, params):
+    """Largest cluster size and centroid by the dominant-cluster rule, one
+    event at a time: the largest cluster, ties to the lower mean u, then
+    the lower id; the centroid is the mean of its members' u, and nan when
+    the cluster is under ``min_cluster_points``."""
+    if labels.max(initial=-1) < 0:
+        return 0, float("nan")
+    sizes = np.bincount(labels[labels >= 0])
+    tied = np.flatnonzero(sizes == sizes.max())
+    c = min(tied, key=lambda c: (u[labels == c].mean(), c))
+    if sizes[c] < params.min_cluster_points:
+        return int(sizes[c]), float("nan")
+    return int(sizes[c]), float(np.mean(u[labels == c]))

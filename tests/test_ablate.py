@@ -5,9 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tacloc import ablate
 from tacloc.ablate import keep_mask, run_sweep, thin
+from tacloc.cluster import weigh
 from tacloc.events import EventStream, crop_roi
 from tacloc.ingest import RunConfig, make_schedule
 from tacloc.metrics import UndefinedMetricError, empty_report
@@ -91,6 +94,51 @@ class TestThin:
         s = uniform_stream(rng, 10)
         with pytest.raises(ValueError):
             thin(s, 0, seed=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5000),
+       st.sampled_from([0, 1, -1, 2**63, 2**64 - 1, 12345]),
+       st.lists(st.integers(2, 5000), min_size=1, max_size=5, unique=True),
+       st.integers(1, 2))
+def test_thinned_counts_equal_thinning_events(stream_seed, n, seed, factors,
+                                              camera):
+    # each factor's multiplicities, taken from one count over (pixel,
+    # thresholds below the hash), are the pixel counts of the stream that
+    # thin() keeps; a small box puts many events on each pixel
+    rng = np.random.default_rng(stream_seed)
+    s = uniform_stream(rng, n, camera=camera, v_lo=200, v_hi=205)
+    s = s._subset(s.u < 12)
+    factors = sorted(factors)
+    ws, inverse = weigh(s.u, s.v, return_inverse=True)
+    tops = np.array([ablate._keep_below(k) for k in reversed(factors)],
+                    dtype=np.uint64)
+    h = ablate._event_hash(seed, camera, s.ordinal_array())
+    got = list(ablate._thinned_counts(ws, inverse, h, tops))
+    assert len(got) == len(factors)
+    for k, thinned in zip(reversed(factors), got):
+        kept = thin(s, k, seed)
+        want = weigh(kept.u, kept.v)
+        for a, b in ((thinned.du + thinned.origin[0], want.du + want.origin[0]),
+                     (thinned.dv + thinned.origin[1], want.dv + want.origin[1]),
+                     (thinned.mult, want.mult)):
+            assert np.array_equal(a, b), k
+        assert (thinned.box, thinned.origin) == (ws.box, ws.origin)
+
+
+def test_thinned_counts_keep_a_hash_at_the_threshold():
+    # keep_mask keeps a hash equal to the threshold and drops one above
+    # it; event i sits on pixel i
+    tops = np.array([ablate._keep_below(k) for k in (64, 4)],
+                    dtype=np.uint64)
+    h = np.concatenate([tops, tops + np.uint64(1)])
+    ws, inverse = weigh(np.arange(4), np.zeros(4, np.int64),
+                        return_inverse=True)
+    got = list(ablate._thinned_counts(ws, inverse, h, tops))
+    for top, thinned in zip(tops, got):
+        assert thinned.du.tolist() == np.flatnonzero(h <= top).tolist()
+        assert (thinned.mult == 1).all()
+    assert [len(t.du) for t in got] == [1, 3]
 
 
 @pytest.fixture(scope="module")

@@ -173,6 +173,19 @@ BAD_INPUTS = [
                    id=f"synth.sigma_u_px-{name}")
       for name, value, text in [("list", [1], "[1]"), ("string", "3", '"3"'),
                                 ("bool", True, "true")]],
+    # values the generator would fail on, or draw with as 0 while the
+    # truth manifest records them
+    *[pytest.param(synth_with(**{key: value}), None,
+                   f"synth.{key} must not be negative, got {value:g}",
+                   id=f"synth.{key}-negative")
+      for key, value in [("burst_events_per_press_per_camera", -1),
+                         ("sigma_u_px", -1), ("burst_v_halfwidth_px", -5),
+                         ("background_rate_per_camera", -3),
+                         ("press_offset_sigma_px", -0.5),
+                         ("tap_events", -1)]],
+    pytest.param(synth_with(secondary_blob_frac=1.5), None,
+                 "synth.secondary_blob_frac must lie in [0, 1], got 1.5",
+                 id="synth.secondary_blob_frac-over-1"),
     pytest.param(synth_with(burst_u_quantize="nearest"), None,
                  'synth.burst_u_quantize must be "split" or "round", got '
                  '"nearest"', id="synth.burst_u_quantize-unknown"),

@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 from tacloc import cluster
 from tacloc.cluster import (MAX_EPS_PX, MAX_SPAN_CELLS, MIN_EPS_PX, NOISE,
                             DbscanParams, _density_bound, _label8,
-                            _packed_unique, _tile_pixels, _with_counts, dbscan,
-                            dbscan_brute, exclude_press, extract_centroid)
+                            _packed_unique, _tile_pixels, dbscan,
+                            dbscan_brute, exclude_press, extract_centroid,
+                            weigh)
+
+from .conftest import reference_dominant
 
 PARAMS = DbscanParams(eps=10.0, min_samples=10)
 
@@ -107,6 +110,16 @@ class TestOracleEquivalence:
             assert np.array_equal(dbscan(pts, p), dbscan_brute(pts, p))
 
 
+def _with_counts(uniq, inverse, n):
+    """``uniq`` and ``inverse`` with each unique value's multiplicity and
+    first input index."""
+    m = uniq.shape[0]
+    mult = np.bincount(inverse, minlength=m).astype(np.int64)
+    first_index = np.full(m, n, dtype=np.int64)
+    np.minimum.at(first_index, inverse, np.arange(n, dtype=np.int64))
+    return uniq, inverse, mult, first_index
+
+
 def _row_unique(pts):
     """Unique rows of ``pts``, the inverse map, multiplicities and first
     input index, from ``np.unique(axis=0)``."""
@@ -130,48 +143,44 @@ def _compress_cases():
     return cases
 
 
-def _tiled(sets, e):
-    """:func:`_tile_pixels` of the sets, with each unique pixel shifted
-    back to the coordinates of its set."""
-    los = [pts.min(axis=0) for pts in sets]
-    pu, pv, tile, inverse, mult, first_index, _ = _tile_pixels(
-        [tuple((pts - lo).astype(np.int64).T) for pts, lo in zip(sets, los)],
-        [tuple(np.ptp(pts, axis=0).astype(int) + 1) for pts in sets], e)
-    sizes = np.array([len(pts) for pts in sets])
-    rows = np.cumsum([np.ptp(pts[:, 0]) + 1 + 2 * e for pts in sets])
-    row0 = np.concatenate([[0], rows[:-1]])
-    uniq = np.column_stack([pu - row0[tile] - e, pv - e]) + np.array(los)[tile]
-    return uniq, tile, inverse, mult, first_index, sizes
-
-
 class TestCompress:
     @pytest.mark.parametrize("pts", [pytest.param(pts, id=name) for name, pts
                                      in _compress_cases().items()])
-    def test_packed_key_matches_row_unique(self, pts):
-        uniq, tile, inverse, mult, first_index, _ = _tiled([pts], 3)
-        assert not tile.any()
-        for got, want in zip((uniq, inverse, mult, first_index),
-                             _row_unique(pts)):
-            assert got.dtype == want.dtype
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
+    def test_packed_key_matches_row_unique(self, pts, monkeypatch):
+        # both compress rules: a budget of 0 cells never bins the keys
+        uniq, inverse, mult, _ = _row_unique(pts)
+        for cells in (cluster._CHUNK_CELLS, 0):
+            monkeypatch.setattr(cluster, "_CHUNK_CELLS", cells)
+            ws, got_inverse = weigh(pts[:, 0], pts[:, 1], return_inverse=True)
+            # without the inverse map, the same weighted pixels
+            alone = weigh(pts[:, 0], pts[:, 1])
+            assert (alone.box, alone.origin) == (ws.box, ws.origin)
+            for got, want in zip(alone[:3], ws[:3]):
+                assert np.array_equal(got, want)
+            for got, want in ((np.column_stack([ws.du, ws.dv]) + ws.origin,
+                               uniq), (got_inverse, inverse),
+                              (ws.mult, mult)):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+            assert got_inverse.dtype == ws.mult.dtype == np.int64
+            assert ws.origin == tuple(pts.min(axis=0).astype(int))
+            assert ws.box == tuple(np.ptp(pts, axis=0).astype(int) + 1)
 
-    def test_tiles_compress_each_set_alone(self):
-        # every case in one image: each set's unique points, in order,
-        # with its inverse and first indices offset by the sets before it
-        sets = list(_compress_cases().values())
-        uniq, tile, inverse, mult, first_index, sizes = _tiled(sets, 10)
-        assert np.all(np.diff(tile) >= 0)
-        n_uniq = np.bincount(tile, minlength=len(sets))
-        starts = np.cumsum(sizes) - sizes
-        for s, pts in enumerate(sets):
-            rows = slice(n_uniq[:s].sum(), n_uniq[:s + 1].sum())
-            want = _row_unique(pts)
-            assert np.array_equal(uniq[rows], want[0])
-            assert np.array_equal(inverse[starts[s]:starts[s] + sizes[s]]
-                                  - rows.start, want[1])
-            assert np.array_equal(mult[rows], want[2])
-            assert np.array_equal(first_index[rows] - starts[s], want[3])
+    def test_tiles_lay_each_set_apart(self):
+        # every case in one image: each set's pixels, in order, in its own
+        # rows with a margin of e, and the image pixels in raster order
+        e = 10
+        sets = [weigh(*pts.T) for pts in _compress_cases().values()]
+        pu, pv, set_of, mult, shape = _tile_pixels(sets, e)
+        rows = np.cumsum([ws.box[0] + 2 * e for ws in sets])
+        row0 = np.concatenate([[0], rows[:-1]])
+        assert shape == (rows[-1], max(ws.box[1] for ws in sets) + 2 * e)
+        assert np.all(np.diff(pu * shape[1] + pv) > 0)
+        for s, ws in enumerate(sets):
+            mine = set_of == s
+            assert np.array_equal(pu[mine] - row0[s] - e, ws.du)
+            assert np.array_equal(pv[mine] - e, ws.dv)
+            assert np.array_equal(mult[mine], ws.mult)
 
     def test_wide_span_refused(self):
         rng = np.random.default_rng(32)
@@ -196,8 +205,10 @@ class TestCompress:
         ("zero", np.zeros(3, dtype=np.int64))]])
 def test_packed_unique_matches_unique_with_counts(keys):
     uniq, inverse = np.unique(keys, return_inverse=True)
-    want = _with_counts(uniq, inverse, len(keys))
-    for got, w in zip(_packed_unique(keys.astype(np.int64)), want):
+    want = _with_counts(uniq, inverse, len(keys))[:3]
+    got = _packed_unique(keys.astype(np.int64))
+    assert len(got) == len(want)
+    for got, w in zip(got, want):
         assert got.dtype == w.dtype == np.int64
         assert np.array_equal(got, w)
 
@@ -234,6 +245,17 @@ def _bound(pts, e, min_samples):
                                 min_samples)
 
 
+def assert_dominant(r, pts, params):
+    """``r`` is the dominant cluster of the per-event rule on the oracle's
+    labels of ``pts``: equal size and validity, and equal centroid bits,
+    nan included."""
+    size, centroid = reference_dominant(pts[:, 0], dbscan_brute(pts, params),
+                                        params)
+    assert (r.largest_cluster_size, r.valid) == (size, not np.isnan(centroid))
+    assert np.float64(r.centroid_u).tobytes() \
+        == np.float64(centroid).tobytes()
+
+
 class TestDensityBound:
     def test_keeps_every_point_at_min_samples_1(self):
         pts = np.random.default_rng(5).integers(0, 2000, (300, 2))
@@ -264,15 +286,15 @@ class TestDensityBound:
         lone = np.column_stack([np.arange(40) * 37, rng.integers(0, 100, 40)])
         blob = np.rint(rng.normal(50, 2, (80, 2)))
         sets = [lone, blob, lone + 5, np.zeros((0, 2))]
-        got = list(cluster.extract_centroids([tuple(p.T) for p in sets],
+        got = list(cluster.extract_centroids([weigh(*p.T) for p in sets],
                                              PARAMS))
         for pts, r in zip(sets, got):
-            assert np.array_equal(r.labels, dbscan_brute(pts, PARAMS))
-        assert (got[0].labels == NOISE).all() and got[1].valid
+            assert_dominant(r, pts, PARAMS)
+        assert got[0].largest_cluster_size == 0 and got[1].valid
         assert dropped == [80]  # both lone sets, none of the blob
         # a chunk whose every pixel is dropped
-        got = list(cluster.extract_centroids([tuple(lone.T)], PARAMS))
-        assert (got[0].labels == NOISE).all() and dropped[-1] == 40
+        got = list(cluster.extract_centroids([weigh(*lone.T)], PARAMS))
+        assert got[0].largest_cluster_size == 0 and dropped[-1] == 40
 
 
 @settings(max_examples=60, deadline=None)
@@ -370,26 +392,12 @@ def test_eps_outside_bounds_refused(eps):
         DbscanParams(eps=eps)
 
 
-def dominant_centroid(u, labels, params):
-    """The dominant cluster's centroid from given labels, by the rule of
-    :func:`extract_centroid`: the largest cluster, ties to the lower mean
-    u, the mean of its members' u in input order; nan when invalid."""
-    if labels.max(initial=NOISE) == NOISE:
-        return float("nan")
-    sizes = np.bincount(labels[labels >= 0])
-    tied = np.flatnonzero(sizes == sizes.max())
-    c = min(tied, key=lambda c: (u[labels == c].mean(), c))
-    if sizes[c] < params.min_cluster_points:
-        return float("nan")
-    return float(np.mean(u[labels == c]))
-
-
 @st.composite
 def _set_batches(draw):
     """Lists of point sets for one batched call: empty sets, single
     points, coincident towers, integral clumps with noise, and uniform
-    draws rounded to whole pixels, under chunk budgets that split the list
-    anywhere and leave some sets over a budget."""
+    draws rounded to whole pixels, under cell budgets that split the list
+    anywhere and leave some sets over the budget."""
     eps = draw(st.sampled_from([1.5, 2.5, 4.3, 10.0]))
     params = DbscanParams(eps=eps, min_samples=draw(st.sampled_from([1, 3, 10])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -413,8 +421,7 @@ def _set_batches(draw):
             pts = pts - [300, 280] if kind == "clumps" else pts
         sets.append(pts)
     cells = draw(st.sampled_from([1, 3000, 30_000, cluster._CHUNK_CELLS]))
-    events = draw(st.sampled_from([1, 40, 250, cluster._CHUNK_EVENTS]))
-    return sets, params, cells, events
+    return sets, params, cells
 
 
 def test_batched_sets_match_each_set_alone(monkeypatch):
@@ -423,50 +430,102 @@ def test_batched_sets_match_each_set_alone(monkeypatch):
     @settings(max_examples=150, deadline=None)
     @given(_set_batches(), st.booleans())
     def check(case, integer):
-        sets, params, cells, events = case
+        sets, params, cells = case
         # integer columns go to the offsets without a float copy
         cols = [tuple(p.T.astype(np.int16) if integer else p.T) for p in sets]
-        with patch.multiple(cluster, _CHUNK_CELLS=cells, _CHUNK_EVENTS=events):
-            got = list(cluster.extract_centroids(cols, params))
+        with patch.object(cluster, "_CHUNK_CELLS", cells):
+            got = list(cluster.extract_centroids(
+                [weigh(u, v) for u, v in cols], params))
         assert len(got) == len(sets)
         for pts, r in zip(sets, got):
-            want = dbscan_brute(pts, params)
-            assert np.array_equal(r.labels, want)
-            assert np.array_equal(r.labels, dbscan(pts, params))
-            alone = extract_centroid(pts[:, 0], pts[:, 1], params)
-            centroid = dominant_centroid(pts[:, 0], want, params)
-            # equal bits, nan included
-            assert np.float64(r.centroid_u).tobytes() \
-                == np.float64(alone.centroid_u).tobytes() \
-                == np.float64(centroid).tobytes()
-            assert (r.largest_cluster_size, r.valid) \
-                == (alone.largest_cluster_size, alone.valid)
+            assert np.array_equal(dbscan(pts, params),
+                                  dbscan_brute(pts, params))
+            assert_dominant(r, pts, params)
+            assert_dominant(extract_centroid(pts[:, 0], pts[:, 1], params),
+                            pts, params)
 
     check()
     # the bound dropped pixels that the labels above still match
     assert sum(dropped) > 0
 
 
+@st.composite
+def _duplicate_batches(draw):
+    """Lists of point sets shaped like press sets with many events on few
+    pixels: towers of up to 200 duplicates on each of a few pixels, two
+    equal towers whose mean u differs or is equal, empty sets, and lone
+    points that are noise (or, at min_samples 1, clusters of one whose
+    sizes tie), each shuffled so scan order does not decide a tie; under
+    cell budgets of 1, 3000 and the default."""
+    params = DbscanParams(eps=draw(st.sampled_from([1.5, 4.3, 10.0])),
+                          min_samples=draw(st.sampled_from([1, 3, 10, 50])),
+                          min_cluster_points=draw(st.sampled_from(
+                              [None, 1, 150])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["heavy", "heavy", "tie", "tie_same_u", "empty", "noise"]),
+            max_size=6)):
+        if kind == "heavy":
+            pix = rng.integers(-6, 7, (rng.integers(1, 7), 2))
+            pts = np.repeat(pix, rng.integers(1, 201, len(pix)), axis=0)
+        elif kind.startswith("tie"):
+            a = rng.integers(-30, 30, 2)
+            b = a + ([0, 40] if kind == "tie_same_u"
+                     else [40, rng.integers(-5, 6)])
+            pts = np.repeat([a, b], rng.integers(1, 200), axis=0)
+        elif kind == "empty":
+            pts = np.zeros((0, 2), dtype=np.int64)
+        else:
+            n = int(rng.integers(1, 30))
+            pts = np.column_stack([np.arange(n) * 25,
+                                   rng.integers(-30, 30, n)])
+        pts = pts[rng.permutation(len(pts))] + rng.integers(0, 600, 2)
+        sets.append(pts.astype(float))
+    cells = draw(st.sampled_from([1, 3000, cluster._CHUNK_CELLS]))
+    return sets, params, cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(_duplicate_batches())
+def test_centroids_from_counts_equal_the_per_event_rule(case):
+    # sizes and centroids taken from the multiplicities equal the
+    # dominant-cluster rule over the oracle's per-event labels, bit for
+    # bit, and dbscan still numbers its labels as the oracle does
+    sets, params, cells = case
+    with patch.object(cluster, "_CHUNK_CELLS", cells):
+        got = list(cluster.extract_centroids([weigh(*p.T) for p in sets],
+                                             params))
+        for pts in sets:
+            assert np.array_equal(dbscan(pts, params),
+                                  dbscan_brute(pts, params))
+    assert len(got) == len(sets)
+    for pts, r in zip(sets, got):
+        assert_dominant(r, pts, params)
+
+
 def test_sets_share_chunks_within_the_budgets(monkeypatch):
-    # small sets share one pixel call; a set over the event budget runs
-    # alone and splits the run around it
+    # small sets share one pixel call; a set over the cell budget runs
+    # alone and splits the run around it. At eps 10 a blob's tile is
+    # (4 + 20) x (3 + 20) cells and the wide set's (84 + 20) x (3 + 20):
+    # three blobs fit the budget, one blob and the wide set do not
     calls = []
     grid = cluster._dbscan_pixel_grid
 
-    def counted(offsets, boxes, params):
-        calls.append(len(offsets))
-        return grid(offsets, boxes, params)
+    def counted(sets, params):
+        calls.append(len(sets))
+        return grid(sets, params)
 
     monkeypatch.setattr(cluster, "_dbscan_pixel_grid", counted)
-    monkeypatch.setattr(cluster, "_CHUNK_EVENTS", 100)
+    monkeypatch.setattr(cluster, "_CHUNK_CELLS", 3 * 24 * 23)
     blob = np.tile([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]], (10, 1))
-    big = np.tile(blob, (4, 1))
-    sets = [blob, blob, np.zeros((0, 2)), blob, big, blob, blob + 1, blob]
-    got = list(cluster.extract_centroids([(p[:, 0], p[:, 1]) for p in sets],
+    wide = np.vstack([blob, blob + [80, 0]])
+    sets = [blob, blob, np.zeros((0, 2)), blob, wide, blob, blob + 1, blob]
+    got = list(cluster.extract_centroids([weigh(*p.T) for p in sets],
                                          PARAMS))
     assert calls == [4, 1, 3]
     for pts, r in zip(sets, got):
-        assert np.array_equal(r.labels, dbscan_brute(pts, PARAMS))
+        assert_dominant(r, pts, PARAMS)
 
 
 def _nearest_lattice_vector(length):
@@ -644,10 +703,11 @@ class TestDbscanProperties:
         pts = random_point_set(rng, 400, 1)
         r = extract_centroid(pts[:, 0], pts[:, 1], PARAMS)
         if r.valid:
-            sizes = np.bincount(r.labels[r.labels >= 0])
+            labels = dbscan(pts, PARAMS)
+            sizes = np.bincount(labels[labels >= 0])
             tied = np.flatnonzero(sizes == sizes.max())
-            winner = min(tied, key=lambda c: pts[r.labels == c, 0].mean())
-            members = r.labels == winner
+            winner = min(tied, key=lambda c: pts[labels == c, 0].mean())
+            members = labels == winner
             assert pts[members, 0].min() <= r.centroid_u <= pts[members, 0].max()
 
     def test_noise_points_do_not_move_centroid(self):

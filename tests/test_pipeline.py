@@ -13,7 +13,7 @@ from tacloc.ingest import RunConfig, make_schedule
 from tacloc.segment import press_events
 from tacloc.synth import SynthSpec, generate
 
-from .conftest import small_layout
+from .conftest import reference_dominant, small_layout
 
 
 @pytest.fixture(scope="module")
@@ -156,20 +156,6 @@ def test_probed_area():
     assert pipeline.probed_area_mm2(cfg) == pytest.approx(20.0 * 16.0)
 
 
-def _reference_dominant(u, labels, params):
-    """Largest cluster size and centroid by the dominant-cluster rule: the
-    largest cluster, ties to the lower mean u, then the lower id; the
-    centroid is nan when the cluster is under ``min_cluster_points``."""
-    if labels.max(initial=-1) < 0:
-        return 0, float("nan")
-    sizes = np.bincount(labels[labels >= 0])
-    tied = np.flatnonzero(sizes == sizes.max())
-    c = min(tied, key=lambda c: (u[labels == c].mean(), c))
-    if sizes[c] < params.min_cluster_points:
-        return int(sizes[c]), float("nan")
-    return int(sizes[c]), float(np.mean(u[labels == c]))
-
-
 def _reference_table(trials, models, params):
     """The TrialTable columns of ``trials``, one trial and camera at a time:
     ``dbscan_brute`` on the press events, the dominant-cluster rule, and
@@ -185,7 +171,7 @@ def _reference_table(trials, models, params):
                 ev = press_events(trial, cam)
                 u = ev.u.astype(np.float64)
                 pts = np.column_stack([u, ev.v.astype(np.float64)])
-                size, cent = _reference_dominant(
+                size, cent = reference_dominant(
                     u, dbscan_brute(pts, params), params)
             sizes.append(size)
             cents.append(cent)
@@ -235,15 +221,13 @@ ORACLE_PARAMS = [DbscanParams(), DbscanParams(eps=6.5, min_samples=5,
                                               min_cluster_points=310)]
 
 
-@pytest.mark.parametrize("cells, events", [(None, None), (30_000, 400),
-                                           (1, 1)])
+@pytest.mark.parametrize("cells", [None, 30_000, 1])
 @pytest.mark.parametrize("params", ORACLE_PARAMS)
 def test_localize_trials_matches_per_trial_reference(oracle_recordings,
                                                      monkeypatch, cells,
-                                                     events, params):
+                                                     params):
     if cells is not None:
         monkeypatch.setattr(cluster, "_CHUNK_CELLS", cells)
-        monkeypatch.setattr(cluster, "_CHUNK_EVENTS", events)
     for cfg, trials in oracle_recordings:
         table = pipeline.localize_trials(trials, cfg.camera_models, params)
         want = _reference_table(trials, cfg.camera_models, params)
@@ -282,7 +266,7 @@ def test_localize_trial_matches_per_trial_reference(oracle_recordings,
                     == want["cluster_size"][i])
             if trial.missing:
                 assert not r1.valid and not r2.valid
-                assert len(r1.labels) == len(r2.labels) == 0
+                assert r1.largest_cluster_size == r2.largest_cluster_size == 0
                 missing_events += sum(len(press_events(trial, cam))
                                       for cam in (1, 2))
     # a missing trial is not clustered, even when it holds events

@@ -197,3 +197,26 @@ def test_end_to_end_small_grid_oracle():
     d = results.est_mm[results.valid] - results.gt_mm[results.valid]
     errs = np.hypot(d[:, 0], d[:, 1])
     assert max(errs) < 1.0
+
+
+@pytest.mark.parametrize("key, value, message", [
+    *[(key, -1.0, f"{key} must not be negative, got -1")
+      for key in ("burst_events_per_press_per_camera", "sigma_u_px",
+                  "burst_v_halfwidth_px", "background_rate_per_camera",
+                  "press_offset_sigma_px", "tap_events")],
+    ("sigma_u_px", float("nan"), "sigma_u_px must not be negative, got nan"),
+    ("secondary_blob_frac", 1.5,
+     r"secondary_blob_frac must lie in \[0, 1\], got 1.5"),
+    ("secondary_blob_frac", -0.1,
+     r"secondary_blob_frac must lie in \[0, 1\], got -0.1")])
+def test_spec_refuses_values_the_generator_cannot_draw(key, value, message):
+    with pytest.raises(ValueError, match=message):
+        make_spec(**{key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sigma_u_px", 0.0), ("burst_v_halfwidth_px", 0.0),
+    ("burst_v_halfwidth_px", None), ("secondary_blob_frac", 0.0),
+    ("secondary_blob_frac", 1.0), ("tap_events", 0.0)])
+def test_spec_takes_values_at_the_bounds(key, value):
+    assert getattr(make_spec(**{key: value}), key) == value

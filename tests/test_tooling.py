@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
+import inspect
 import json
 import re
 import warnings
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tacloc import cluster
 from tacloc.ingest import config_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,6 +43,26 @@ def test_traced_names_exist():
                if not callable(getattr(importlib.import_module(
                    f"tacloc.{layer}"), name, None))]
     assert missing == []
+
+
+def test_tracer_observers_read_real_results():
+    # the observers read arguments and result fields by name, and only a
+    # traced benchmark run would otherwise notice a renamed one
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    observers = tracing._observers({layer: importlib.import_module(
+        f"tacloc.{layer}") for layer in tracing.WRAPPED})
+    rng = np.random.default_rng(0)
+    u = np.rint(rng.normal(300, 2, 60)).astype(np.int16)
+    v = np.rint(rng.normal(250, 2, 60)).astype(np.int16)
+    args = inspect.signature(cluster.extract_centroid).bind(
+        u, v, cluster.DbscanParams())
+    result = cluster.extract_centroid(*args.args)
+    assert result.valid
+    assert observers["cluster.extract_centroid"](args.arguments, result) \
+        == {"events_in": 60, "dominant": result.largest_cluster_size,
+            "valid": 1}
 
 
 def test_sources_parse_as_python_3_10():
