@@ -153,9 +153,9 @@ def weigh(u, v, return_inverse: bool = False):
     point's pixel.
 
     One int64 key per point, ``du * h + dv``, orders the pixels. A small
-    box with many points bins the keys; otherwise one sort gives the
-    unique keys and their counts (and, with the inverse map, it sorts
-    ``key << b | index``, b the bit width of the point count). A box
+    box with many points bins the keys; otherwise one sort of
+    ``key << b | index``, b the bit width of the point count, gives the
+    unique keys and their counts, and the inverse map when asked. A box
     over ``MAX_SPAN_CELLS`` cells raises ValueError.
     """
     u, v = _columns((u, v))
@@ -170,17 +170,13 @@ def weigh(u, v, return_inverse: bool = False):
     keys = np.subtract(u, u0, dtype=np.int64)
     keys *= h
     keys += np.subtract(v, v0, dtype=np.int64)
-    inverse = None
     if w * h <= min(4 * n, _CHUNK_CELLS):
         counts = np.bincount(keys, minlength=w * h)
         uniq = np.flatnonzero(counts)
         mult = counts[uniq]
-        if return_inverse:
-            inverse = (np.cumsum(counts > 0) - 1)[keys]
-    elif return_inverse:
-        uniq, inverse, mult = _packed_unique(keys)
+        inverse = (np.cumsum(counts > 0) - 1)[keys] if return_inverse else None
     else:
-        uniq, mult = np.unique(keys, return_counts=True)
+        uniq, inverse, mult = _packed_unique(keys, return_inverse)
     du, dv = np.divmod(uniq, h)
     ws = WeightedPixels(du, dv, mult.astype(np.int64, copy=False), (w, h),
                         (u0, v0))
@@ -303,9 +299,10 @@ def _label8(img):
     return labels, int(ids.max(initial=0))
 
 
-def _packed_unique(keys):
-    """Unique values of non-negative int64 ``keys``, the inverse map and
-    the multiplicities, from one ``sort_packed``."""
+def _packed_unique(keys, return_inverse=True):
+    """Unique values of non-negative int64 ``keys``, the inverse map
+    (None without ``return_inverse``) and the multiplicities, from one
+    ``sort_packed``."""
     n = len(keys)
     assert int(keys.max()) < 1 << (63 - n.bit_length()), \
         "packed keys overflow int64"
@@ -315,8 +312,10 @@ def _packed_unique(keys):
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     starts = np.flatnonzero(new)
     mult = np.diff(starts, append=n)
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[index] = np.repeat(np.arange(len(starts)), mult)
+    inverse = None
+    if return_inverse:
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[index] = np.repeat(np.arange(len(starts)), mult)
     return ordered[starts], inverse, mult
 
 

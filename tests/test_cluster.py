@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tacloc import cluster
@@ -211,6 +211,12 @@ def test_packed_unique_matches_unique_with_counts(keys):
     for got, w in zip(got, want):
         assert got.dtype == w.dtype == np.int64
         assert np.array_equal(got, w)
+    # the same sort without the inverse map
+    uniq_alone, none, mult_alone = _packed_unique(keys.astype(np.int64),
+                                                  return_inverse=False)
+    assert none is None
+    assert np.array_equal(uniq_alone, want[0])
+    assert np.array_equal(mult_alone, want[2])
 
 
 def test_packed_unique_refuses_keys_that_overflow():
@@ -314,34 +320,39 @@ def _tile_cells(pts, eps):
     return math.prod(int(np.ptp(col)) + 1 + 2 * e for col in pts.T)
 
 
-@st.composite
-def _coordinate_cases(draw):
-    """Point sets for the input contract: whole coordinates in float64 or
-    int64 columns, at most one entry made fractional or non-finite, and
-    perhaps a far point that puts the tile one cell row under, at or over
-    ``MAX_SPAN_CELLS``, along either axis."""
-    eps = draw(st.sampled_from([MIN_EPS_PX, 2.5, 10.0, MAX_EPS_PX]))
+def _coordinate_case(eps, seed, n, shift, far, flip, bad, as_int,
+                     min_samples):
+    """A point set for the input contract: n whole coordinates near
+    ``shift``, in float64 or (``as_int``) int64 columns, perhaps one
+    entry made fractional or non-finite by ``bad``, and perhaps a far
+    point that puts the tile one cell row under (``far`` -1), at (0) or
+    over (1) ``MAX_SPAN_CELLS``, along either axis (``flip``)."""
     e = math.floor(eps)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pts = (rng.integers(-20, 21, (draw(st.integers(1, 40)), 2))
-           + draw(st.integers(-10**6, 10**6))).astype(float)
-    far = draw(st.sampled_from([None, -1, 0, 1]))
+    rng = np.random.default_rng(seed)
+    pts = (rng.integers(-20, 21, (n, 2)) + shift).astype(float)
     if far is not None:
         h = int(np.ptp(pts[:, 1])) + 1
         w = MAX_SPAN_CELLS // (h + 2 * e) - 2 * e + far
         pts = np.vstack([pts, [pts[:, 0].min() + w - 1, pts[0, 1]]])
-    if draw(st.booleans()):
+    if flip:
         pts = pts[:, ::-1]
-    bad = draw(st.sampled_from([None, None, 0.5, 1e-6, np.nan, np.inf,
-                                -np.inf]))
     if bad is not None:
         i, j = rng.integers(len(pts)), rng.integers(2)
         pts[i, j] = pts[i, j] + bad if np.isfinite(bad) else bad
-    if bad is None and draw(st.booleans()):
+    elif as_int:
         pts = pts.astype(np.int64)
     # min_samples >= 2 leaves a far point noise, so its tile stays small
-    return pts, DbscanParams(eps=eps,
-                             min_samples=draw(st.sampled_from([2, 3, 5, 10])))
+    return pts, DbscanParams(eps=eps, min_samples=min_samples)
+
+
+_coordinate_cases = st.builds(
+    _coordinate_case,
+    st.sampled_from([MIN_EPS_PX, 2.5, 10.0, MAX_EPS_PX]),
+    st.integers(0, 2**32 - 1), st.integers(1, 40),
+    st.integers(-10**6, 10**6), st.sampled_from([None, -1, 0, 1]),
+    st.booleans(),
+    st.sampled_from([None, None, 0.5, 1e-6, np.nan, np.inf, -np.inf]),
+    st.booleans(), st.sampled_from([2, 3, 5, 10]))
 
 
 def test_dbscan_refuses_exactly_what_the_pixel_path_cannot_serve():
@@ -349,8 +360,13 @@ def test_dbscan_refuses_exactly_what_the_pixel_path_cannot_serve():
     # bound, raise ValueError; every other set matches the oracle
     seen = set()
 
+    # one fixed case per outcome, so each is seen whatever hypothesis draws
     @settings(max_examples=200, deadline=None)
-    @given(_coordinate_cases())
+    @given(_coordinate_cases)
+    @example(_coordinate_case(10.0, 0, 20, 0, None, False, 0.5, False, 3))
+    @example(_coordinate_case(10.0, 0, 20, 0, 1, False, None, True, 3))
+    @example(_coordinate_case(2.5, 1, 20, -7, 0, True, None, False, 3))
+    @example(_coordinate_case(MIN_EPS_PX, 2, 20, 9, None, False, None, True, 2))
     def check(case):
         pts, p = case
         if not (np.all(np.isfinite(pts)) and np.all(np.rint(pts) == pts)):
