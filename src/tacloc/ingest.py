@@ -326,8 +326,8 @@ def write_events(stream: EventStream, path, fmt: str = "bin") -> None:
 def detect_sync_taps(stream: EventStream, spec: SyncSpec = SyncSpec()) -> np.ndarray:
     """Onset times (aligned seconds) of the sync taps at the stream start.
 
-    Peak regions are contiguous runs of 10 ms bins above a multiple of
-    the search window's median bin rate; a qualifying triple must have
+    Peak regions are contiguous runs of ``spec.bin_s`` bins above a multiple
+    of the search window's median bin rate; a qualifying triple must have
     consecutive spacings within the tolerance of the tap interval. Among
     qualifying triples the one with the largest total peak rate wins.
     """

@@ -121,7 +121,9 @@ def smoothed_rate(times_s: np.ndarray, t0_s: float, t1_s: float,
         raise ValueError("bin_s and sigma_s must be positive")
     counts = bin_times(times_s, t0_s, t1_s, bin_s)
     kernel = gaussian_kernel(bin_s, sigma_s)
-    sm = np.convolve(counts.astype(np.float64), kernel, mode="same")
+    # mode="same" would return the kernel's length for a shorter window
+    half = len(kernel) // 2
+    sm = np.convolve(counts.astype(np.float64), kernel)[half:half + len(counts)]
     return SmoothedSeries(t0_s, bin_s, counts, sm)
 
 
@@ -152,36 +154,8 @@ def cusum_onsets(series, baseline: BaselineStats,
     h * baseline sd. After the alarm the statistic resets and nothing is
     reported for ``cooldown_s``.
     """
-    x = series.rates
-    mu0 = baseline.mean
-    mu1 = params.rate_multiplier * mu0
-    drift = 0.5 * (mu0 + mu1)
-    thr = params.h * baseline.sd
-    m = params.min_consecutive_bins
-    cooldown_bins = max(1, int(round(params.cooldown_s / series.bin_s)))
-    a = x - drift
-
-    onsets = []
-    start = 0
-    n = len(a)
-    while start < n:
-        seg = a[start:]
-        c = np.cumsum(seg)
-        s = c - np.minimum.accumulate(np.minimum(c, 0.0))
-        above = s > thr
-        if m > 1:
-            run = np.convolve(above.astype(np.int8), np.ones(m, dtype=np.int8),
-                              mode="valid") == m
-            hits = np.flatnonzero(run)
-        else:
-            hits = np.flatnonzero(above)
-        if not len(hits):
-            break
-        onset_idx = start + int(hits[0])
-        onsets.append(series.t0_s + onset_idx * series.bin_s)
-        # resume after the alarm decision plus the cooldown
-        start = max(onset_idx + cooldown_bins, onset_idx + m)
-    return np.asarray(onsets)
+    bins, = _alarm_bins(series, baseline, params, [params.h])
+    return series.t0_s + bins * series.bin_s
 
 
 def _trial_series(trial: PressTrial,
@@ -203,29 +177,57 @@ def _trial_series(trial: PressTrial,
     return series, base
 
 
-def _first_alarms(series, baseline: BaselineStats, params: CusumParams,
-                  hs: np.ndarray) -> np.ndarray:
-    """The bin of ``cusum_onsets``' first alarm at every h in ``hs``, -1
-    where there is none.
-
-    The first alarm is the first bin i whose statistic exceeds h * sd for
-    m bins in a row, i.e. where the minimum over bins i..i+m-1 exceeds
-    it. The running maximum of that minimum is non-decreasing and does not
-    depend on h, so one searchsorted places every threshold.
-    """
+def _excess(series, baseline: BaselineStats, params: CusumParams):
+    """The smoothed rate's excess over the midpoint between the baseline
+    mean and its target multiple: what the CUSUM accumulates."""
     mu0 = baseline.mean
-    mu1 = params.rate_multiplier * mu0
-    drift = 0.5 * (mu0 + mu1)
-    c = np.cumsum(series.rates - drift)
+    return series.rates - 0.5 * (mu0 + params.rate_multiplier * mu0)
+
+
+def _first_alarms(excess: np.ndarray, m: int,
+                  thresholds: np.ndarray) -> np.ndarray:
+    """The first alarm bin of a CUSUM started at ``excess[0]``, for every
+    threshold, -1 where there is none.
+
+    The first alarm is the first bin i whose statistic exceeds the
+    threshold for m bins in a row, i.e. where the minimum over bins
+    i..i+m-1 exceeds it. The running maximum of that minimum is
+    non-decreasing and does not depend on the threshold, so one
+    searchsorted places every threshold.
+    """
+    c = np.cumsum(excess)
     s = c - np.minimum.accumulate(np.minimum(c, 0.0))
-    m = params.min_consecutive_bins
     if len(s) < m:
-        return np.full(len(hs), -1)
+        return np.full(len(thresholds), -1)
     if m > 1:
         s = np.lib.stride_tricks.sliding_window_view(s, m).min(axis=1)
     envelope = np.maximum.accumulate(s)
-    idx = np.searchsorted(envelope, hs * baseline.sd, side="right")
+    idx = np.searchsorted(envelope, thresholds, side="right")
     return np.where(idx < len(envelope), idx, -1)
+
+
+def _alarm_bins(series, baseline: BaselineStats, params: CusumParams,
+                hs) -> list[np.ndarray]:
+    """Every alarm bin of the CUSUM at each h in ``hs``.
+
+    After an alarm the statistic restarts max(m, cooldown bins) later.
+    Thresholds that share an alarm share its restart and all that
+    follows, so each restart runs the kernel once for all of them.
+    """
+    a = _excess(series, baseline, params)
+    m = params.min_consecutive_bins
+    step = max(m, int(round(params.cooldown_s / series.bin_s)))
+    found = [[] for _ in hs]
+    todo = [(0, np.arange(len(hs)), np.asarray(hs) * baseline.sd)]
+    while todo:
+        start, which, thr = todo.pop()
+        first = _first_alarms(a[start:], m, thr)
+        for f in np.unique(first[first >= 0]).tolist():
+            hit = first == f
+            for i in which[hit].tolist():
+                found[i].append(start + f)
+            todo.append((start + f + step, which[hit], thr[hit]))
+    return [np.array(b, dtype=np.int64) for b in found]
 
 
 def _grid_onsets(press_trials, params: CusumParams,
@@ -239,7 +241,8 @@ def _grid_onsets(press_trials, params: CusumParams,
     onsets = np.full((len(hs), len(press_trials)), np.nan)
     for j, trial in enumerate(press_trials):
         series, base = _trial_series(trial, params)
-        first = _first_alarms(series, base, params, hs)
+        first = _first_alarms(_excess(series, base, params),
+                              params.min_consecutive_bins, hs * base.sd)
         hit = first >= 0
         onsets[hit, j] = (series.t0_s + first[hit] * series.bin_s) - trial.t0_s
     return onsets
@@ -288,17 +291,14 @@ def _snippet_series(snippets, params: CusumParams):
     return out, total_s
 
 
-def _alarm_rates(snippets, params: CusumParams, hs: list[float]) -> list[float]:
-    """``cusum_onsets`` alarms per second over background-only snippets at
-    every h in ``hs``; only a snippet with a first alarm at h is run."""
-    background, total_s = _snippet_series(snippets, params)
-    alarms = [0] * len(hs)
+def _alarm_rates(background, total_s: float, params: CusumParams,
+                 hs: list[float]) -> list[float]:
+    """``cusum_onsets`` alarms per second at every h in ``hs`` over the
+    (series, baseline) pairs of background snippets ``total_s`` long."""
+    alarms = np.zeros(len(hs))
     for series, base in background:
-        first = _first_alarms(series, base, params, np.asarray(hs))
-        for i in np.flatnonzero(first >= 0).tolist():
-            p = replace(params, h=hs[i])
-            alarms[i] += len(cusum_onsets(series, base, p))
-    return [a / total_s if total_s > 0 else 0.0 for a in alarms]
+        alarms += [len(b) for b in _alarm_bins(series, base, params, hs)]
+    return [a / total_s if total_s > 0 else 0.0 for a in alarms.tolist()]
 
 
 def trial_background_snippets(trials) -> list[tuple[float, float, np.ndarray]]:
@@ -332,8 +332,12 @@ def tune_threshold(press_trials, background_snippets, params: CusumParams,
     if h_grid is None:
         h_grid = np.geomspace(0.1, 1000.0, 60)
     hs = [float(h) for h in h_grid]
+    bad = [h for h in hs if not (math.isfinite(h) and h > 0)]
+    if bad:
+        raise ValueError(f"h grid value {bad[0]!r} is not finite positive")
     onsets = _grid_onsets(press_trials, params, np.array(hs))
-    rates = _alarm_rates(background_snippets, params, hs)
+    rates = _alarm_rates(*_snippet_series(background_snippets, params),
+                         params, hs)
     roc = []
     best = None
     for h, row, fa in zip(hs, onsets, rates):
@@ -395,7 +399,7 @@ def latency_report(press_trials, params: CusumParams,
     cooldown, fa = params.cooldown_s, 0.0
     if background_snippets:
         cooldown = max(width_ms / 1e3, params.bin_s)
-        fa, = _alarm_rates(background_snippets,
+        fa, = _alarm_rates(*_snippet_series(background_snippets, params),
                            replace(params, cooldown_s=cooldown), [params.h])
     return LatencyReport(
         h_used=params.h,

@@ -4,16 +4,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tacloc.events import EventStream
 from tacloc.latency import (BaselineStats, CusumParams, RocPoint,
                             SmoothedSeries, TuneResult, TuningError,
-                            UndefinedReportError, _first_alarms,
-                            _grid_onsets, _snippet_series, _tpr_at,
-                            _trial_series, baseline_stats, bin_times,
-                            cusum_onsets, gaussian_kernel, latency_report,
-                            smoothed_rate, trial_background_snippets,
-                            tune_threshold)
+                            UndefinedReportError, _alarm_rates, _excess,
+                            _first_alarms, _grid_onsets, _snippet_series,
+                            _tpr_at, _trial_series, baseline_stats,
+                            bin_times, cusum_onsets, gaussian_kernel,
+                            latency_report, smoothed_rate,
+                            trial_background_snippets, tune_threshold)
 from tacloc.segment import PressTrial
 
 US = 1_000_000
@@ -46,6 +48,42 @@ def jittered_trials(rng, n_trials, idle_rate, press_rate, jitter_s=0.030,
     return trials, np.array(true_onsets)
 
 
+def cusum_by_restart(series, baseline, params):
+    """Onset times of the one-sided CUSUM, restarting the statistic from
+    scratch after every alarm: the oracle for cusum_onsets and the alarm
+    counts."""
+    x = series.rates
+    mu0 = baseline.mean
+    mu1 = params.rate_multiplier * mu0
+    drift = 0.5 * (mu0 + mu1)
+    thr = params.h * baseline.sd
+    m = params.min_consecutive_bins
+    cooldown_bins = max(1, int(round(params.cooldown_s / series.bin_s)))
+    a = x - drift
+
+    onsets = []
+    start = 0
+    n = len(a)
+    while start < n:
+        seg = a[start:]
+        c = np.cumsum(seg)
+        s = c - np.minimum.accumulate(np.minimum(c, 0.0))
+        above = s > thr
+        if m > 1:
+            run = np.convolve(above.astype(np.int8), np.ones(m, dtype=np.int8),
+                              mode="valid") == m
+            hits = np.flatnonzero(run)
+        else:
+            hits = np.flatnonzero(above)
+        if not len(hits):
+            break
+        onset_idx = start + int(hits[0])
+        onsets.append(series.t0_s + onset_idx * series.bin_s)
+        # resume after the alarm decision plus the cooldown
+        start = max(onset_idx + cooldown_bins, onset_idx + m)
+    return np.asarray(onsets)
+
+
 class TestSmoothedRate:
     def test_impulse_response_has_unit_mass(self):
         series = smoothed_rate(np.array([0.05]), 0.0, 0.1,
@@ -69,6 +107,19 @@ class TestSmoothedRate:
         times = np.sort(rng.uniform(0, 0.2, 5000))
         series = smoothed_rate(times, 0.0, 0.2, PARAMS.bin_s, 1e-9)
         assert np.allclose(series.smoothed, series.counts)
+
+    @pytest.mark.parametrize("n_bins", [1, 5, 20, 21, 22])
+    def test_window_shorter_than_kernel_keeps_its_length(self, n_bins):
+        # the default kernel has 21 taps; a clipped baseline window can
+        # have fewer bins, and its rate must not be spread over 21 values
+        assert len(gaussian_kernel(PARAMS.bin_s, PARAMS.sigma_s)) == 21
+        t1 = n_bins * PARAMS.bin_s
+        series = smoothed_rate(np.array([0.5 * t1]), 0.0, t1,
+                               PARAMS.bin_s, PARAMS.sigma_s)
+        assert len(series.rates) == len(series.counts) == n_bins
+        # the event's bin keeps the kernel's central tap
+        assert series.smoothed.max() == gaussian_kernel(
+            PARAMS.bin_s, PARAMS.sigma_s).max()
 
     def test_mass_preserved(self):
         rng = np.random.default_rng(2)
@@ -172,19 +223,30 @@ class TestTuneThreshold:
         with pytest.raises(ValueError):
             tune_threshold(trials, [], PARAMS)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_grid_must_be_finite_positive(self, bad):
+        # 0 or less alarms on every bin, nan never alarms; each is refused
+        # whether or not a series alarms at it
+        rng = np.random.default_rng(10)
+        trials, _ = jittered_trials(rng, 20, idle_rate=1000.0,
+                                    press_rate=9000.0)
+        with pytest.raises(ValueError, match=f"h grid value {bad!r} "):
+            tune_threshold(trials, trial_background_snippets(trials), PARAMS,
+                           h_grid=[1.0, bad, 10.0])
+
 
 def trial_onset(trial, params):
-    """The first cusum_onsets onset in the trial window, in seconds after
-    t0, or None."""
+    """The first onset of the restart oracle in the trial window, in
+    seconds after t0, or None."""
     series, base = _trial_series(trial, params)
-    onsets = cusum_onsets(series, base, params)
+    onsets = cusum_by_restart(series, base, params)
     return float(onsets[0]) - trial.t0_s if len(onsets) else None
 
 
 def background_alarm_rate(snippets, params):
-    """cusum_onsets alarms per second over every background snippet."""
+    """Restart-oracle alarms per second over every background snippet."""
     background, total_s = _snippet_series(snippets, params)
-    alarms = sum(len(cusum_onsets(series, base, params))
+    alarms = sum(len(cusum_by_restart(series, base, params))
                  for series, base in background)
     return alarms / total_s if total_s > 0 else 0.0
 
@@ -297,9 +359,9 @@ class TestTuneOracle:
         params = replace(PARAMS, min_consecutive_bins=m)
         # CusumParams refuses h = 0, so the oracle grid starts above it
         hs = np.arange(0.5, 8.0, 0.5)
-        first = _first_alarms(series, base, params, hs)
+        first = _first_alarms(_excess(series, base, params), m, hs * base.sd)
         for h, i in zip(hs.tolist(), first.tolist()):
-            want = cusum_onsets(series, base, replace(params, h=h))
+            want = cusum_by_restart(series, base, replace(params, h=h))
             assert (i * 0.5 if i >= 0 else None) == (
                 float(want[0]) if len(want) else None)
 
@@ -333,6 +395,56 @@ class TestTuneOracle:
                                     press_rate=2000.0)
         trials[0] = without_baseline(trials[0])
         self.check(trials, PARAMS, self.GRID[::4])
+
+
+@st.composite
+def alarm_cases(draw):
+    """(series list, baseline, params, h grid) for the restart oracle.
+
+    Integer rates over bin_s 0.5 against mean 1 and sd 1 make the
+    statistic hit h * sd exactly for h on the half-integer grid; float
+    rates and grids cover the rest. Cooldowns run from 1 to 8 bins, both
+    shorter and longer than m.
+    """
+    bin_s = 0.5
+    if draw(st.booleans()):
+        rate = st.integers(0, 9).map(float)
+        h = st.integers(1, 16).map(lambda k: k / 2)
+    else:
+        rate = st.floats(0.0, 9.0)
+        h = st.floats(0.01, 20.0)
+    series = [SmoothedSeries(0.25 * i, bin_s, np.zeros(len(r), dtype=np.int64),
+                             np.array(r, dtype=float) * bin_s)
+              for i, r in enumerate(draw(st.lists(
+                  st.lists(rate, max_size=40), min_size=1, max_size=3)))]
+    params = replace(PARAMS, min_consecutive_bins=draw(st.integers(1, 4)),
+                     cooldown_s=bin_s * draw(st.integers(1, 8)))
+    hs = draw(st.lists(h, min_size=1, max_size=8))
+    return series, BaselineStats(1.0, 1.0), params, hs
+
+
+@settings(max_examples=300, deadline=None)
+@given(alarm_cases())
+@example(([SmoothedSeries(0.0, 0.5, np.zeros(0, dtype=np.int64), np.zeros(0)),
+           SmoothedSeries(0.0, 0.5, np.zeros(2, dtype=np.int64),
+                          np.array([4.5, 4.5]))],
+          BaselineStats(1.0, 1.0), replace(PARAMS, min_consecutive_bins=3),
+          [0.5, 1.0]))
+def test_alarms_equal_restart_oracle(case):
+    # every alarm of every h, restarts and cooldowns included, equals
+    # the loop that restarts the statistic from scratch after each alarm
+    series, base, params, hs = case
+    counts = [0] * len(hs)
+    for s in series:
+        for i, h in enumerate(hs):
+            p = replace(params, h=h)
+            want = cusum_by_restart(s, base, p)
+            got = cusum_onsets(s, base, p)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            counts[i] += len(want)
+    assert _alarm_rates([(s, base) for s in series], 1.0, params, hs) \
+        == counts
 
 
 class TestLatencyReport:

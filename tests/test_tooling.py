@@ -6,13 +6,14 @@ import importlib.util
 import inspect
 import json
 import re
+import shlex
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tacloc import cluster
+from tacloc import cli, cluster
 from tacloc.ingest import config_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -118,3 +119,15 @@ def test_readme_imports_run():
     blocks = _readme_blocks("python")
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_readme_commands_parse():
+    # a README command with a renamed or deleted flag fails to parse
+    lines = [shlex.split(line, comments=True)
+             for block in _readme_blocks("sh")
+             for line in block.splitlines()
+             if line.startswith("tacloc ")]
+    assert len(lines) == 5
+    for argv in lines:
+        args = cli.build_parser().parse_args(argv[1:])
+        assert args.command == argv[1]
