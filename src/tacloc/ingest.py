@@ -3,7 +3,8 @@ configuration loading.
 
 File formats:
 
-* CSV: header ``t_us,u,v,polarity``, one event per line, polarity 0/1.
+* CSV: header ``t_us,u,v,polarity``, one event per line, polarity
+  0 to 255; ``write_events`` writes plain decimals, LF-terminated.
 * Binary: 16-byte header (magic ``EVT1``, version byte, 3 reserved bytes,
   little-endian uint64 event count) followed by 16-byte records
   (int64 t_us, uint16 u, uint16 v, uint8 polarity, 3 pad bytes).
@@ -207,7 +208,8 @@ def _read_csv(path: Path, camera_id) -> EventStream:
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: {exc}") from None
     # universal newlines, as text-mode reading translates them
-    data = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    data = (raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            if b"\r" in raw else raw)
     del raw
     if not data.endswith(b"\n"):
         data += b"\n"
@@ -294,6 +296,33 @@ def _read_binary(path: Path, camera_id) -> EventStream:
                   body["v"], body["polarity"])
 
 
+def _csv_block(cols) -> np.ndarray:
+    """The bytes of one block of CSV lines, as a uint8 array, from
+    non-negative int columns.
+
+    Each column's values are written right-aligned in as many digit
+    places as its largest value needs, then a comma (a newline after the
+    last column); the leading zeros are masked out, and one compress of
+    the masked matrix is the block's text.
+    """
+    x = [np.asarray(c, dtype=np.int64) for c in cols]
+    widths = [len(str(int(c.max()))) for c in x]
+    chars = np.full((len(x[0]), sum(widths) + len(x)), _COMMA, dtype=np.uint8)
+    chars[:, -1] = _NL
+    keep = np.ones(chars.shape, dtype=bool)
+    start = 0
+    for value, w in zip(x, widths):
+        rest = value
+        for k in range(w):  # the digit of 10**k, k places from the right
+            q = rest // 10
+            chars[:, start + w - 1 - k] = rest - 10 * q + ord("0")
+            if k:  # a leading zero unless value >= 10**k
+                keep[:, start + w - 1 - k] = value >= 10 ** k
+            rest = q
+        start += w + 1  # the digits and their separator
+    return chars[keep]
+
+
 def write_events(stream: EventStream, path, fmt: str = "bin") -> None:
     """Write a stream so that read_events round-trips it exactly.
 
@@ -301,13 +330,11 @@ def write_events(stream: EventStream, path, fmt: str = "bin") -> None:
     """
     path = Path(path)
     if fmt == "csv":
-        rows = np.column_stack([stream.t, stream.u, stream.v, stream.polarity])
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            # one C-level format per block of rows
-            for i in range(0, len(rows), _LINES_PER_BLOCK):
-                block = rows[i:i + _LINES_PER_BLOCK]
-                fh.write("%d,%d,%d,%d\n" * len(block) % tuple(block.ravel().tolist()))
+        cols = (stream.t, stream.u, stream.v, stream.polarity)
+        with open(path, "wb") as fh:
+            fh.write(CSV_HEADER.encode("ascii") + b"\n")
+            for i in range(0, len(stream), _LINES_PER_BLOCK):
+                fh.write(_csv_block([c[i:i + _LINES_PER_BLOCK] for c in cols]))
         return
     if fmt == "bin":
         rec = np.zeros(len(stream), dtype=_RECORD_DTYPE)

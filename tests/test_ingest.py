@@ -5,6 +5,7 @@ import json
 import logging
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from tacloc.ablate import thin
 from tacloc.cluster import DbscanParams
 from tacloc.events import EVENT_COLUMNS, EventStream, SensorLayout, US_PER_S
-from tacloc.ingest import (_RECORD_DTYPE, FormatError,
+from tacloc.ingest import (_LINES_PER_BLOCK, _RECORD_DTYPE, FormatError,
                            PressSchedule, SyncError, SyncSpec, align_streams,
                            RunConfig, config_from_dict, detect_sync_taps,
                            load_config, make_schedule, read_events,
@@ -46,6 +47,41 @@ def _evt_faults(draw):
     else:
         start, size = {"magic": (0, 4), "version": (4, 1), "count": (8, 8)}[part]
     return start, start + size, draw(st.binary(min_size=size, max_size=size))
+
+
+# every power-of-ten boundary a column can hold: 0, 9, 10, 99, 100, ...
+_POW10_EDGES = sorted({0} | {10**k + d for k in range(1, 19) for d in (-1, 0)})
+
+
+def _percent_format_csv(stream) -> bytes:
+    """A CSV file's bytes as one %-format per block of rows writes them."""
+    rows = np.column_stack([stream.t, stream.u, stream.v, stream.polarity])
+    out = ["t_us,u,v,polarity\n"]
+    for i in range(0, len(rows), _LINES_PER_BLOCK):
+        block = rows[i:i + _LINES_PER_BLOCK]
+        out.append("%d,%d,%d,%d\n" * len(block) % tuple(block.ravel().tolist()))
+    return "".join(out).encode("ascii")
+
+
+@st.composite
+def _edge_streams(draw):
+    """Streams whose columns mix random values under a drawn bound with
+    the power-of-ten boundaries and the largest value of the column's
+    range (all of them once the stream is long enough), at lengths
+    around one block."""
+    n = draw(st.sampled_from([0, 1, _LINES_PER_BLOCK - 1, _LINES_PER_BLOCK,
+                              _LINES_PER_BLOCK + 1, None]))
+    if n is None:
+        n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for _, lo, hi, _ in EVENT_COLUMNS:
+        edges = [e for e in _POW10_EDGES if e < hi] + [hi]
+        col = rng.integers(lo, draw(st.sampled_from(edges)), n, endpoint=True)
+        at = rng.permutation(n)[:len(edges)]
+        col[at] = rng.permutation(edges)[:len(at)]
+        cols.append(col)
+    return EventStream(1, *cols)
 
 
 class TestEventFiles:
@@ -139,6 +175,29 @@ class TestEventFiles:
         want = "t_us,u,v,polarity\n" + "".join(
             f"{t},{u},{v},{q}\n" for t, u, v, q in zip(s.t, s.u, s.v, s.polarity))
         assert p.read_bytes() == want.encode("ascii")
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(s=_edge_streams())
+    def test_csv_bytes_match_percent_format(self, tmp_path, s):
+        p = tmp_path / "a.csv"
+        write_events(s, p, "csv")
+        assert p.read_bytes() == _percent_format_csv(s)
+        back = read_events(p, 1, "csv")
+        for got, want in zip((back.t, back.u, back.v, back.polarity),
+                             (s.t, s.u, s.v, s.polarity)):
+            assert np.array_equal(got, want)
+
+    def test_csv_write_memory_is_per_block(self, tmp_path):
+        s = uniform_stream(np.random.default_rng(4), 1_000_000, t_span_s=60.0)
+        tracemalloc.start()
+        try:
+            write_events(s, tmp_path / "a.csv", "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     @pytest.mark.parametrize("column, value, message", [
         ("u", 40000, "column u value 40000 outside [0, 639]"),
