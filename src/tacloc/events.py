@@ -283,15 +283,26 @@ class RateSeries:
         return self.t0_s + np.arange(len(self)) * self.bin_s
 
 
+def check_roi(v_lo: int, v_hi: int) -> None:
+    """Refuse ROI bounds outside ``0 <= v_lo < v_hi <= SENSOR_HEIGHT``."""
+    if not (0 <= v_lo < v_hi <= SENSOR_HEIGHT):
+        raise ValueError(f"invalid ROI bounds [{v_lo}, {v_hi}]")
+
+
 def crop_roi(stream: EventStream, v_lo: int, v_hi: int) -> EventStream:
     """Keep only events with v_lo <= v <= v_hi (inclusive band).
 
-    Order is preserved.
+    Order is preserved. A stream whose events all lie in the band is
+    returned itself, columns and ordinals included: a stream read into
+    the ROI (``read_events(..., roi=...)``) is not copied again, and an
+    uncropped one keeps ``ordinals`` None, whose ``ordinal_array()`` is
+    the crop's.
     """
-    if not (0 <= v_lo < v_hi <= SENSOR_HEIGHT):
-        raise ValueError(f"invalid ROI bounds [{v_lo}, {v_hi}]")
-    mask = (stream.v >= v_lo) & (stream.v <= v_hi)
-    return stream._subset(mask)
+    check_roi(v_lo, v_hi)
+    v = stream.v
+    if not len(v) or (v_lo <= v.min() and v.max() <= v_hi):
+        return stream
+    return stream._subset((v >= v_lo) & (v <= v_hi))
 
 
 def event_rate_histogram(stream: EventStream, bin_s: float) -> RateSeries:

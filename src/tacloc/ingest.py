@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import struct
 import sys
 from dataclasses import dataclass, field, fields
@@ -23,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import DbscanParams
-from .events import (DEFAULT_ROI, SENSOR_HEIGHT, US_PER_S, EventStream,
-                     SensorLayout, event_rate_histogram, meander_grid)
+from .events import (DEFAULT_ROI, EVENT_COLUMNS, SENSOR_HEIGHT, US_PER_S,
+                     CameraId, EventStream, SensorLayout, check_roi, crop_roi,
+                     event_rate_histogram, meander_grid)
 from .geometry import (CameraModel, FreeParams, check_camera_box,
                        default_models)
 from .latency import CusumParams, check_window_bins
@@ -40,6 +42,8 @@ _RECORD_DTYPE = np.dtype([
     ("t", "<i8"), ("u", "<u2"), ("v", "<u2"), ("polarity", "u1"),
     ("pad", "u1", 3),
 ])
+_EVENT_FIELDS = _RECORD_DTYPE.names[:4]  # in EVENT_COLUMNS order
+_RECORDS_PER_BLOCK = 1 << 16  # per pass of the binary reader
 
 
 class IngestError(RuntimeError):
@@ -136,8 +140,16 @@ def make_schedule(layout: SensorLayout, onset0_s: float = 5.0,
                          layout.grid_points[idx], idx, rep)
 
 
-def read_events(path, camera_id, fmt: str | None = None) -> EventStream:
+def read_events(path, camera_id, fmt: str | None = None,
+                roi: tuple[int, int] | None = None) -> EventStream:
     """Load an event file (format inferred from the suffix unless given).
+
+    With ``roi = (v_lo, v_hi)`` only the events inside the band are
+    returned, exactly as ``crop_roi(read_events(path, camera_id, fmt),
+    *roi)`` returns them: their ordinals are their positions in the
+    file's time-sorted stream (None when every event is kept). A binary
+    file is read into the band block by block (see ``_read_binary``); a
+    CSV file is read whole, then cropped.
 
     Malformed CSV lines are counted and logged; more than 1% malformed
     raises FormatError. So does a value that ``EventStream`` refuses, with
@@ -146,12 +158,15 @@ def read_events(path, camera_id, fmt: str | None = None) -> EventStream:
     path = Path(path)
     if not path.exists():
         raise IOError(f"event file not found: {path}")
+    if roi is not None:
+        check_roi(*roi)
     if fmt is None:
         fmt = "bin" if path.suffix in (".bin", ".evt") else "csv"
     if fmt == "bin":
-        return _read_binary(path, camera_id)
+        return _read_binary(path, camera_id, roi)
     if fmt == "csv":
-        return _read_csv(path, camera_id)
+        stream = _read_csv(path, camera_id)
+        return stream if roi is None else crop_roi(stream, *roi)
     raise ValueError(f"unknown event format: {fmt}")
 
 
@@ -275,25 +290,95 @@ def _read_csv(path: Path, camera_id) -> EventStream:
     return _build(EventStream, str(path), camera_id, *fast.T)
 
 
-def _read_binary(path: Path, camera_id) -> EventStream:
-    raw = path.read_bytes()
-    if len(raw) < 16:
+def _binary_header(fh, path: Path) -> int:
+    """The record count of an open binary event file, once its header and
+    size are checked; the file is left at its first record."""
+    head = fh.read(16)
+    if len(head) < 16:
         raise FormatError(f"{path}: truncated header")
-    magic, version, count = struct.unpack("<4sB3xQ", raw[:16])
+    magic, version, count = struct.unpack("<4sB3xQ", head)
     if magic != BINARY_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != BINARY_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    if (len(raw) - 16) % _RECORD_DTYPE.itemsize:
-        raise FormatError(f"{path}: {len(raw) - 16} body bytes are not "
+    body = os.fstat(fh.fileno()).st_size - 16
+    if body % _RECORD_DTYPE.itemsize:
+        raise FormatError(f"{path}: {body} body bytes are not "
                           "whole 16-byte records")
-    body = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=16)
-    if len(body) != count:
-        raise FormatError(f"{path}: header count {count} != {len(body)} records")
+    if body // _RECORD_DTYPE.itemsize != count:
+        raise FormatError(f"{path}: header count {count} != "
+                          f"{body // _RECORD_DTYPE.itemsize} records")
     if not count:
         log.warning("%s: empty event file", path)
-    return _build(EventStream, str(path), camera_id, body["t"], body["u"],
-                  body["v"], body["polarity"])
+    return count
+
+
+def _record_blocks(fh, count: int):
+    """``(position, records)`` of each block of at most
+    ``_RECORDS_PER_BLOCK`` records of an open binary file, read from its
+    first record on."""
+    fh.seek(16)
+    for start in range(0, count, _RECORDS_PER_BLOCK):
+        n = min(_RECORDS_PER_BLOCK, count - start)
+        yield start, np.frombuffer(fh.read(n * _RECORD_DTYPE.itemsize),
+                                   dtype=_RECORD_DTYPE)
+
+
+def _count_in_band(fh, count: int, lo: int, hi: int) -> int | None:
+    """Pass 1: the number of records with ``lo <= v <= hi``, or None when
+    a value lies outside its ``EVENT_COLUMNS`` range or the times are not
+    in file order, within a block or across blocks."""
+    kept, t_last = 0, 0
+    for _, rec in _record_blocks(fh, count):
+        cols = [np.ascontiguousarray(rec[f]) for f in _EVENT_FIELDS]
+        t, v = cols[0], cols[2]
+        in_range = all(lo_c <= c.min() and c.max() <= hi_c
+                       for c, (_, lo_c, hi_c, _) in zip(cols, EVENT_COLUMNS))
+        if not (in_range and t_last <= t[0] and not np.any(t[1:] < t[:-1])):
+            return None
+        t_last = t[-1]
+        kept += np.count_nonzero((v >= lo) & (v <= hi))
+    return kept
+
+
+def _read_binary(path: Path, camera_id, roi) -> EventStream:
+    """Events of a binary file, only those inside ``roi`` when it is given.
+
+    A file in time order whose values all lie in their column ranges is
+    read in two passes over blocks of records: pass 1 checks each block
+    and counts its rows in the band, pass 2 fills exact-size columns with
+    them and sets their ordinals to their file positions. Neither the
+    file's bytes nor its full-sensor columns are ever held whole. Any
+    other file is read whole and goes through ``EventStream``, the one
+    gate that names its first bad value and sorts it stably, and then
+    through ``crop_roi``.
+    """
+    lo, hi = (0, SENSOR_HEIGHT) if roi is None else roi
+    with open(path, "rb") as fh:
+        count = _binary_header(fh, path)
+        kept = _count_in_band(fh, count, lo, hi)
+        if kept is None:
+            fh.seek(16)
+            body = np.fromfile(fh, dtype=_RECORD_DTYPE, count=count)
+        else:
+            camera = _build(CameraId, str(path), camera_id)
+            cols = [np.empty(kept, dtype) for *_, dtype in EVENT_COLUMNS]
+            ordinals = None if kept == count else np.empty(kept, np.int64)
+            at = 0
+            for start, rec in _record_blocks(fh, count):
+                v = rec["v"]
+                keep = np.flatnonzero((v >= lo) & (v <= hi))
+                rows = slice(None) if len(keep) == len(rec) else keep
+                for col, f in zip(cols, _EVENT_FIELDS):
+                    col[at:at + len(keep)] = rec[f][rows]
+                if ordinals is not None:
+                    ordinals[at:at + len(keep)] = keep + start
+                at += len(keep)
+            return EventStream._from_valid(camera, *cols, 0, ordinals)
+    stream = _build(EventStream, str(path), camera_id, body["t"], body["u"],
+                    body["v"], body["polarity"])
+    del body  # before the crop allocates its copies
+    return stream if roi is None else crop_roi(stream, *roi)
 
 
 def _csv_block(cols) -> np.ndarray:

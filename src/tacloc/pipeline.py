@@ -65,7 +65,8 @@ class PreparedRun:
 
 
 def prepare_run(s1: EventStream, s2: EventStream, cfg: RunConfig) -> PreparedRun:
-    """Crop to the ROI, align camera 2 onto camera 1, find the tap anchor."""
+    """Crop to the ROI, align camera 2 onto camera 1, find the tap anchor.
+    Streams already read into the ROI pass the crop uncopied."""
     c1 = crop_roi(s1, cfg.roi[0], cfg.roi[1])
     c2 = crop_roi(s2, cfg.roi[0], cfg.roi[1])
     a1, a2, taps, _ = align_streams(c1, c2, cfg.sync)

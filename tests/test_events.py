@@ -172,6 +172,16 @@ class TestCropRoi:
         burst = uniform_stream(rng, 3000, camera=1, v_lo=200, v_hi=360)
         assert len(crop_roi(burst, 200, 360)) == 3000
 
+    def test_stream_inside_band_is_returned_itself(self):
+        rng = np.random.default_rng(7)
+        s = uniform_stream(rng, 3000, v_lo=200, v_hi=360)
+        c = crop_roi(s, 200, 360)
+        assert c is s
+        keep = np.flatnonzero((s.v >= 200) & (s.v <= 360))
+        assert np.array_equal(c.ordinal_array(), keep)
+        sub = s.slice_time_s(0.2, 0.7)
+        assert crop_roi(sub, 200, 360) is sub
+
 
 class TestRateHistogram:
     def test_uniform_density(self):

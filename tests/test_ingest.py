@@ -1,21 +1,26 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import logging
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from tacloc import ingest
 from tacloc.ablate import thin
 from tacloc.cluster import DbscanParams
-from tacloc.events import EVENT_COLUMNS, EventStream, SensorLayout, US_PER_S
-from tacloc.ingest import (_LINES_PER_BLOCK, _RECORD_DTYPE, FormatError,
+from tacloc.events import (DEFAULT_ROI, EVENT_COLUMNS, EventStream,
+                           SensorLayout, US_PER_S, crop_roi)
+from tacloc.ingest import (_LINES_PER_BLOCK, _RECORD_DTYPE,
+                           _RECORDS_PER_BLOCK, FormatError,
                            PressSchedule, SyncError, SyncSpec, align_streams,
                            RunConfig, config_from_dict, detect_sync_taps,
                            load_config, make_schedule, read_events,
@@ -47,6 +52,56 @@ def _evt_faults(draw):
     else:
         start, size = {"magic": (0, 4), "version": (4, 1), "count": (8, 8)}[part]
     return start, start + size, draw(st.binary(min_size=size, max_size=size))
+
+
+def _evt_file(path, t, u, v, polarity):
+    """Write a binary event file holding these records in this order."""
+    rec = np.zeros(len(t), dtype=_RECORD_DTYPE)
+    rec["t"], rec["u"], rec["v"], rec["polarity"] = t, u, v, polarity
+    path.write_bytes(struct.pack("<4sB3xQ", b"EVT1", 1, len(t))
+                     + rec.tobytes())
+
+
+@st.composite
+def _roi_files(draw):
+    """(block, roi, columns) of a binary file read in blocks of ``block``
+    records: sorted, unsorted or with many equal times, or with every v
+    inside or every v outside the band, at lengths around one block and
+    across many blocks."""
+    block = draw(st.sampled_from([1, 2, 3, 8]))
+    roi = draw(st.one_of(
+        st.sampled_from([(0, 480), (479, 480), DEFAULT_ROI]),
+        st.integers(0, 479).flatmap(
+            lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, 480)))))
+    n = draw(st.one_of(st.sampled_from([0, block - 1, block, block + 1]),
+                       st.integers(0, 40)))
+    kind = draw(st.sampled_from(["sorted", "unsorted", "ties", "inside",
+                                 "outside"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.sort(rng.integers(0, 5 if kind == "ties" else 10**6, n))
+    if kind == "unsorted":
+        t = rng.permutation(t)
+    in_band = np.arange(roi[0], min(roi[1], 479) + 1)
+    rows = {"inside": in_band,
+            "outside": np.setdiff1d(np.arange(480), in_band)}.get(kind)
+    v = (rng.choice(rows, n) if rows is not None and len(rows)
+         else rng.integers(0, 480, n))
+    return block, roi, (t, rng.integers(0, 640, n), v,
+                        rng.integers(0, 256, n))
+
+
+def _assert_same_stream(a, b):
+    """Equal camera, offset, columns, dtypes and ordinals (None on both
+    or equal arrays), and read-only columns."""
+    assert (a.camera_id, a.time_offset_us) == (b.camera_id, b.time_offset_us)
+    for name in ("t", "u", "v", "polarity", "ordinals"):
+        x, y = getattr(a, name), getattr(b, name)
+        if y is None:
+            assert x is None, name
+            continue
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
+        assert not x.flags.writeable, name
 
 
 # every power-of-ten boundary a column can hold: 0, 9, 10, 99, 100, ...
@@ -212,8 +267,23 @@ class TestEventFiles:
         rec = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=16)
         rec[column][1] = value
         p.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match=re.escape(f"{p}: {message}")):
-            read_events(p, 1)
+        for roi in (None, DEFAULT_ROI):
+            with pytest.raises(FormatError, match=re.escape(f"{p}: {message}")):
+                read_events(p, 1, roi=roi)
+
+    @pytest.mark.parametrize("roi", [None, DEFAULT_ROI])
+    def test_binary_faults_in_two_blocks_name_the_first_column(self, tmp_path,
+                                                                roi):
+        # v is out of range in block 0 and u in block 1; the stream's gate
+        # checks column by column, so u is named
+        n = _RECORDS_PER_BLOCK + 1
+        u, v = np.zeros(n, dtype=np.int64), np.full(n, 250)
+        v[0], u[-1] = 480, 640
+        p = tmp_path / "a.evt"
+        _evt_file(p, np.arange(n), u, v, np.zeros(n))
+        with pytest.raises(FormatError, match=re.escape(
+                f"{p}: column u value 640 outside [0, 639]")):
+            read_events(p, 1, roi=roi)
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -227,10 +297,11 @@ class TestEventFiles:
         assert len(raw) == _EVT_SIZE
         start, stop, data = fault
         p.write_bytes(raw[:start] + data + raw[stop:])
-        try:
-            assert isinstance(read_events(p, 1), EventStream)
-        except FormatError as exc:
-            assert str(exc).startswith(f"{p}: ")
+        for roi in (None, DEFAULT_ROI):
+            try:
+                assert isinstance(read_events(p, 1, roi=roi), EventStream)
+            except FormatError as exc:
+                assert str(exc).startswith(f"{p}: ")
 
     def test_empty_round_trip(self, tmp_path):
         s = EventStream(1, [], [], [], [])
@@ -238,6 +309,63 @@ class TestEventFiles:
             p = tmp_path / f"e.{fmt}"
             write_events(s, p, fmt)
             assert len(read_events(p, 1, fmt)) == 0
+
+
+class TestBinaryRoiRead:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_roi_files(), camera=st.sampled_from([1, 2]))
+    def test_roi_read_is_the_crop_of_the_whole_read(self, tmp_path,
+                                                    monkeypatch, case, camera):
+        block, roi, cols = case
+        monkeypatch.setattr(ingest, "_RECORDS_PER_BLOCK", block)
+        p = tmp_path / "a.evt"
+        _evt_file(p, *cols)
+        whole = read_events(p, camera)
+        _assert_same_stream(whole, EventStream(camera, *cols))
+        _assert_same_stream(read_events(p, camera, "bin", roi=roi),
+                            crop_roi(whole, *roi))
+
+    def test_roi_read_memory_is_the_kept_columns(self, tmp_path):
+        # half the rows lie outside the band: read whole and then cropped,
+        # the file's bytes and its full columns would exceed the bound
+        rng = np.random.default_rng(6)
+        n = 1_000_000
+        lo, hi = DEFAULT_ROI
+        v = np.where(rng.random(n) < 0.5, rng.integers(lo, hi + 1, n),
+                     rng.integers(hi + 1, 480, n))
+        _evt_file(tmp_path / "a.evt", np.sort(rng.integers(0, 6 * 10**7, n)),
+                  rng.integers(0, 640, n), v, rng.integers(0, 2, n))
+        del v
+        tracemalloc.start()
+        try:
+            c = read_events(tmp_path / "a.evt", 1, roi=DEFAULT_ROI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.45 * n < len(c) < 0.55 * n
+        kept = sum(x.nbytes for x in (c.t, c.u, c.v, c.polarity, c.ordinals))
+        assert peak < kept + 4e6
+
+    def test_no_file_handle_left_open(self, tmp_path):
+        rows = ([10, 20, 30], [1, 2, 3], [250, 6, 300], [0, 1, 0])
+        good, unsorted, bad, short = (tmp_path / f"{name}.evt" for name in
+                                      ("good", "unsorted", "bad", "short"))
+        _evt_file(good, *rows)
+        _evt_file(unsorted, [30, 10, 20], *rows[1:])
+        _evt_file(bad, rows[0], [1, 640, 3], *rows[2:])
+        short.write_bytes(good.read_bytes()[:-3])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for roi in (None, DEFAULT_ROI):
+                for p in (good, unsorted):
+                    read_events(p, 1, roi=roi)
+                for p in (bad, short):
+                    with pytest.raises(FormatError):
+                        read_events(p, 1, roi=roi)
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
 
 def _line_rule(path):

@@ -58,6 +58,24 @@ class TestPrepareRun:
         assert prepared.s1.v.min() >= cfg.roi[0]
         assert prepared.s1.v.max() <= cfg.roi[1]
 
+    def test_streams_read_into_the_roi_are_not_copied(self, tiny_run,
+                                                       tmp_path):
+        cfg, _, s1, s2, _ = tiny_run
+        read = []
+        for cam, s in ((1, s1), (2, s2)):
+            ingest.write_events(s, tmp_path / f"cam{cam}.evt")
+            read.append(ingest.read_events(tmp_path / f"cam{cam}.evt", cam,
+                                           roi=cfg.roi))
+        prepared = pipeline.prepare_run(*read, cfg)
+        whole = pipeline.prepare_run(s1, s2, cfg)
+        for got, src, ref in zip((prepared.s1, prepared.s2), read,
+                                 (whole.s1, whole.s2)):
+            for name in ("t", "u", "v", "polarity", "ordinals"):
+                assert getattr(got, name) is getattr(src, name)
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
+            assert got.time_offset_us == ref.time_offset_us
+        assert prepared.tap_onsets_s == whole.tap_onsets_s
+
 
 class TestLocalization:
     def test_full_run_accuracy(self, run20):
