@@ -63,16 +63,12 @@ def _write_csv(path: Path, columns: dict[str, list]) -> None:
 
 
 def _prepare(cfg: RunConfig) -> pipeline.PreparedRun:
-    """Read both camera files, binary ones straight into the ROI, then
-    crop and align them."""
+    """Read both camera files straight into the ROI, then align them."""
     if not cfg.cam1_path or not cfg.cam2_path:
         raise IngestError("config must point at both camera files")
-    # a CSV file is read whole either way, and cropping the first before
-    # the second is read leaves a higher peak resident size
-    roi = cfg.roi if cfg.file_format == "bin" else None
     with _stage("read"):
-        s1 = read_events(cfg.cam1_path, 1, cfg.file_format, roi)
-        s2 = read_events(cfg.cam2_path, 2, cfg.file_format, roi)
+        s1 = read_events(cfg.cam1_path, 1, cfg.file_format, cfg.roi)
+        s2 = read_events(cfg.cam2_path, 2, cfg.file_format, cfg.roi)
     with _stage("align"):
         return pipeline.prepare_run(s1, s2, cfg)
 

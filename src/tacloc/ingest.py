@@ -147,9 +147,11 @@ def read_events(path, camera_id, fmt: str | None = None,
     With ``roi = (v_lo, v_hi)`` only the events inside the band are
     returned, exactly as ``crop_roi(read_events(path, camera_id, fmt),
     *roi)`` returns them: their ordinals are their positions in the
-    file's time-sorted stream (None when every event is kept). A binary
-    file is read into the band block by block (see ``_read_binary``); a
-    CSV file is read whole, then cropped.
+    file's time-sorted stream (None when every event is kept). Both
+    formats are read into the band block by block (see ``_read_binary``
+    and ``_read_csv``): of a file in time order whose values lie in their
+    ranges, neither the bytes nor the full-sensor columns are ever held
+    whole.
 
     Malformed CSV lines are counted and logged; more than 1% malformed
     raises FormatError. So does a value that ``EventStream`` refuses, with
@@ -165,14 +167,16 @@ def read_events(path, camera_id, fmt: str | None = None,
     if fmt == "bin":
         return _read_binary(path, camera_id, roi)
     if fmt == "csv":
-        stream = _read_csv(path, camera_id)
-        return stream if roi is None else crop_roi(stream, *roi)
+        return _read_csv(path, camera_id, roi)
     raise ValueError(f"unknown event format: {fmt}")
 
 
 CSV_HEADER = "t_us,u,v,polarity"
 _NL, _COMMA, _MINUS = ord("\n"), ord(","), ord("-")
-_LINES_PER_BLOCK = 1 << 16
+_LINES_PER_BLOCK = 1 << 16  # per write of the CSV writer
+# per block of the CSV reader; the per-byte masks of _plain_lines grow
+# with it
+_CSV_BLOCK_BYTES = 1 << 16
 _MAX_PLAIN_FIELD = 18  # digits and sign; any such value fits int64
 
 
@@ -206,51 +210,82 @@ def _plain_lines(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return ~np.logical_or.reduceat(fault, starts) & (n_sep == 4)
 
 
-def _read_csv(path: Path, camera_id) -> EventStream:
-    """Events of a CSV file, by the line rule.
+def _in_range_and_order(cols, t_last: int) -> bool:
+    """Whether the columns of a block of events hold only values in their
+    ``EVENT_COLUMNS`` ranges, and times in order from ``t_last`` on."""
+    t = cols[0]
+    return (all(lo <= c.min() and c.max() <= hi
+                for c, (_, lo, hi, _) in zip(cols, EVENT_COLUMNS))
+            and t_last <= t[0] and not np.any(t[1:] < t[:-1]))
 
-    Each line is stripped and blank lines are skipped; the first line may
-    be the exact header; every other line must be four comma-separated
-    fields that int() accepts, or it counts as malformed. Lines of plain
-    decimals (see ``_plain_lines``), all of a file this module writes,
-    are parsed in C by np.fromstring; the rule runs in Python only on the
-    other lines.
+
+def _csv_blocks(fh):
+    """``(offset, data)`` of each block of whole lines of an open CSV file:
+    about ``_CSV_BLOCK_BYTES`` bytes read from ``offset`` on and cut after
+    their last newline byte (LF or CR), so no line and no UTF-8 character
+    straddles two blocks. The last block may lack its newline. A CRLF cut
+    between its CR and its LF leaves a blank line, which the rule skips.
     """
-    raw = path.read_bytes()
-    if not raw.isascii():
-        try:  # undecodable files fail as in text mode
-            raw.decode("utf-8")
+    pieces, offset = [], 0
+    while chunk := fh.read(_CSV_BLOCK_BYTES):
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+        if not cut:  # a line longer than a block
+            pieces.append(chunk)
+            continue
+        data = b"".join((*pieces, chunk[:cut]))
+        yield offset, data
+        offset += len(data)
+        pieces = [chunk[cut:]]
+    tail = b"".join(pieces)
+    if tail:
+        yield offset, tail
+
+
+def _decode_error(path: Path, exc: UnicodeDecodeError,
+                  offset: int) -> FormatError:
+    """The error of decoding the whole file, from that of its block at
+    byte ``offset``: the block starts at a character boundary, so the
+    file's first bad byte is the block's, ``offset`` bytes further on."""
+    start, end = offset + exc.start, offset + exc.end
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+             if end == start + 1 else f"bytes in position {start}-{end - 1}")
+    return FormatError(f"{path}: '{exc.encoding}' codec can't decode "
+                       f"{where}: {exc.reason}")
+
+
+def _csv_rows(path: Path, offset: int, data: bytes):
+    """``(rows, malformed, total)`` of a block of whole lines at byte
+    ``offset`` of a CSV file, by the line rule: its (n, 4) rows in file
+    order (int64, or object when a value overflows int64), its malformed
+    lines and its non-blank lines other than the header.
+
+    Each line is stripped and blank lines are skipped; the file's first
+    line may be the exact header; every other line must be four
+    comma-separated fields that int() accepts, or it counts as malformed.
+    Lines of plain decimals (see ``_plain_lines``), all of a file this
+    module writes, are parsed in C by np.fromstring; the rule runs in
+    Python only on the other lines.
+    """
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+            raise _decode_error(path, exc, offset) from None
     # universal newlines, as text-mode reading translates them
-    data = (raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            if b"\r" in raw else raw)
-    del raw
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not data.endswith(b"\n"):
         data += b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)
     edges = np.concatenate(([0], np.flatnonzero(buf == _NL) + 1))
-    n_lines = len(edges) - 1
-    # in blocks of lines, so that per-byte masks and copies stay small
-    fast = np.empty((n_lines, 4), dtype=np.int64)
-    n_fast = 0
-    plain = []
-    for i in range(0, n_lines, _LINES_PER_BLOCK):
-        e = edges[i:i + _LINES_PER_BLOCK + 1]
-        chunk = buf[e[0]:e[-1]]
-        ok = _plain_lines(chunk, e[:-1] - e[0])
-        if not ok.all():
-            chunk = chunk[np.repeat(ok, np.diff(e))]
-        vals = np.fromstring(chunk.tobytes().replace(b"\n", b","),
-                             dtype=np.int64, sep=",").reshape(-1, 4)
-        fast[n_fast:n_fast + len(vals)] = vals
-        n_fast += len(vals)
-        plain.append(ok)
-    fast = fast[:n_fast]
-    plain = np.concatenate(plain)
+    plain = _plain_lines(buf, edges[:-1])
+    text = (data if plain.all()
+            else buf[np.repeat(plain, np.diff(edges))].tobytes())
+    fast = np.fromstring(text.replace(b"\n", b","), dtype=np.int64,
+                         sep=",").reshape(-1, 4)
     other = np.flatnonzero(~plain)
     # the header line is optional; a bare data row is accepted
-    if len(other) and other[0] == 0 and (
+    if offset == 0 and len(other) and other[0] == 0 and (
             data[:edges[1]].decode("utf-8").strip() == CSV_HEADER):
         other = other[1:]
 
@@ -272,13 +307,6 @@ def _read_csv(path: Path, camera_id) -> EventStream:
             continue
         rows.append(vals)
         row_lines.append(i)
-    if total and malformed / total > 0.01:
-        raise FormatError(f"{path}: {malformed}/{total} malformed lines")
-    if malformed:
-        log.warning("%s: skipped %d malformed lines", path, malformed)
-    if not total:
-        log.warning("%s: empty event file", path)
-
     if rows:
         try:
             rows = np.array(rows, dtype=np.int64)
@@ -287,7 +315,102 @@ def _read_csv(path: Path, camera_id) -> EventStream:
             rows = np.array(rows, dtype=object)
         lines = np.concatenate((np.flatnonzero(plain), row_lines))
         fast = np.concatenate((fast, rows))[np.argsort(lines)]
-    return _build(EventStream, str(path), camera_id, *fast.T)
+    return fast, malformed, total
+
+
+def _csv_tally(path: Path, malformed: int, total: int) -> None:
+    """Refuse a file with more than 1% malformed lines; log the rest."""
+    if total and malformed / total > 0.01:
+        raise FormatError(f"{path}: {malformed}/{total} malformed lines")
+    if malformed:
+        log.warning("%s: skipped %d malformed lines", path, malformed)
+    if not total:
+        log.warning("%s: empty event file", path)
+
+
+def _csv_in_band(fh, path: Path, camera_id, lo: int,
+                 hi: int) -> EventStream | None:
+    """The rows with ``lo <= v <= hi`` of an open CSV file, read in one
+    pass over its blocks, or None when a value lies outside its
+    ``EVENT_COLUMNS`` range or the times are not in file order, within a
+    block or across blocks.
+
+    The kept rows go straight into their columns, which grow in place
+    (``ndarray.resize``, so no second copy of them is ever held) to the
+    count that the kept rows so far project over the file's size, and
+    shrink to the kept count at the end. Ordinals are set once a row is
+    dropped.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    cols = [np.empty(0, dtype) for *_, dtype in EVENT_COLUMNS]
+    ordinals = None
+    at = n_rows = malformed = total = t_last = 0
+    for offset, data in _csv_blocks(fh):
+        rows, bad, lines = _csv_rows(path, offset, data)
+        malformed += bad
+        total += lines
+        if not len(rows):
+            continue
+        if rows.dtype == object:
+            return None
+        block = rows.T.copy()  # contiguous columns reduce several times faster
+        if not _in_range_and_order(block, t_last):
+            return None
+        t, v = block[0], block[2]
+        t_last = t[-1]
+        keep = np.flatnonzero((v >= lo) & (v <= hi))
+        if len(keep) < len(t):
+            block = block.take(keep, axis=1)
+            if ordinals is None:
+                ordinals = np.arange(len(cols[0]), dtype=np.int64)
+                cols.append(ordinals)
+        need = at + len(keep)
+        if need > len(cols[0]):
+            cap = max(need + need // 8, need * size // (offset + len(data)))
+            for col in cols:
+                col.resize(cap, refcheck=False)
+        for col, values in zip(cols, block):
+            col[at:need] = values
+        if ordinals is not None:
+            ordinals[at:need] = keep + n_rows
+        at = need
+        n_rows += len(t)
+    _csv_tally(path, malformed, total)
+    camera = _build(CameraId, str(path), camera_id)
+    for col in cols:
+        col.resize(at, refcheck=False)
+    return EventStream._from_valid(camera, *cols[:4], 0, ordinals)
+
+
+def _read_csv(path: Path, camera_id, roi) -> EventStream:
+    """Events of a CSV file by the line rule (see ``_csv_rows``), only
+    those inside ``roi`` when it is given.
+
+    A file in time order whose values all lie in their column ranges is
+    read in one pass over blocks of whole lines (``_csv_in_band``), which
+    keeps only the rows in the band. Any other file is read again through
+    the same blocks: every row is collected and goes through
+    ``EventStream``, the one gate that names its first bad value and
+    sorts it stably, and then through ``crop_roi``.
+    """
+    lo, hi = (0, SENSOR_HEIGHT) if roi is None else roi
+    with open(path, "rb") as fh:
+        stream = _csv_in_band(fh, path, camera_id, lo, hi)
+        if stream is not None:
+            return stream
+        fh.seek(0)
+        blocks, malformed, total = [], 0, 0
+        for offset, data in _csv_blocks(fh):
+            rows, bad, lines = _csv_rows(path, offset, data)
+            blocks.append(rows)
+            malformed += bad
+            total += lines
+    _csv_tally(path, malformed, total)
+    rows = np.concatenate(blocks)
+    del blocks
+    stream = _build(EventStream, str(path), camera_id, *rows.T)
+    del rows  # before the crop allocates its copies
+    return stream if roi is None else crop_roi(stream, *roi)
 
 
 def _binary_header(fh, path: Path) -> int:
@@ -331,11 +454,9 @@ def _count_in_band(fh, count: int, lo: int, hi: int) -> int | None:
     kept, t_last = 0, 0
     for _, rec in _record_blocks(fh, count):
         cols = [np.ascontiguousarray(rec[f]) for f in _EVENT_FIELDS]
-        t, v = cols[0], cols[2]
-        in_range = all(lo_c <= c.min() and c.max() <= hi_c
-                       for c, (_, lo_c, hi_c, _) in zip(cols, EVENT_COLUMNS))
-        if not (in_range and t_last <= t[0] and not np.any(t[1:] < t[:-1])):
+        if not _in_range_and_order(cols, t_last):
             return None
+        t, v = cols[0], cols[2]
         t_last = t[-1]
         kept += np.count_nonzero((v >= lo) & (v <= hi))
     return kept

@@ -62,6 +62,13 @@ def _evt_file(path, t, u, v, polarity):
                      + rec.tobytes())
 
 
+# any band; the whole sensor, the last row and the default band are drawn
+_ROIS = st.one_of(
+    st.sampled_from([(0, 480), (479, 480), DEFAULT_ROI]),
+    st.integers(0, 479).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, 480))))
+
+
 @st.composite
 def _roi_files(draw):
     """(block, roi, columns) of a binary file read in blocks of ``block``
@@ -69,10 +76,7 @@ def _roi_files(draw):
     inside or every v outside the band, at lengths around one block and
     across many blocks."""
     block = draw(st.sampled_from([1, 2, 3, 8]))
-    roi = draw(st.one_of(
-        st.sampled_from([(0, 480), (479, 480), DEFAULT_ROI]),
-        st.integers(0, 479).flatmap(
-            lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, 480)))))
+    roi = draw(_ROIS)
     n = draw(st.one_of(st.sampled_from([0, block - 1, block, block + 1]),
                        st.integers(0, 40)))
     kind = draw(st.sampled_from(["sorted", "unsorted", "ties", "inside",
@@ -355,12 +359,19 @@ class TestBinaryRoiRead:
         _evt_file(unsorted, [30, 10, 20], *rows[1:])
         _evt_file(bad, rows[0], [1, 640, 3], *rows[2:])
         short.write_bytes(good.read_bytes()[:-3])
+        good_csv, unsorted_csv, undecodable, malformed = (
+            tmp_path / f"{name}.csv" for name in
+            ("good", "unsorted", "undecodable", "malformed"))
+        good_csv.write_text("t_us,u,v,polarity\n10,1,250,0\n20,2,6,1\n")
+        unsorted_csv.write_text("20,2,6,1\n10,1,250,0\n")
+        undecodable.write_bytes(b"10,1,250,0\n20,\xff,6,1\n")
+        malformed.write_text("10,1,250,0\n20,2,6\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for roi in (None, DEFAULT_ROI):
-                for p in (good, unsorted):
+                for p in (good, unsorted, good_csv, unsorted_csv):
                     read_events(p, 1, roi=roi)
-                for p in (bad, short):
+                for p in (bad, short, undecodable, malformed):
                     with pytest.raises(FormatError):
                         read_events(p, 1, roi=roi)
             gc.collect()
@@ -410,18 +421,20 @@ _ODD_FIELDS = [" 7", "7 ", "\t12", "+3", "-0", "007", "1_000", "\u0661",
 
 
 @st.composite
-def _csv_documents(draw):
-    """CSV text mixing plain rows with lines the plain-decimal test must
-    leave to the line rule."""
+def _csv_documents(draw, in_order=False, min_rows=0):
+    """CSV text mixing at least ``min_rows`` plain rows, in time order when
+    ``in_order``, with lines the plain-decimal test must leave to the line
+    rule."""
     plain = st.tuples(st.integers(0, 2**40), st.integers(0, 639),
-                      st.integers(0, 479), st.integers(0, 1)).map(
-        lambda r: ",".join(map(str, r)))
+                      st.integers(0, 479), st.integers(0, 1))
     field = st.one_of(st.integers(-10, 10**6).map(str),
                       st.sampled_from(_ODD_FIELDS))
     odd = st.one_of(
         st.lists(field, min_size=3, max_size=5).map(",".join),
         st.sampled_from(_ODD_LINES))
-    lines = draw(st.lists(plain, max_size=250))
+    rows = draw(st.lists(plain, min_size=min_rows, max_size=250))
+    lines = [",".join(map(str, r)) for r in (sorted(rows) if in_order
+                                              else rows)]
     for _ in range(draw(st.integers(0, 4))):
         lines.insert(draw(st.integers(0, len(lines))), draw(odd))
     if draw(st.booleans()):
@@ -432,29 +445,43 @@ def _csv_documents(draw):
     return text + newline if draw(st.booleans()) else text
 
 
+def _check_line_rule(p, caplog, doc):
+    """Read ``doc`` as the CSV file ``p``: its columns and its malformed
+    warning are the line rule's, or it raises FormatError when the rule
+    finds too many malformed lines or a value out of range."""
+    p.write_bytes(doc.encode("utf-8"))
+    cols, malformed, total = _line_rule(p)
+    too_many = total and malformed / total > 0.01
+    out_of_range = any(not lo <= x <= hi for (_, lo, hi, _), col
+                       in zip(EVENT_COLUMNS, cols) for x in col)
+    caplog.clear()
+    if too_many or out_of_range:
+        with pytest.raises(FormatError):
+            read_events(p, 1)
+        return
+    with caplog.at_level(logging.WARNING, logger="tacloc.ingest"):
+        s = read_events(p, 1)
+    _assert_rule_columns(s, cols)
+    skipped = [r.getMessage() for r in caplog.records
+               if "malformed" in r.getMessage()]
+    assert skipped == ([f"{p}: skipped {malformed} malformed lines"]
+                       if malformed else [])
+
+
 class TestCsvLineRule:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(doc=_csv_documents())
     def test_matches_line_rule(self, tmp_path, caplog, doc):
-        p = tmp_path / "f.csv"
-        p.write_bytes(doc.encode("utf-8"))
-        cols, malformed, total = _line_rule(p)
-        too_many = total and malformed / total > 0.01
-        out_of_range = any(not lo <= x <= hi for (_, lo, hi, _), col
-                           in zip(EVENT_COLUMNS, cols) for x in col)
-        caplog.clear()
-        if too_many or out_of_range:
-            with pytest.raises(FormatError):
-                read_events(p, 1)
-            return
-        with caplog.at_level(logging.WARNING, logger="tacloc.ingest"):
-            s = read_events(p, 1)
-        _assert_rule_columns(s, cols)
-        skipped = [r.getMessage() for r in caplog.records
-                   if "malformed" in r.getMessage()]
-        assert skipped == ([f"{p}: skipped {malformed} malformed lines"]
-                           if malformed else [])
+        _check_line_rule(tmp_path / "f.csv", caplog, doc)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_csv_documents())
+    def test_matches_line_rule_in_7_byte_blocks(self, tmp_path, monkeypatch,
+                                                caplog, doc):
+        monkeypatch.setattr(ingest, "_CSV_BLOCK_BYTES", 7)
+        _check_line_rule(tmp_path / "f.csv", caplog, doc)
 
     @pytest.mark.parametrize("odd", _ODD_LINES)
     def test_one_odd_line_in_many_matches_line_rule(self, tmp_path, odd):
@@ -482,6 +509,142 @@ class TestCsvLineRule:
         rows = [f"5,{u},1,0" if u % 3 else f" 5 , {u} ,1,0" for u in range(90)]
         p.write_text("\n".join(rows) + "\n")
         assert read_events(p, 1).u.tolist() == list(range(90))
+
+
+# plain rows that the stream refuses, and byte sequences that are not UTF-8
+_OUT_OF_RANGE_ROWS = ["-5,1,2,1", "5,640,2,1", "5,1,480,1", "5,1,2,256",
+                      f"{2**63},1,2,1"]
+_NOT_UTF8 = [b"\xff", b"\x80", b"\xe2\x82", b"\xed\xa0\x80", b"\xf0\x9f\x98"]
+
+
+@st.composite
+def _block_documents(draw):
+    """The bytes of a ``_csv_documents`` text: its plain rows in time order,
+    out of order, in order with one or two out-of-range rows put at line
+    starts, or in order with one sequence that is not UTF-8 put anywhere."""
+    kind = draw(st.sampled_from(["in order", "in order", "unsorted",
+                                 "out of range", "not UTF-8"]))
+    # enough rows that one malformed line is under 1% of them
+    text = draw(_csv_documents(in_order=kind != "unsorted", min_rows=100))
+    for _ in range(draw(st.integers(1, 2)) if kind == "out of range" else 0):
+        starts = [0] + [i + 1 for i, c in enumerate(text) if c in "\r\n"]
+        at = draw(st.sampled_from(starts))
+        text = (text[:at] + draw(st.sampled_from(_OUT_OF_RANGE_ROWS)) + "\n"
+                + text[at:])
+    data = text.encode("utf-8")
+    if kind == "not UTF-8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_NOT_UTF8)) + data[at:]
+    return data
+
+
+def _csv_read(path, camera, roi, caplog):
+    """``(stream or FormatError text, warnings logged)`` of one read."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="tacloc.ingest"):
+        try:
+            got = read_events(path, camera, "csv", roi)
+        except FormatError as exc:
+            got = str(exc)
+    return got, [r.getMessage() for r in caplog.records]
+
+
+class TestCsvBlockRead:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_block_documents(), block=st.sampled_from([1, 2, 7, 64]),
+           roi=_ROIS, camera=st.sampled_from([1, 2]))
+    def test_block_reads_are_the_crop_of_the_whole_read(
+            self, tmp_path, monkeypatch, caplog, data, block, roi, camera):
+        p = tmp_path / "f.csv"
+        p.write_bytes(data)
+        # one block holds the whole file
+        monkeypatch.setattr(ingest, "_CSV_BLOCK_BYTES", len(data) + 1)
+        whole, logged = _csv_read(p, camera, None, caplog)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            assert whole == f"{p}: {exc}"
+        monkeypatch.setattr(ingest, "_CSV_BLOCK_BYTES", block)
+        for r in (None, roi):
+            got, got_logged = _csv_read(p, camera, r, caplog)
+            assert got_logged == logged
+            if isinstance(whole, str):
+                assert got == whole
+            else:
+                _assert_same_stream(got, whole if r is None
+                                    else crop_roi(whole, *r))
+
+    def test_roi_read_memory_is_the_kept_columns(self, tmp_path):
+        # half the rows lie outside the band: read whole and then cropped,
+        # the file's bytes and its parsed rows would exceed the bound
+        rng = np.random.default_rng(6)
+        n = 1_000_000
+        lo, hi = DEFAULT_ROI
+        v = np.where(rng.random(n) < 0.5, rng.integers(lo, hi + 1, n),
+                     rng.integers(hi + 1, 480, n))
+        write_events(EventStream(1, np.sort(rng.integers(0, 6 * 10**7, n)),
+                                 rng.integers(0, 640, n), v,
+                                 rng.integers(0, 2, n)),
+                     tmp_path / "a.csv", "csv")
+        del v
+        tracemalloc.start()
+        try:
+            c = read_events(tmp_path / "a.csv", 1, roi=DEFAULT_ROI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.45 * n < len(c) < 0.55 * n
+        kept = sum(x.nbytes for x in (c.t, c.u, c.v, c.polarity, c.ordinals))
+        assert peak < kept + 4e6
+
+    @pytest.mark.parametrize("bad", _NOT_UTF8, ids=bytes.hex)
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b""],
+                             ids=["LF", "CRLF", "none"])
+    def test_undecodable_byte_in_a_later_block_is_placed_in_the_file(
+            self, tmp_path, bad, newline):
+        # the position in the message counts from the start of the file
+        rows = b"".join(b"%d,%d,250,1\n" % (i, i % 640) for i in range(9000))
+        raw = b"t_us,u,v,polarity\n" + rows + b"9000,1," + bad + newline
+        assert len(raw) > 2 * ingest._CSV_BLOCK_BYTES
+        p = tmp_path / "a.csv"
+        p.write_bytes(raw)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            raw.decode("utf-8")
+        for roi in (None, DEFAULT_ROI):
+            with pytest.raises(FormatError) as exc:
+                read_events(p, 1, roi=roi)
+            assert str(exc.value) == f"{p}: {whole.value}"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                             ids=["LF", "CRLF", "CR"])
+    def test_blocks_are_cut_after_any_newline(self, tmp_path, monkeypatch,
+                                              newline):
+        # a block ends at its last newline byte, so no block holds more
+        # than one read and the rest of a line, whatever the newlines
+        monkeypatch.setattr(ingest, "_CSV_BLOCK_BYTES", 64)
+        p = tmp_path / "a.csv"
+        p.write_bytes(newline.join(f"{i},1,250,1" for i in range(200))
+                      .encode("ascii"))
+        with open(p, "rb") as fh:
+            blocks = list(ingest._csv_blocks(fh))
+        assert b"".join(data for _, data in blocks) == p.read_bytes()
+        assert [offset for offset, _ in blocks] == list(np.cumsum(
+            [0] + [len(data) for _, data in blocks[:-1]]))
+        assert max(len(data) for _, data in blocks) < 64 + 12
+
+    @pytest.mark.parametrize("roi", [None, DEFAULT_ROI])
+    def test_faults_in_two_blocks_name_the_first_column(self, tmp_path,
+                                                        monkeypatch, roi):
+        # u is out of range in block 1 and t_us in block 2; the stream's
+        # gate checks column by column, so t_us is named
+        monkeypatch.setattr(ingest, "_CSV_BLOCK_BYTES", 16)
+        p = tmp_path / "a.csv"
+        p.write_text("t_us,u,v,polarity\n10,640,250,1\n20,1,250,1\n"
+                     "-5,1,250,1\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{p}: column t_us value -5 outside [0, {2**63 - 1}]")):
+            read_events(p, 1, roi=roi)
 
 
 def _tap_run(seed=0, cam2_offset=0.0, background=800.0, taps_at=2.0):
