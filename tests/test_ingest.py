@@ -636,8 +636,8 @@ class TestCsvBlockRead:
     @pytest.mark.parametrize("roi", [None, DEFAULT_ROI])
     def test_faults_in_two_blocks_name_the_first_column(self, tmp_path,
                                                         monkeypatch, roi):
-        # u is out of range in block 1 and t_us in block 2; the stream's
-        # gate checks column by column, so t_us is named
+        # u is out of range in the first block and t_us in a later one;
+        # the stream's gate checks column by column, so t_us is named
         monkeypatch.setattr(ingest, "_CSV_BLOCK_BYTES", 16)
         p = tmp_path / "a.csv"
         p.write_text("t_us,u,v,polarity\n10,640,250,1\n20,1,250,1\n"
