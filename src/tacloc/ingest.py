@@ -18,6 +18,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -43,7 +44,7 @@ _RECORD_DTYPE = np.dtype([
     ("pad", "u1", 3),
 ])
 _EVENT_FIELDS = _RECORD_DTYPE.names[:4]  # in EVENT_COLUMNS order
-_RECORDS_PER_BLOCK = 1 << 16  # per pass of the binary reader
+_RECORDS_PER_BLOCK = 1 << 16  # per block of the binary reader
 
 
 class IngestError(RuntimeError):
@@ -147,11 +148,16 @@ def read_events(path, camera_id, fmt: str | None = None,
     With ``roi = (v_lo, v_hi)`` only the events inside the band are
     returned, exactly as ``crop_roi(read_events(path, camera_id, fmt),
     *roi)`` returns them: their ordinals are their positions in the
-    file's time-sorted stream (None when every event is kept). Both
-    formats are read into the band block by block (see ``_read_binary``
-    and ``_read_csv``): of a file in time order whose values lie in their
-    ranges, neither the bytes nor the full-sensor columns are ever held
-    whole.
+    file's time-sorted stream (None when every event is kept).
+
+    Each format is a source of column blocks (``_binary_columns``,
+    ``_csv_columns``). A file in time order whose values lie in their
+    ranges is read in one pass over its blocks (``_in_band``), which
+    keeps only the rows in the band, so neither its bytes nor its
+    full-sensor columns are ever held whole. Any other file is read
+    again through the same blocks: its columns are joined and go through
+    ``EventStream``, the one gate that names its first bad value and
+    sorts it stably, and then through ``crop_roi``.
 
     Malformed CSV lines are counted and logged; more than 1% malformed
     raises FormatError. So does a value that ``EventStream`` refuses, with
@@ -164,11 +170,77 @@ def read_events(path, camera_id, fmt: str | None = None,
         check_roi(*roi)
     if fmt is None:
         fmt = "bin" if path.suffix in (".bin", ".evt") else "csv"
-    if fmt == "bin":
-        return _read_binary(path, camera_id, roi)
-    if fmt == "csv":
-        return _read_csv(path, camera_id, roi)
-    raise ValueError(f"unknown event format: {fmt}")
+    if fmt not in ("bin", "csv"):
+        raise ValueError(f"unknown event format: {fmt}")
+    lo, hi = (0, SENSOR_HEIGHT) if roi is None else roi
+    with open(path, "rb") as fh:
+        if fmt == "bin":
+            count = _binary_header(fh, path)
+            size = count * _RECORD_DTYPE.itemsize
+            blocks = partial(_binary_columns, fh, count)
+        else:
+            size = os.fstat(fh.fileno()).st_size
+            blocks = partial(_csv_columns, fh, path)
+        kept = _in_band(blocks(), size, lo, hi)
+        if kept is not None:
+            cols, ordinals = kept
+            camera = _build(CameraId, str(path), camera_id)
+            return EventStream._from_valid(camera, *cols, 0, ordinals)
+        cols = _joined(blocks())
+    stream = _build(EventStream, str(path), camera_id, *cols)
+    del cols  # before the crop allocates its copies
+    return stream if roi is None else crop_roi(stream, *roi)
+
+
+def _in_band(blocks, size: int, lo: int, hi: int) -> tuple | None:
+    """The columns and the ordinals (None when every row is kept) of the
+    rows with ``lo <= v <= hi`` of ``(bytes read, columns)`` blocks out of
+    ``size`` bytes, read in one pass, or None when a value lies outside
+    its ``EVENT_COLUMNS`` range or the times are not in order, within a
+    block or across blocks.
+
+    The kept rows go straight into their columns, which grow in place
+    (``ndarray.resize``, so no second copy of them is ever held) to the
+    count that the kept rows so far project over ``size``, and shrink to
+    the kept count at the end. Ordinals are set once a row is dropped.
+    """
+    cols = [np.empty(0, dtype) for *_, dtype in EVENT_COLUMNS]
+    ordinals = None
+    at = n_rows = t_last = 0
+    for read, block in blocks:
+        if not _in_range_and_order(block, t_last):
+            return None
+        t, v = block[0], block[2]
+        t_last = t[-1]
+        keep = np.flatnonzero((v >= lo) & (v <= hi))
+        rows = slice(None) if len(keep) == len(t) else keep
+        if len(keep) < len(t) and ordinals is None:
+            ordinals = np.arange(len(cols[0]), dtype=np.int64)
+            cols.append(ordinals)
+        need = at + len(keep)
+        if need > len(cols[0]):
+            cap = max(need + need // 8, need * size // read)
+            for col in cols:
+                col.resize(cap, refcheck=False)
+        for col, values in zip(cols, block):
+            col[at:need] = values[rows]
+        if ordinals is not None:
+            np.add(keep, n_rows, out=ordinals[at:need])
+        at = need
+        n_rows += len(t)
+    for col in cols:
+        col.resize(at, refcheck=False)
+    return cols[:4], ordinals
+
+
+def _joined(blocks) -> list:
+    """The columns of every ``(bytes read, columns)`` block, each joined
+    across the blocks; a column's blocks are let go once it is joined."""
+    pieces = [[] for _ in EVENT_COLUMNS]
+    for _, block in blocks:
+        for piece, col in zip(pieces, block):
+            piece.append(col)
+    return [np.concatenate(pieces.pop(0)) for _ in EVENT_COLUMNS]
 
 
 CSV_HEADER = "t_us,u,v,polarity"
@@ -328,89 +400,22 @@ def _csv_tally(path: Path, malformed: int, total: int) -> None:
         log.warning("%s: empty event file", path)
 
 
-def _csv_in_band(fh, path: Path, camera_id, lo: int,
-                 hi: int) -> EventStream | None:
-    """The rows with ``lo <= v <= hi`` of an open CSV file, read in one
-    pass over its blocks, or None when a value lies outside its
-    ``EVENT_COLUMNS`` range or the times are not in file order, within a
-    block or across blocks.
-
-    The kept rows go straight into their columns, which grow in place
-    (``ndarray.resize``, so no second copy of them is ever held) to the
-    count that the kept rows so far project over the file's size, and
-    shrink to the kept count at the end. Ordinals are set once a row is
-    dropped.
-    """
-    size = os.fstat(fh.fileno()).st_size
-    cols = [np.empty(0, dtype) for *_, dtype in EVENT_COLUMNS]
-    ordinals = None
-    at = n_rows = malformed = total = t_last = 0
+def _csv_columns(fh, path: Path):
+    """``(bytes read, columns)`` of each block of an open CSV file that
+    holds rows, by the line rule (see ``_csv_rows``), read from its start.
+    The malformed lines are tallied (``_csv_tally``) once the last block
+    is read."""
+    fh.seek(0)
+    malformed = total = 0
     for offset, data in _csv_blocks(fh):
         rows, bad, lines = _csv_rows(path, offset, data)
         malformed += bad
         total += lines
-        if not len(rows):
-            continue
-        if rows.dtype == object:
-            return None
-        block = rows.T.copy()  # contiguous columns reduce several times faster
-        if not _in_range_and_order(block, t_last):
-            return None
-        t, v = block[0], block[2]
-        t_last = t[-1]
-        keep = np.flatnonzero((v >= lo) & (v <= hi))
-        if len(keep) < len(t):
-            block = block.take(keep, axis=1)
-            if ordinals is None:
-                ordinals = np.arange(len(cols[0]), dtype=np.int64)
-                cols.append(ordinals)
-        need = at + len(keep)
-        if need > len(cols[0]):
-            cap = max(need + need // 8, need * size // (offset + len(data)))
-            for col in cols:
-                col.resize(cap, refcheck=False)
-        for col, values in zip(cols, block):
-            col[at:need] = values
-        if ordinals is not None:
-            ordinals[at:need] = keep + n_rows
-        at = need
-        n_rows += len(t)
+        if len(rows):
+            # contiguous columns reduce several times faster
+            yield offset + len(data), [np.ascontiguousarray(c)
+                                       for c in rows.T]
     _csv_tally(path, malformed, total)
-    camera = _build(CameraId, str(path), camera_id)
-    for col in cols:
-        col.resize(at, refcheck=False)
-    return EventStream._from_valid(camera, *cols[:4], 0, ordinals)
-
-
-def _read_csv(path: Path, camera_id, roi) -> EventStream:
-    """Events of a CSV file by the line rule (see ``_csv_rows``), only
-    those inside ``roi`` when it is given.
-
-    A file in time order whose values all lie in their column ranges is
-    read in one pass over blocks of whole lines (``_csv_in_band``), which
-    keeps only the rows in the band. Any other file is read again through
-    the same blocks: every row is collected and goes through
-    ``EventStream``, the one gate that names its first bad value and
-    sorts it stably, and then through ``crop_roi``.
-    """
-    lo, hi = (0, SENSOR_HEIGHT) if roi is None else roi
-    with open(path, "rb") as fh:
-        stream = _csv_in_band(fh, path, camera_id, lo, hi)
-        if stream is not None:
-            return stream
-        fh.seek(0)
-        blocks, malformed, total = [], 0, 0
-        for offset, data in _csv_blocks(fh):
-            rows, bad, lines = _csv_rows(path, offset, data)
-            blocks.append(rows)
-            malformed += bad
-            total += lines
-    _csv_tally(path, malformed, total)
-    rows = np.concatenate(blocks)
-    del blocks
-    stream = _build(EventStream, str(path), camera_id, *rows.T)
-    del rows  # before the crop allocates its copies
-    return stream if roi is None else crop_roi(stream, *roi)
 
 
 def _binary_header(fh, path: Path) -> int:
@@ -436,70 +441,18 @@ def _binary_header(fh, path: Path) -> int:
     return count
 
 
-def _record_blocks(fh, count: int):
-    """``(position, records)`` of each block of at most
+def _binary_columns(fh, count: int):
+    """``(bytes read, columns)`` of each block of at most
     ``_RECORDS_PER_BLOCK`` records of an open binary file, read from its
-    first record on."""
+    first record on; the bytes read do not count the header."""
     fh.seek(16)
+    width = _RECORD_DTYPE.itemsize
     for start in range(0, count, _RECORDS_PER_BLOCK):
         n = min(_RECORDS_PER_BLOCK, count - start)
-        yield start, np.frombuffer(fh.read(n * _RECORD_DTYPE.itemsize),
-                                   dtype=_RECORD_DTYPE)
-
-
-def _count_in_band(fh, count: int, lo: int, hi: int) -> int | None:
-    """Pass 1: the number of records with ``lo <= v <= hi``, or None when
-    a value lies outside its ``EVENT_COLUMNS`` range or the times are not
-    in file order, within a block or across blocks."""
-    kept, t_last = 0, 0
-    for _, rec in _record_blocks(fh, count):
+        rec = np.frombuffer(fh.read(n * width), dtype=_RECORD_DTYPE)
         cols = [np.ascontiguousarray(rec[f]) for f in _EVENT_FIELDS]
-        if not _in_range_and_order(cols, t_last):
-            return None
-        t, v = cols[0], cols[2]
-        t_last = t[-1]
-        kept += np.count_nonzero((v >= lo) & (v <= hi))
-    return kept
-
-
-def _read_binary(path: Path, camera_id, roi) -> EventStream:
-    """Events of a binary file, only those inside ``roi`` when it is given.
-
-    A file in time order whose values all lie in their column ranges is
-    read in two passes over blocks of records: pass 1 checks each block
-    and counts its rows in the band, pass 2 fills exact-size columns with
-    them and sets their ordinals to their file positions. Neither the
-    file's bytes nor its full-sensor columns are ever held whole. Any
-    other file is read whole and goes through ``EventStream``, the one
-    gate that names its first bad value and sorts it stably, and then
-    through ``crop_roi``.
-    """
-    lo, hi = (0, SENSOR_HEIGHT) if roi is None else roi
-    with open(path, "rb") as fh:
-        count = _binary_header(fh, path)
-        kept = _count_in_band(fh, count, lo, hi)
-        if kept is None:
-            fh.seek(16)
-            body = np.fromfile(fh, dtype=_RECORD_DTYPE, count=count)
-        else:
-            camera = _build(CameraId, str(path), camera_id)
-            cols = [np.empty(kept, dtype) for *_, dtype in EVENT_COLUMNS]
-            ordinals = None if kept == count else np.empty(kept, np.int64)
-            at = 0
-            for start, rec in _record_blocks(fh, count):
-                v = rec["v"]
-                keep = np.flatnonzero((v >= lo) & (v <= hi))
-                rows = slice(None) if len(keep) == len(rec) else keep
-                for col, f in zip(cols, _EVENT_FIELDS):
-                    col[at:at + len(keep)] = rec[f][rows]
-                if ordinals is not None:
-                    ordinals[at:at + len(keep)] = keep + start
-                at += len(keep)
-            return EventStream._from_valid(camera, *cols, 0, ordinals)
-    stream = _build(EventStream, str(path), camera_id, body["t"], body["u"],
-                    body["v"], body["polarity"])
-    del body  # before the crop allocates its copies
-    return stream if roi is None else crop_roi(stream, *roi)
+        del rec  # the record bytes go before the consumer's gathers
+        yield (start + n) * width, cols
 
 
 def _csv_block(cols) -> np.ndarray:

@@ -315,6 +315,38 @@ class TestEventFiles:
             assert len(read_events(p, 1, fmt)) == 0
 
 
+_MEMORY_ROWS = 1_000_000
+
+
+def _half_in_band(skewed):
+    """Columns of ``_MEMORY_ROWS`` rows in time order, half of them in
+    ``DEFAULT_ROI``: mixed through the file, or (``skewed``) all in its
+    second half, so the kept columns first grow from the middle on and
+    then to a count projected from the rows of the second half only."""
+    rng = np.random.default_rng(6)
+    n = _MEMORY_ROWS
+    lo, hi = DEFAULT_ROI
+    inside = np.arange(n) >= n // 2 if skewed else rng.random(n) < 0.5
+    v = np.where(inside, rng.integers(lo, hi + 1, n),
+                 rng.integers(hi + 1, 480, n))
+    return (np.sort(rng.integers(0, 6 * 10**7, n)), rng.integers(0, 640, n),
+            v, rng.integers(0, 2, n))
+
+
+def _assert_read_holds_the_kept_columns(path):
+    """Reading a ``_half_in_band`` file into ``DEFAULT_ROI`` peaks, by
+    ``tracemalloc``, under its kept columns and ordinals plus 4 MB."""
+    tracemalloc.start()
+    try:
+        c = read_events(path, 1, roi=DEFAULT_ROI)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.45 * _MEMORY_ROWS < len(c) < 0.55 * _MEMORY_ROWS
+    kept = sum(x.nbytes for x in (c.t, c.u, c.v, c.polarity, c.ordinals))
+    assert peak < kept + 4e6
+
+
 class TestBinaryRoiRead:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -333,23 +365,9 @@ class TestBinaryRoiRead:
     def test_roi_read_memory_is_the_kept_columns(self, tmp_path):
         # half the rows lie outside the band: read whole and then cropped,
         # the file's bytes and its full columns would exceed the bound
-        rng = np.random.default_rng(6)
-        n = 1_000_000
-        lo, hi = DEFAULT_ROI
-        v = np.where(rng.random(n) < 0.5, rng.integers(lo, hi + 1, n),
-                     rng.integers(hi + 1, 480, n))
-        _evt_file(tmp_path / "a.evt", np.sort(rng.integers(0, 6 * 10**7, n)),
-                  rng.integers(0, 640, n), v, rng.integers(0, 2, n))
-        del v
-        tracemalloc.start()
-        try:
-            c = read_events(tmp_path / "a.evt", 1, roi=DEFAULT_ROI)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 0.45 * n < len(c) < 0.55 * n
-        kept = sum(x.nbytes for x in (c.t, c.u, c.v, c.polarity, c.ordinals))
-        assert peak < kept + 4e6
+        for skewed in (False, True):
+            _evt_file(tmp_path / "a.evt", *_half_in_band(skewed))
+            _assert_read_holds_the_kept_columns(tmp_path / "a.evt")
 
     def test_no_file_handle_left_open(self, tmp_path):
         rows = ([10, 20, 30], [1, 2, 3], [250, 6, 300], [0, 1, 0])
@@ -578,25 +596,10 @@ class TestCsvBlockRead:
     def test_roi_read_memory_is_the_kept_columns(self, tmp_path):
         # half the rows lie outside the band: read whole and then cropped,
         # the file's bytes and its parsed rows would exceed the bound
-        rng = np.random.default_rng(6)
-        n = 1_000_000
-        lo, hi = DEFAULT_ROI
-        v = np.where(rng.random(n) < 0.5, rng.integers(lo, hi + 1, n),
-                     rng.integers(hi + 1, 480, n))
-        write_events(EventStream(1, np.sort(rng.integers(0, 6 * 10**7, n)),
-                                 rng.integers(0, 640, n), v,
-                                 rng.integers(0, 2, n)),
-                     tmp_path / "a.csv", "csv")
-        del v
-        tracemalloc.start()
-        try:
-            c = read_events(tmp_path / "a.csv", 1, roi=DEFAULT_ROI)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 0.45 * n < len(c) < 0.55 * n
-        kept = sum(x.nbytes for x in (c.t, c.u, c.v, c.polarity, c.ordinals))
-        assert peak < kept + 4e6
+        for skewed in (False, True):
+            write_events(EventStream(1, *_half_in_band(skewed)),
+                         tmp_path / "a.csv", "csv")
+            _assert_read_holds_the_kept_columns(tmp_path / "a.csv")
 
     @pytest.mark.parametrize("bad", _NOT_UTF8, ids=bytes.hex)
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b""],
@@ -645,6 +648,67 @@ class TestCsvBlockRead:
         with pytest.raises(FormatError, match=re.escape(
                 f"{p}: column t_us value -5 outside [0, {2**63 - 1}]")):
             read_events(p, 1, roi=roi)
+
+
+# values out of their column's range that a binary record can hold too
+_HELD_OUT_OF_RANGE = {0: st.integers(-2**63, -1),
+                      1: st.integers(640, 2**16 - 1),
+                      2: st.integers(480, 2**16 - 1)}
+
+
+@st.composite
+def _both_format_rows(draw):
+    """Columns of rows that both formats hold: in time order or unsorted,
+    with up to two values out of their range (a negative ``t_us``, or a
+    ``u`` or ``v`` past the sensor that fits uint16)."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.sort(rng.integers(0, 10**6, n))
+    if draw(st.booleans()):
+        t = rng.permutation(t)
+    cols = [t, rng.integers(0, 640, n), rng.integers(0, 480, n),
+            rng.integers(0, 256, n)]
+    for _ in range(draw(st.integers(0, 2))):
+        column = draw(st.sampled_from(sorted(_HELD_OUT_OF_RANGE)))
+        cols[column][draw(st.integers(0, n - 1))] = draw(
+            _HELD_OUT_OF_RANGE[column])
+    return cols
+
+
+def _read_or_error(path, camera, roi):
+    """The stream read, or the FormatError text after the file's path."""
+    try:
+        return read_events(path, camera, roi=roi)
+    except FormatError as exc:
+        text = str(exc)
+        assert text.startswith(f"{path}: ")
+        return text[len(f"{path}: "):]
+
+
+class TestBothFormats:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cols=_both_format_rows(), records=st.sampled_from([1, 2, 3, 8]),
+           block=st.sampled_from([1, 7, 64]), roi=_ROIS,
+           camera=st.sampled_from([1, 2]))
+    def test_the_same_rows_read_alike_from_either_format(
+            self, tmp_path, monkeypatch, cols, records, block, roi, camera):
+        monkeypatch.setattr(ingest, "_RECORDS_PER_BLOCK", records)
+        monkeypatch.setattr(ingest, "_CSV_BLOCK_BYTES", block)
+        evt, csv = tmp_path / "a.evt", tmp_path / "a.csv"
+        _evt_file(evt, *cols)
+        csv.write_text("t_us,u,v,polarity\n" + "".join(
+            f"{t},{u},{v},{p}\n" for t, u, v, p in zip(*cols)))
+        in_range = all(lo <= c.min() and c.max() <= hi
+                       for c, (_, lo, hi, _) in zip(cols, EVENT_COLUMNS))
+        for r in (None, roi):
+            got = _read_or_error(evt, camera, r)
+            want = _read_or_error(csv, camera, r)
+            assert isinstance(want, EventStream) == in_range
+            if in_range:
+                _assert_same_stream(got, want)
+            else:
+                assert got == want
 
 
 def _tap_run(seed=0, cam2_offset=0.0, background=800.0, taps_at=2.0):
