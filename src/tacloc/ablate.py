@@ -156,9 +156,11 @@ def run_sweep(prepared: PreparedRun, cfg: RunConfig, factors,
     Thinning keeps times and order, so a trial's press events in the
     thinned recording are its unthinned press events under the keep
     mask, and clustering them needs only each pixel's count of kept
-    events. Each press event is hashed once per seed, the nested keep
-    masks count every factor's pixels at once, and the factors of one
-    seed share one clustering pass per camera. A trial whose window lies
+    events. Each press set is visited once: it is weighed, its ordinals
+    are read, and its events are hashed for every seed, the nested keep
+    masks counting every factor's pixels at once, so no per-event array
+    outlives its set. The factors of one seed share one clustering pass
+    per camera. A trial whose window lies
     outside the extent of the thinned streams is not flagged missing, as
     segmenting them would flag it; it keeps no events, so its row differs
     only in its reason ("no prominent cluster" for "missing"), which no
@@ -166,33 +168,37 @@ def run_sweep(prepared: PreparedRun, cfg: RunConfig, factors,
     """
     factors = tuple(int(k) for k in factors)
     seeds = tuple(int(s) for s in seeds)
+    # thresholds ascending, so factors descending; with k = 1 alone there
+    # is nothing to thin
+    thinned = sorted(set(factors) - {1}, reverse=True)
+    tops = np.array([_keep_below(k) for k in thinned], dtype=np.uint64)
     trials = segment(prepared, cfg)
-    press = [[press_events(t, cam) for t in trials if not t.missing]
-             for cam in (1, 2)]
-    weighed = [[weigh(ev.u, ev.v, return_inverse=True) for ev in events]
-               for events in press]
-    base_table = localize_pixels(trials, cluster_pixels(
-        [[ws for ws, _ in cam] for cam in weighed], cfg.cluster),
-        cfg.camera_models)
+    live = [t for t in trials if not t.missing]
+    base = [[], []]
+    # each seed's weighted pixels per camera and factor
+    by_seed = {seed: [[[] for _ in thinned] for _ in (1, 2)]
+               for seed in (seeds if thinned else ())}
+    for cam, base_sets in enumerate(base):
+        for trial in live:
+            ev = press_events(trial, cam + 1)
+            ws, inverse = weigh(ev.u, ev.v, return_inverse=True)
+            base_sets.append(ws)
+            ordinals = ev.ordinal_array() if by_seed else None
+            for seed, cams in by_seed.items():
+                h = _event_hash(seed, cam + 1, ordinals)
+                for kept, thin_ws in zip(cams[cam], _thinned_counts(
+                        ws, inverse, h, tops)):
+                    kept.append(thin_ws)
+    base_table = localize_pixels(trials, cluster_pixels(base, cfg.cluster),
+                                 cfg.camera_models)
     base_report = evaluate_results(base_table, cfg)
     reference_p95_mm = base_report.reference_p95_mm
     cells = {(1, seed): SweepCell(1, seed, base_report,
                                   _mean_cluster_size(base_table))
              for seed in seeds}
-    # thresholds ascending, so factors descending
-    thinned = sorted(set(factors) - {1}, reverse=True)
-    tops = np.array([_keep_below(k) for k in thinned], dtype=np.uint64)
-    # with k = 1 alone there is nothing to thin
-    for seed in seeds if thinned else ():
-        pixels = []
-        for cam, (events, sets) in enumerate(zip(press, weighed)):
-            by_factor = [[] for _ in thinned]
-            for ev, (ws, inverse) in zip(events, sets):
-                h = _event_hash(seed, cam + 1, ev.ordinal_array())
-                for kept, thin_ws in zip(by_factor, _thinned_counts(
-                        ws, inverse, h, tops)):
-                    kept.append(thin_ws)
-            pixels.append([ws for kept in by_factor for ws in kept])
+    for seed, cams in by_seed.items():
+        pixels = [[ws for kept in by_factor for ws in kept]
+                  for by_factor in cams]
         clustered = cluster_pixels(pixels, cfg.cluster)
         for k in thinned:
             table = localize_pixels(trials, clustered, cfg.camera_models)

@@ -78,6 +78,11 @@ class SensorLayout:
         return float(np.hypot(self.side_mm, self.side_mm))
 
 
+# the ordinal rule's gaps of a stream that dropped no row
+_NO_GAPS = np.empty(0, dtype=np.int64)
+_NO_GAPS.flags.writeable = False
+
+
 def _column(values, name: str, lo: int, hi: int, dtype) -> np.ndarray:
     """``values`` as a contiguous ``dtype`` array, once each is checked to
     be a whole number in [lo, hi], so the cast never wraps or truncates.
@@ -154,20 +159,28 @@ class EventStream:
     positions are ``t + time_offset_us`` (see :meth:`times_s`), raw
     timestamps are never rewritten.
 
-    ``ordinals`` track each event's position in the stream it was first
-    constructed from; subsetting operations preserve them so that
-    counter-based sampling keyed on ordinals commutes with cropping.
-    A value of ``None`` means the identity mapping 0..n-1.
+    Each event's ordinal is its position in the stream it was first
+    constructed from (for a stream read from a file, its row in the
+    file); subsetting operations preserve them so that counter-based
+    sampling keyed on ordinals commutes with cropping. They are read
+    with :meth:`ordinal_array`. ``ordinals`` holds them as an explicit
+    array, or is ``None`` when the events are one contiguous run of the
+    rows that a read kept: the ordinals are then the rule of
+    ``ordinal0``, the run's first kept index, and ``gaps``, a sorted
+    array holding ``d_j - j`` for the j-th dropped row ``d_j``. An empty
+    ``gaps`` means the identity mapping ``ordinal0, ordinal0 + 1, ...``.
 
     Subsets (a time slice, an ROI crop, a thinning mask) keep events in
     their order, so they stay time-sorted and in range; they are built
-    from the parent's columns without validating them again. Every
-    subset has ordinals, and its columns are read-only like the
-    parent's: slices are views, masks gather once through one index.
+    from the parent's columns without validating them again, and their
+    columns are read-only like the parent's. A time slice is a view that
+    keeps the rule (shifting ``ordinal0``) or slices the explicit array,
+    so it allocates nothing per event; a mask gathers once through one
+    index into an explicit ``ordinals`` array.
     """
 
     __slots__ = ("camera_id", "t", "u", "v", "polarity", "time_offset_us",
-                 "ordinals")
+                 "ordinals", "ordinal0", "gaps")
 
     def __init__(self, camera_id, t_us, u, v, polarity,
                  time_offset_us: int = 0):
@@ -185,14 +198,17 @@ class EventStream:
                 for c, values in zip(cols, args)]
         self._fill(CameraId(camera_id), *cols, time_offset_us, None)
 
-    def _fill(self, camera_id, t, u, v, polarity, time_offset_us, ordinals):
-        for arr in (t, u, v, polarity, ordinals):
+    def _fill(self, camera_id, t, u, v, polarity, time_offset_us, ordinals,
+              ordinal0=0, gaps=_NO_GAPS):
+        for arr in (t, u, v, polarity, ordinals, gaps):
             if arr is not None:
                 arr.flags.writeable = False
         self.camera_id = camera_id
         self.t, self.u, self.v, self.polarity = t, u, v, polarity
         self.time_offset_us = int(time_offset_us)
         self.ordinals = ordinals
+        self.ordinal0 = int(ordinal0)
+        self.gaps = gaps
 
     def __len__(self) -> int:
         return self.t.shape[0]
@@ -209,9 +225,23 @@ class EventStream:
         return self.t + self.time_offset_us
 
     def ordinal_array(self) -> np.ndarray:
-        if self.ordinals is None:
-            return np.arange(len(self), dtype=np.int64)
-        return self.ordinals
+        """Every event's ordinal, int64 and read-only."""
+        if self.ordinals is not None:
+            return self.ordinals
+        out = self._ordinals_at(np.arange(len(self), dtype=np.int64))
+        out.flags.writeable = False
+        return out
+
+    def _ordinals_at(self, at: np.ndarray) -> np.ndarray:
+        """The ordinals of the events at the int64 indices ``at``; ``at``
+        itself serves when the rule is the identity from 0."""
+        if self.ordinals is not None:
+            return self.ordinals[at]
+        if not len(self.gaps):
+            return at + self.ordinal0 if self.ordinal0 else at
+        k = at + self.ordinal0
+        k += np.searchsorted(self.gaps, k, side="right")
+        return k
 
     def extent_s(self) -> tuple[float, float] | None:
         """(first, last) aligned event time in seconds, or None when empty."""
@@ -230,18 +260,18 @@ class EventStream:
         return s
 
     def _subset(self, keep) -> "EventStream":
-        """The events at ``keep``, a slice or a boolean mask, in order."""
+        """The events at ``keep``, a contiguous slice or a boolean mask, in
+        order."""
         if isinstance(keep, slice):
-            ordinals = (np.arange(*keep.indices(len(self)))
-                        if self.ordinals is None else self.ordinals[keep])
+            start = keep.indices(len(self))[0]
+            rule = ((None, self.ordinal0 + start, self.gaps)
+                    if self.ordinals is None else (self.ordinals[keep],))
         else:
-            # one index serves as the gather and, from an unsubset
-            # stream, as the ordinals
             keep = np.flatnonzero(keep)
-            ordinals = keep if self.ordinals is None else self.ordinals[keep]
+            rule = (self._ordinals_at(keep),)
         return EventStream._from_valid(
             self.camera_id, self.t[keep], self.u[keep], self.v[keep],
-            self.polarity[keep], self.time_offset_us, ordinals)
+            self.polarity[keep], self.time_offset_us, *rule)
 
     def slice_time_s(self, t0_s: float, t1_s: float) -> "EventStream":
         """Events with aligned time in the half-open window [t0, t1)."""
@@ -254,7 +284,8 @@ class EventStream:
 
     def with_offset_us(self, offset_us: int) -> "EventStream":
         return EventStream._from_valid(self.camera_id, self.t, self.u, self.v,
-                                       self.polarity, offset_us, self.ordinals)
+                                       self.polarity, offset_us, self.ordinals,
+                                       self.ordinal0, self.gaps)
 
 
 @dataclass(frozen=True)
@@ -295,7 +326,7 @@ def crop_roi(stream: EventStream, v_lo: int, v_hi: int) -> EventStream:
     Order is preserved. A stream whose events all lie in the band is
     returned itself, columns and ordinals included: a stream read into
     the ROI (``read_events(..., roi=...)``) is not copied again, and an
-    uncropped one keeps ``ordinals`` None, whose ``ordinal_array()`` is
+    uncropped one keeps its ordinal rule, whose ``ordinal_array()`` is
     the crop's.
     """
     check_roi(v_lo, v_hi)

@@ -148,16 +148,19 @@ def read_events(path, camera_id, fmt: str | None = None,
     With ``roi = (v_lo, v_hi)`` only the events inside the band are
     returned, exactly as ``crop_roi(read_events(path, camera_id, fmt),
     *roi)`` returns them: their ordinals are their positions in the
-    file's time-sorted stream (None when every event is kept).
+    file's time-sorted stream.
 
     Each format is a source of column blocks (``_binary_columns``,
     ``_csv_columns``). A file in time order whose values lie in their
     ranges is read in one pass over its blocks (``_in_band``), which
     keeps only the rows in the band, so neither its bytes nor its
-    full-sensor columns are ever held whole. Any other file is read
-    again through the same blocks: its columns are joined and go through
+    full-sensor columns are ever held whole; the stream keeps its
+    ordinals as a rule, the gaps that the dropped rows leave (see
+    ``EventStream``), not as an array. Any other file is read again
+    through the same blocks: its columns are joined and go through
     ``EventStream``, the one gate that names its first bad value and
-    sorts it stably, and then through ``crop_roi``.
+    sorts it stably, and then through ``crop_roi``, whose mask gives the
+    kept events an explicit ordinal array.
 
     Malformed CSV lines are counted and logged; more than 1% malformed
     raises FormatError. So does a value that ``EventStream`` refuses, with
@@ -183,9 +186,9 @@ def read_events(path, camera_id, fmt: str | None = None,
             blocks = partial(_csv_columns, fh, path)
         kept = _in_band(blocks(), size, lo, hi)
         if kept is not None:
-            cols, ordinals = kept
+            cols, gaps = kept
             camera = _build(CameraId, str(path), camera_id)
-            return EventStream._from_valid(camera, *cols, 0, ordinals)
+            return EventStream._from_valid(camera, *cols, 0, None, 0, gaps)
         cols = _joined(blocks())
     stream = _build(EventStream, str(path), camera_id, *cols)
     del cols  # before the crop allocates its copies
@@ -193,30 +196,30 @@ def read_events(path, camera_id, fmt: str | None = None,
 
 
 def _in_band(blocks, size: int, lo: int, hi: int) -> tuple | None:
-    """The columns and the ordinals (None when every row is kept) of the
-    rows with ``lo <= v <= hi`` of ``(bytes read, columns)`` blocks out of
-    ``size`` bytes, read in one pass, or None when a value lies outside
-    its ``EVENT_COLUMNS`` range or the times are not in order, within a
-    block or across blocks.
+    """The columns and the ordinal gaps of the rows with ``lo <= v <= hi``
+    of ``(bytes read, columns)`` blocks out of ``size`` bytes, read in
+    one pass, or None when a value lies outside its ``EVENT_COLUMNS``
+    range or the times are not in order, within a block or across
+    blocks.
 
     The kept rows go straight into their columns, which grow in place
     (``ndarray.resize``, so no second copy of them is ever held) to the
     count that the kept rows so far project over ``size``, and shrink to
-    the kept count at the end. Ordinals are set once a row is dropped.
+    the kept count at the end. Each dropped row adds its gap key, the
+    count of rows kept before it (``EventStream``'s ``d_j - j``), to the
+    gaps, which grow in place by an eighth: empty when every row is kept.
     """
     cols = [np.empty(0, dtype) for *_, dtype in EVENT_COLUMNS]
-    ordinals = None
-    at = n_rows = t_last = 0
+    gaps = np.empty(0, np.int64)
+    at = n_gaps = t_last = 0
     for read, block in blocks:
         if not _in_range_and_order(block, t_last):
             return None
         t, v = block[0], block[2]
         t_last = t[-1]
-        keep = np.flatnonzero((v >= lo) & (v <= hi))
+        inside = (v >= lo) & (v <= hi)
+        keep = np.flatnonzero(inside)
         rows = slice(None) if len(keep) == len(t) else keep
-        if len(keep) < len(t) and ordinals is None:
-            ordinals = np.arange(len(cols[0]), dtype=np.int64)
-            cols.append(ordinals)
         need = at + len(keep)
         if need > len(cols[0]):
             cap = max(need + need // 8, need * size // read)
@@ -224,13 +227,20 @@ def _in_band(blocks, size: int, lo: int, hi: int) -> tuple | None:
                 col.resize(cap, refcheck=False)
         for col, values in zip(cols, block):
             col[at:need] = values[rows]
-        if ordinals is not None:
-            np.add(keep, n_rows, out=ordinals[at:need])
+        if len(keep) < len(t):
+            drop = np.flatnonzero(~inside)
+            end = n_gaps + len(drop)
+            if end > len(gaps):
+                gaps.resize(end + end // 8, refcheck=False)
+            # the rows kept before the i-th dropped row of the block
+            np.subtract(drop, np.arange(len(drop)), out=gaps[n_gaps:end])
+            gaps[n_gaps:end] += at
+            n_gaps = end
         at = need
-        n_rows += len(t)
     for col in cols:
         col.resize(at, refcheck=False)
-    return cols[:4], ordinals
+    gaps.resize(n_gaps, refcheck=False)
+    return cols, gaps
 
 
 def _joined(blocks) -> list:

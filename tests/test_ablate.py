@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from tacloc.cluster import weigh
 from tacloc.events import EventStream, crop_roi
 from tacloc.ingest import RunConfig, make_schedule
 from tacloc.metrics import UndefinedMetricError, empty_report
-from tacloc.segment import segment_by_schedule
+from tacloc.segment import press_events, segment_by_schedule
 from tacloc.synth import SynthSpec, generate
 from tacloc import pipeline
 
@@ -265,3 +266,34 @@ class TestRunSweep:
         ratio = sizes[1] / sizes[4]
         sigma = 4 / np.sqrt(sizes[4])
         assert abs(ratio - 4.0) < 3 * sigma
+
+    def test_memory_is_per_press_set(self):
+        # every event lies in the band, as in the criterion-5 bursts, so
+        # the prepared streams are the generated ones: a per-event array
+        # held across press sets (an inverse, an ordinal array per time
+        # slice) would cost 8 bytes per press event each
+        layout = small_layout(5, 4)
+        cfg = RunConfig(layout=layout, schedule=make_schedule(
+            layout, period_s=1.5, repetitions=1))
+        spec = SynthSpec(layout=layout, schedule=cfg.schedule, seed=5,
+                         burst_events_per_press_per_camera=28000.0,
+                         sigma_u_px=0.0, burst_u_quantize="round",
+                         burst_v_halfwidth_px=5.0,
+                         press_offset_sigma_px=0.72,
+                         secondary_blob_frac=0.315,
+                         secondary_blob_offset_px=11.5,
+                         background_rate_per_camera=0.0)
+        s1, s2, _ = generate(spec)
+        prepared = pipeline.prepare_run(s1, s2, cfg)
+        assert prepared.s1.t is s1.t and prepared.s2.t is s2.t
+        n_press = sum(len(press_events(t, cam))
+                      for t in pipeline.segment(prepared, cfg)
+                      for cam in (1, 2))
+        assert n_press >= 500_000
+        tracemalloc.start()
+        try:
+            run_sweep(prepared, cfg, [1, 4, 64, 1024], [0, 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n_press + 4e6

@@ -94,15 +94,17 @@ def _roi_files(draw):
                         rng.integers(0, 256, n))
 
 
+def _arrays(s):
+    """A stream's columns and its ``ordinal_array()``."""
+    return s.t, s.u, s.v, s.polarity, s.ordinal_array()
+
+
 def _assert_same_stream(a, b):
-    """Equal camera, offset, columns, dtypes and ordinals (None on both
-    or equal arrays), and read-only columns."""
+    """Equal camera, offset, columns, dtypes and ``ordinal_array()``, and
+    read-only columns and ordinals."""
     assert (a.camera_id, a.time_offset_us) == (b.camera_id, b.time_offset_us)
-    for name in ("t", "u", "v", "polarity", "ordinals"):
-        x, y = getattr(a, name), getattr(b, name)
-        if y is None:
-            assert x is None, name
-            continue
+    for name, x, y in zip(("t", "u", "v", "polarity", "ordinals"),
+                          _arrays(a), _arrays(b)):
         assert x.dtype == y.dtype, name
         assert np.array_equal(x, y), name
         assert not x.flags.writeable, name
@@ -318,33 +320,43 @@ class TestEventFiles:
 _MEMORY_ROWS = 1_000_000
 
 
-def _half_in_band(skewed):
-    """Columns of ``_MEMORY_ROWS`` rows in time order, half of them in
-    ``DEFAULT_ROI``: mixed through the file, or (``skewed``) all in its
-    second half, so the kept columns first grow from the middle on and
-    then to a count projected from the rows of the second half only."""
+# the memory files: each one's fraction of rows in the band, and whether
+# those rows all lie at the end of the file
+_MEMORY_FILES = ((0.5, False), (0.5, True), (0.95, False))
+
+
+def _in_band_rows(frac, skewed):
+    """Columns of ``_MEMORY_ROWS`` rows in time order, ``frac`` of them in
+    ``DEFAULT_ROI``: mixed through the file, or (``skewed``) all at its
+    end, so the kept columns first grow from there on and then to a
+    count projected from the rows after it only. A file with 5 % of its
+    rows outside the band keeps 95 % of them, whose ordinals an array
+    would hold at 8 bytes each."""
     rng = np.random.default_rng(6)
     n = _MEMORY_ROWS
     lo, hi = DEFAULT_ROI
-    inside = np.arange(n) >= n // 2 if skewed else rng.random(n) < 0.5
+    inside = (np.arange(n) >= n - int(frac * n) if skewed
+              else rng.random(n) < frac)
     v = np.where(inside, rng.integers(lo, hi + 1, n),
                  rng.integers(hi + 1, 480, n))
     return (np.sort(rng.integers(0, 6 * 10**7, n)), rng.integers(0, 640, n),
             v, rng.integers(0, 2, n))
 
 
-def _assert_read_holds_the_kept_columns(path):
-    """Reading a ``_half_in_band`` file into ``DEFAULT_ROI`` peaks, by
-    ``tracemalloc``, under its kept columns and ordinals plus 4 MB."""
+def _assert_read_holds_the_kept_columns(path, frac):
+    """Reading an ``_in_band_rows(frac, ...)`` file into ``DEFAULT_ROI``
+    peaks, by ``tracemalloc``, under its four kept columns plus 8 bytes
+    per dropped row plus 4 MB."""
     tracemalloc.start()
     try:
         c = read_events(path, 1, roi=DEFAULT_ROI)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0.45 * _MEMORY_ROWS < len(c) < 0.55 * _MEMORY_ROWS
-    kept = sum(x.nbytes for x in (c.t, c.u, c.v, c.polarity, c.ordinals))
-    assert peak < kept + 4e6
+    assert abs(len(c) / _MEMORY_ROWS - frac) < 0.05
+    kept = sum(x.nbytes for x in (c.t, c.u, c.v, c.polarity))
+    dropped = _MEMORY_ROWS - len(c)
+    assert peak < kept + 8 * dropped + 4e6
 
 
 class TestBinaryRoiRead:
@@ -363,11 +375,11 @@ class TestBinaryRoiRead:
                             crop_roi(whole, *roi))
 
     def test_roi_read_memory_is_the_kept_columns(self, tmp_path):
-        # half the rows lie outside the band: read whole and then cropped,
-        # the file's bytes and its full columns would exceed the bound
-        for skewed in (False, True):
-            _evt_file(tmp_path / "a.evt", *_half_in_band(skewed))
-            _assert_read_holds_the_kept_columns(tmp_path / "a.evt")
+        # read whole and then cropped, the file's bytes and its full
+        # columns would exceed the bound
+        for frac, skewed in _MEMORY_FILES:
+            _evt_file(tmp_path / "a.evt", *_in_band_rows(frac, skewed))
+            _assert_read_holds_the_kept_columns(tmp_path / "a.evt", frac)
 
     def test_no_file_handle_left_open(self, tmp_path):
         rows = ([10, 20, 30], [1, 2, 3], [250, 6, 300], [0, 1, 0])
@@ -594,12 +606,12 @@ class TestCsvBlockRead:
                                     else crop_roi(whole, *r))
 
     def test_roi_read_memory_is_the_kept_columns(self, tmp_path):
-        # half the rows lie outside the band: read whole and then cropped,
-        # the file's bytes and its parsed rows would exceed the bound
-        for skewed in (False, True):
-            write_events(EventStream(1, *_half_in_band(skewed)),
+        # read whole and then cropped, the file's bytes and its parsed
+        # rows would exceed the bound
+        for frac, skewed in _MEMORY_FILES:
+            write_events(EventStream(1, *_in_band_rows(frac, skewed)),
                          tmp_path / "a.csv", "csv")
-            _assert_read_holds_the_kept_columns(tmp_path / "a.csv")
+            _assert_read_holds_the_kept_columns(tmp_path / "a.csv", frac)
 
     @pytest.mark.parametrize("bad", _NOT_UTF8, ids=bytes.hex)
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b""],
@@ -709,6 +721,44 @@ class TestBothFormats:
                 _assert_same_stream(got, want)
             else:
                 assert got == want
+
+
+@st.composite
+def _sliced_files(draw):
+    """(block, roi, columns, window) of an in-order ``_roi_files`` file
+    and a time window ``[a, b)`` in microseconds, each edge any time or
+    one of the file's."""
+    block, roi, cols = draw(_roi_files().filter(
+        lambda case: np.all(np.diff(case[2][0]) >= 0)))
+    edge = st.one_of(st.integers(-1, 10**6 + 1),
+                     st.sampled_from(cols[0].tolist() or [0]))
+    return block, roi, cols, (draw(edge), draw(edge))
+
+
+class TestOrdinalRule:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_sliced_files(), camera=st.sampled_from([1, 2]),
+           k=st.sampled_from([2, 3, 1024]),
+           seed=st.integers(-2**63, 2**64 - 1))
+    def test_slices_of_roi_reads_are_slices_of_the_crop(
+            self, tmp_path, monkeypatch, case, camera, k, seed):
+        # the ROI read keeps its ordinals as a rule and the crop as an
+        # array; a time slice and a thinning of each must agree
+        block, roi, cols, (a, b) = case
+        monkeypatch.setattr(ingest, "_RECORDS_PER_BLOCK", block)
+        monkeypatch.setattr(ingest, "_CSV_BLOCK_BYTES", 8 * block)
+        evt, csv = tmp_path / "a.evt", tmp_path / "a.csv"
+        _evt_file(evt, *cols)
+        csv.write_text("t_us,u,v,polarity\n" + "".join(
+            f"{t},{u},{v},{p}\n" for t, u, v, p in zip(*cols)))
+        for path in (evt, csv):
+            got = read_events(path, camera, roi=roi).slice_time_s(
+                a / US_PER_S, b / US_PER_S)
+            want = crop_roi(read_events(path, camera), *roi).slice_time_s(
+                a / US_PER_S, b / US_PER_S)
+            _assert_same_stream(got, want)
+            _assert_same_stream(thin(got, k, seed), thin(want, k, seed))
 
 
 def _tap_run(seed=0, cam2_offset=0.0, background=800.0, taps_at=2.0):

@@ -70,9 +70,12 @@ class TestPrepareRun:
         whole = pipeline.prepare_run(s1, s2, cfg)
         for got, src, ref in zip((prepared.s1, prepared.s2), read,
                                  (whole.s1, whole.s2)):
-            for name in ("t", "u", "v", "polarity", "ordinals"):
+            for name in ("t", "u", "v", "polarity", "ordinals", "gaps"):
                 assert getattr(got, name) is getattr(src, name)
+            for name in ("t", "u", "v", "polarity"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name))
+            assert got.ordinal_array().dtype == ref.ordinal_array().dtype
+            assert np.array_equal(got.ordinal_array(), ref.ordinal_array())
             assert got.time_offset_us == ref.time_offset_us
         assert prepared.tap_onsets_s == whole.tap_onsets_s
 
