@@ -12,7 +12,8 @@ SENSOR_HEIGHT = 480
 DEFAULT_ROI = (200, 360)
 US_PER_S = 1_000_000
 # every value an event column may hold (file column names), and the dtype
-# it is stored as
+# the gate casts it to; times are then held as uint32 low words and a
+# high-word rule (see EventStream)
 EVENT_COLUMNS = (("t_us", 0, 2**63 - 1, np.int64),
                  ("u", 0, SENSOR_WIDTH - 1, np.int16),
                  ("v", 0, SENSOR_HEIGHT - 1, np.int16),
@@ -78,9 +79,15 @@ class SensorLayout:
         return float(np.hypot(self.side_mm, self.side_mm))
 
 
-# the ordinal rule's gaps of a stream that dropped no row
+# the ordinal rule's gaps of a stream that dropped no row, and the
+# high-word rule of an empty stream
 _NO_GAPS = np.empty(0, dtype=np.int64)
 _NO_GAPS.flags.writeable = False
+# the run starts of a stream whose times share one high word
+_ONE_RUN = np.zeros(1, dtype=np.int64)
+_ONE_RUN.flags.writeable = False
+_LOW_MASK = (1 << 32) - 1
+_MAX_HIGH = (2**63 - 1) >> 32
 
 
 def _column(values, name: str, lo: int, hi: int, dtype) -> np.ndarray:
@@ -138,14 +145,42 @@ def sort_times(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t[order], order
 
 
+def high_rule(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high-word rule of a sorted int64 time column: the start index
+    and the high word ``t >> 32`` of each run of events that share one,
+    both int64. Times that stay inside one 2**32 us span (71.6 min) are
+    one run, found from the first and last time alone; only a column
+    that crosses a multiple of 2**32 us takes a per-event pass."""
+    if not len(t):
+        return _NO_GAPS, _NO_GAPS
+    if t[0] >> 32 == t[-1] >> 32:
+        return _ONE_RUN, np.array([t[0] >> 32], dtype=np.int64)
+    high = t >> 32
+    starts = np.flatnonzero(high[1:] != high[:-1]) + 1
+    starts = np.concatenate((_ONE_RUN, starts))
+    return starts, high[starts]
+
+
 class EventStream:
     """Time-sorted columnar event sequence for one camera.
 
-    Events are stored as parallel numpy arrays (t in integer microseconds,
-    u/v pixel coordinates, polarity). Instances are immutable after
-    construction; all transforms return new streams that may share the
-    underlying read-only arrays. The constructor copies a column that
-    would share memory with its argument, so the caller's stays writable.
+    Events are stored as parallel numpy arrays (times in integer
+    microseconds, u/v pixel coordinates, polarity). Instances are
+    immutable after construction; all transforms return new streams that
+    may share the underlying read-only arrays. The constructor copies a
+    column that would share memory with its argument, so the caller's
+    stays writable.
+
+    Times are held as ``t_low``, the low 32 bits of each timestamp
+    (uint32), and a high-word rule: ``run_starts`` and ``run_highs``
+    hold the start index and the high word ``t >> 32`` of each run of
+    events that share one (see :func:`high_rule`), so a stream inside one
+    2**32 us span (71.6 min) has exactly one run and an empty stream
+    none. A held event costs 9 bytes: uint32 + int16 + int16 + uint8.
+    ``times_us``, ``times_s``, ``extent_s`` and ``slice_time_s`` read
+    the rule directly; :attr:`t` builds a fresh read-only int64 array of
+    the raw times on every access, so only code that needs the whole
+    column should read it.
 
     The constructor is the one gate for column values: each must be a
     whole number in its ``EVENT_COLUMNS`` range, checked before the cast
@@ -174,13 +209,15 @@ class EventStream:
     their order, so they stay time-sorted and in range; they are built
     from the parent's columns without validating them again, and their
     columns are read-only like the parent's. A time slice is a view that
-    keeps the rule (shifting ``ordinal0``) or slices the explicit array,
-    so it allocates nothing per event; a mask gathers once through one
-    index into an explicit ``ordinals`` array.
+    shifts the run starts, keeps the ordinal rule (shifting ``ordinal0``)
+    or slices the explicit array, so it allocates nothing per event; a
+    mask gathers once through one index into an explicit ``ordinals``
+    array and maps the run starts onto the kept events, dropping any run
+    left empty.
     """
 
-    __slots__ = ("camera_id", "t", "u", "v", "polarity", "time_offset_us",
-                 "ordinals", "ordinal0", "gaps")
+    __slots__ = ("camera_id", "t_low", "run_starts", "run_highs", "u", "v",
+                 "polarity", "time_offset_us", "ordinals", "ordinal0", "gaps")
 
     def __init__(self, camera_id, t_us, u, v, polarity,
                  time_offset_us: int = 0):
@@ -194,35 +231,54 @@ class EventStream:
         if np.any(t[1:] < t[:-1]):
             t, order = sort_times(t)
             cols = [t] + [c[order] for c in cols[1:]]
-        cols = [c.copy() if np.may_share_memory(c, values) else c
-                for c, values in zip(cols, args)]
-        self._fill(CameraId(camera_id), *cols, time_offset_us, None)
+        # t itself is not kept: its low words are always a fresh array
+        u, v, polarity = (c.copy() if np.may_share_memory(c, values) else c
+                          for c, values in zip(cols[1:], args[1:]))
+        self._fill(CameraId(camera_id), t.astype(np.uint32), *high_rule(t),
+                   u, v, polarity, time_offset_us, None)
 
-    def _fill(self, camera_id, t, u, v, polarity, time_offset_us, ordinals,
-              ordinal0=0, gaps=_NO_GAPS):
-        for arr in (t, u, v, polarity, ordinals, gaps):
+    def _fill(self, camera_id, t_low, run_starts, run_highs, u, v, polarity,
+              time_offset_us, ordinals, ordinal0=0, gaps=_NO_GAPS):
+        for arr in (t_low, run_starts, run_highs, u, v, polarity, ordinals,
+                    gaps):
             if arr is not None:
                 arr.flags.writeable = False
         self.camera_id = camera_id
-        self.t, self.u, self.v, self.polarity = t, u, v, polarity
+        self.t_low, self.run_starts, self.run_highs = t_low, run_starts, run_highs
+        self.u, self.v, self.polarity = u, v, polarity
         self.time_offset_us = int(time_offset_us)
         self.ordinals = ordinals
         self.ordinal0 = int(ordinal0)
         self.gaps = gaps
 
     def __len__(self) -> int:
-        return self.t.shape[0]
+        return self.t_low.shape[0]
 
     def __repr__(self) -> str:
         return (f"EventStream(camera={self.camera_id.name}, n={len(self)}, "
                 f"offset_us={self.time_offset_us})")
 
+    @property
+    def t(self) -> np.ndarray:
+        """Raw event times in microseconds: a fresh read-only int64 array,
+        built from the low words and the high-word rule on every access."""
+        out = self._times(0)
+        out.flags.writeable = False
+        return out
+
+    def _times(self, add: int) -> np.ndarray:
+        """``t + add`` as a new int64 array, wrapping as int64 sums do."""
+        highs = (self.run_highs << 32) + add
+        if len(highs) > 1:
+            highs = np.repeat(highs, np.diff(self.run_starts, append=len(self)))
+        return np.add(self.t_low, highs, dtype=np.int64)
+
     def times_s(self) -> np.ndarray:
         """Aligned event times in seconds (offset applied)."""
-        return (self.t + self.time_offset_us) / US_PER_S
+        return self.times_us() / US_PER_S
 
     def times_us(self) -> np.ndarray:
-        return self.t + self.time_offset_us
+        return self._times(self.time_offset_us)
 
     def ordinal_array(self) -> np.ndarray:
         """Every event's ordinal, int64 and read-only."""
@@ -248,44 +304,87 @@ class EventStream:
         if not len(self):
             return None
         off = self.time_offset_us
-        return ((int(self.t[0]) + off) / US_PER_S,
-                (int(self.t[-1]) + off) / US_PER_S)
+        first = (int(self.run_highs[0]) << 32) + int(self.t_low[0])
+        last = (int(self.run_highs[-1]) << 32) + int(self.t_low[-1])
+        return (first + off) / US_PER_S, (last + off) / US_PER_S
+
+    def _count_before(self, key: int) -> int:
+        """The number of events with raw time below ``key``, which is
+        ``np.searchsorted(self.t, key)``: one search of the run highs,
+        then one of the matching run's low words by a uint32 key (a
+        Python-int key would make numpy cast the whole column)."""
+        n = len(self)
+        if key <= 0:
+            return 0
+        high = key >> 32
+        if high > _MAX_HIGH:
+            return n
+        j = int(np.searchsorted(self.run_highs, high))
+        if j == len(self.run_highs):
+            return n
+        start = int(self.run_starts[j])
+        if self.run_highs[j] != high:
+            return start
+        end = (int(self.run_starts[j + 1]) if j + 1 < len(self.run_starts)
+               else n)
+        return start + int(np.searchsorted(self.t_low[start:end],
+                                           np.uint32(key & _LOW_MASK)))
 
     @classmethod
     def _from_valid(cls, *args) -> "EventStream":
         """A stream over columns that already hold every invariant: the
-        dtypes, time order and ranges checked by ``__init__``."""
+        dtypes, time order and ranges checked by ``__init__``, and the
+        high-word rule of the times."""
         s = cls.__new__(cls)
         s._fill(*args)
         return s
+
+    def _runs_in(self, start: int, stop: int) -> tuple:
+        """The high-word rule of the events in ``[start, stop)``."""
+        if start >= stop:
+            return _NO_GAPS, _NO_GAPS
+        j0 = int(np.searchsorted(self.run_starts, start, side="right")) - 1
+        j1 = int(np.searchsorted(self.run_starts, stop))
+        starts = self.run_starts[j0:j1] - start
+        starts[0] = 0
+        return starts, self.run_highs[j0:j1]
+
+    def _runs_at(self, keep: np.ndarray) -> tuple:
+        """The high-word rule of the events at the sorted indices
+        ``keep``: each run starts at its first kept event, and the runs
+        with none are dropped."""
+        first = np.searchsorted(keep, self.run_starts)
+        live = first < np.append(first[1:], len(keep))
+        return first[live], self.run_highs[live]
 
     def _subset(self, keep) -> "EventStream":
         """The events at ``keep``, a contiguous slice or a boolean mask, in
         order."""
         if isinstance(keep, slice):
-            start = keep.indices(len(self))[0]
+            start, stop, _ = keep.indices(len(self))
+            runs = self._runs_in(start, stop)
             rule = ((None, self.ordinal0 + start, self.gaps)
                     if self.ordinals is None else (self.ordinals[keep],))
         else:
             keep = np.flatnonzero(keep)
+            runs = self._runs_at(keep)
             rule = (self._ordinals_at(keep),)
         return EventStream._from_valid(
-            self.camera_id, self.t[keep], self.u[keep], self.v[keep],
-            self.polarity[keep], self.time_offset_us, *rule)
+            self.camera_id, self.t_low[keep], *runs, self.u[keep],
+            self.v[keep], self.polarity[keep], self.time_offset_us, *rule)
 
     def slice_time_s(self, t0_s: float, t1_s: float) -> "EventStream":
         """Events with aligned time in the half-open window [t0, t1)."""
-        t_us = self.t
         lo = int(round(t0_s * US_PER_S)) - self.time_offset_us
         hi = int(round(t1_s * US_PER_S)) - self.time_offset_us
-        i0 = int(np.searchsorted(t_us, lo, side="left"))
-        i1 = int(np.searchsorted(t_us, hi, side="left"))
-        return self._subset(slice(i0, i1))
+        return self._subset(slice(self._count_before(lo),
+                                  self._count_before(hi)))
 
     def with_offset_us(self, offset_us: int) -> "EventStream":
-        return EventStream._from_valid(self.camera_id, self.t, self.u, self.v,
-                                       self.polarity, offset_us, self.ordinals,
-                                       self.ordinal0, self.gaps)
+        return EventStream._from_valid(
+            self.camera_id, self.t_low, self.run_starts, self.run_highs,
+            self.u, self.v, self.polarity, offset_us, self.ordinals,
+            self.ordinal0, self.gaps)
 
 
 @dataclass(frozen=True)

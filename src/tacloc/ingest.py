@@ -27,7 +27,7 @@ import numpy as np
 from .cluster import DbscanParams
 from .events import (DEFAULT_ROI, EVENT_COLUMNS, SENSOR_HEIGHT, US_PER_S,
                      CameraId, EventStream, SensorLayout, check_roi, crop_roi,
-                     event_rate_histogram, meander_grid)
+                     event_rate_histogram, high_rule, meander_grid)
 from .geometry import (CameraModel, FreeParams, check_camera_box,
                        default_models)
 from .latency import CusumParams, check_window_bins
@@ -154,9 +154,10 @@ def read_events(path, camera_id, fmt: str | None = None,
     ``_csv_columns``). A file in time order whose values lie in their
     ranges is read in one pass over its blocks (``_in_band``), which
     keeps only the rows in the band, so neither its bytes nor its
-    full-sensor columns are ever held whole; the stream keeps its
-    ordinals as a rule, the gaps that the dropped rows leave (see
-    ``EventStream``), not as an array. Any other file is read again
+    full-sensor columns are ever held whole; the stream keeps its times
+    as uint32 low words and a high-word rule, and its ordinals as a rule,
+    the gaps that the dropped rows leave (see ``EventStream``), not as
+    an array. Any other file is read again
     through the same blocks: its columns are joined and go through
     ``EventStream``, the one gate that names its first bad value and
     sorts it stably, and then through ``crop_roi``, whose mask gives the
@@ -186,9 +187,10 @@ def read_events(path, camera_id, fmt: str | None = None,
             blocks = partial(_csv_columns, fh, path)
         kept = _in_band(blocks(), size, lo, hi)
         if kept is not None:
-            cols, gaps = kept
+            (t_low, *cols), runs, gaps = kept
             camera = _build(CameraId, str(path), camera_id)
-            return EventStream._from_valid(camera, *cols, 0, None, 0, gaps)
+            return EventStream._from_valid(camera, t_low, *runs, *cols, 0,
+                                           None, 0, gaps)
         cols = _joined(blocks())
     stream = _build(EventStream, str(path), camera_id, *cols)
     del cols  # before the crop allocates its copies
@@ -196,22 +198,29 @@ def read_events(path, camera_id, fmt: str | None = None,
 
 
 def _in_band(blocks, size: int, lo: int, hi: int) -> tuple | None:
-    """The columns and the ordinal gaps of the rows with ``lo <= v <= hi``
-    of ``(bytes read, columns)`` blocks out of ``size`` bytes, read in
-    one pass, or None when a value lies outside its ``EVENT_COLUMNS``
-    range or the times are not in order, within a block or across
-    blocks.
+    """The columns, the high-word rule and the ordinal gaps of the rows
+    with ``lo <= v <= hi`` of ``(bytes read, columns)`` blocks out of
+    ``size`` bytes, read in one pass, or None when a value lies outside
+    its ``EVENT_COLUMNS`` range or the times are not in order, within a
+    block or across blocks.
 
-    The kept rows go straight into their columns, which grow in place
+    The kept rows go straight into their columns, times as their uint32
+    low words (see ``EventStream``), which grow in place
     (``ndarray.resize``, so no second copy of them is ever held) to the
     count that the kept rows so far project over ``size``, and shrink to
-    the kept count at the end. Each dropped row adds its gap key, the
-    count of rows kept before it (``EventStream``'s ``d_j - j``), to the
-    gaps, which grow in place by an eighth: empty when every row is kept.
+    the kept count at the end. The rule gains runs only from a block
+    whose last kept high word is not the current run's, which the time
+    order makes the one check a block needs. Each dropped row adds its
+    gap key, the count of rows kept before it (``EventStream``'s
+    ``d_j - j``), to the gaps, which grow in place by an eighth: empty
+    when every row is kept.
     """
     cols = [np.empty(0, dtype) for *_, dtype in EVENT_COLUMNS]
+    cols[0] = np.empty(0, np.uint32)
     gaps = np.empty(0, np.int64)
+    run_starts, run_highs = [], []
     at = n_gaps = t_last = 0
+    high = -1  # the current run's high word; no run yet
     for read, block in blocks:
         if not _in_range_and_order(block, t_last):
             return None
@@ -227,6 +236,12 @@ def _in_band(blocks, size: int, lo: int, hi: int) -> tuple | None:
                 col.resize(cap, refcheck=False)
         for col, values in zip(cols, block):
             col[at:need] = values[rows]
+        if len(keep) and t[keep[-1]] >> 32 != high:
+            starts, highs = high_rule(t[rows])
+            new = highs != high  # all but a first run that goes on
+            run_starts.append(starts[new] + at)
+            run_highs.append(highs[new])
+            high = highs[-1]
         if len(keep) < len(t):
             drop = np.flatnonzero(~inside)
             end = n_gaps + len(drop)
@@ -240,7 +255,9 @@ def _in_band(blocks, size: int, lo: int, hi: int) -> tuple | None:
     for col in cols:
         col.resize(at, refcheck=False)
     gaps.resize(n_gaps, refcheck=False)
-    return cols, gaps
+    runs = [np.concatenate(r) if r else np.empty(0, np.int64)
+            for r in (run_starts, run_highs)]
+    return cols, runs, gaps
 
 
 def _joined(blocks) -> list:
@@ -255,7 +272,7 @@ def _joined(blocks) -> list:
 
 CSV_HEADER = "t_us,u,v,polarity"
 _NL, _COMMA, _MINUS = ord("\n"), ord(","), ord("-")
-_LINES_PER_BLOCK = 1 << 16  # per write of the CSV writer
+_LINES_PER_BLOCK = 1 << 16  # rows per write of either writer
 # per block of the CSV reader; the per-byte masks of _plain_lines grow
 # with it
 _CSV_BLOCK_BYTES = 1 << 16
@@ -495,28 +512,30 @@ def _csv_block(cols) -> np.ndarray:
 def write_events(stream: EventStream, path, fmt: str = "bin") -> None:
     """Write a stream so that read_events round-trips it exactly.
 
-    Raw timestamps are written (no alignment offset applied).
+    Raw timestamps are written (no alignment offset applied). Both
+    formats are written one block of ``_LINES_PER_BLOCK`` rows at a time,
+    each block's int64 times built from the stream's high-word rule, so
+    no whole time column or record array is ever held.
     """
     path = Path(path)
-    if fmt == "csv":
-        cols = (stream.t, stream.u, stream.v, stream.polarity)
-        with open(path, "wb") as fh:
+    if fmt not in ("bin", "csv"):
+        raise ValueError(f"unknown event format: {fmt}")
+    with open(path, "wb") as fh:
+        if fmt == "csv":
             fh.write(CSV_HEADER.encode("ascii") + b"\n")
-            for i in range(0, len(stream), _LINES_PER_BLOCK):
-                fh.write(_csv_block([c[i:i + _LINES_PER_BLOCK] for c in cols]))
-        return
-    if fmt == "bin":
-        rec = np.zeros(len(stream), dtype=_RECORD_DTYPE)
-        rec["t"] = stream.t
-        rec["u"] = stream.u.astype(np.uint16)
-        rec["v"] = stream.v.astype(np.uint16)
-        rec["polarity"] = stream.polarity
-        with open(path, "wb") as fh:
+        else:
             fh.write(struct.pack("<4sB3xQ", BINARY_MAGIC, BINARY_VERSION,
                                  len(stream)))
+        for i in range(0, len(stream), _LINES_PER_BLOCK):
+            part = stream._subset(slice(i, i + _LINES_PER_BLOCK))
+            cols = (part.t, part.u, part.v, part.polarity)
+            if fmt == "csv":
+                fh.write(_csv_block(cols))
+                continue
+            rec = np.zeros(len(part), dtype=_RECORD_DTYPE)
+            for name, col in zip(_EVENT_FIELDS, cols):
+                rec[name] = col
             fh.write(rec.data)
-        return
-    raise ValueError(f"unknown event format: {fmt}")
 
 
 def detect_sync_taps(stream: EventStream, spec: SyncSpec = SyncSpec()) -> np.ndarray:

@@ -285,7 +285,7 @@ class TestRunSweep:
                          background_rate_per_camera=0.0)
         s1, s2, _ = generate(spec)
         prepared = pipeline.prepare_run(s1, s2, cfg)
-        assert prepared.s1.t is s1.t and prepared.s2.t is s2.t
+        assert prepared.s1.t_low is s1.t_low and prepared.s2.t_low is s2.t_low
         n_press = sum(len(press_events(t, cam))
                       for t in pipeline.segment(prepared, cfg)
                       for cam in (1, 2))

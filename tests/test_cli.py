@@ -797,3 +797,27 @@ def test_no_module_has_unused_imports():
                 imported |= {a.asname or a.name for a in node.names}
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         assert sorted(imported - used) == [], path.name
+
+
+def test_analysis_commands_never_build_a_whole_time_column(sim_dir, tmp_path,
+                                                           monkeypatch):
+    # a stream holds its times as uint32 low words and a high-word rule;
+    # every analysis flow reads them through times_us, times_s,
+    # extent_s and slice_time_s, never through the int64 column of .t
+    tmp, cfgp = sim_dir
+    doc = json.loads(cfgp.read_text())
+    doc["cameras"] = [CAMERA, dict(CAMERA, x_mm=100.0,
+                                   orientation_rad=2.356194490192345)]
+    cal = tmp / "guard.json"  # next to the simulated event files
+    cal.write_text(json.dumps(doc))
+
+    def whole_column(stream):
+        raise AssertionError("an analysis flow built EventStream.t")
+
+    monkeypatch.setattr(EventStream, "t", property(whole_column))
+    for argv in (["localize", "--config", str(cfgp)],
+                 ["calibrate", "--config", str(cal)],
+                 ["ablate", "--config", str(cfgp), "--factors", "1,4",
+                  "--seeds", "0"],
+                 ["latency", "--config", str(cfgp), "--tune"]):
+        assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0, argv[0]

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import bisect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tacloc.events import (EVENT_COLUMNS, EventStream, SensorLayout, crop_roi,
-                           event_rate_histogram, meander_grid, sort_times)
+from tacloc.events import (EVENT_COLUMNS, US_PER_S, EventStream, SensorLayout,
+                           crop_roi, event_rate_histogram, meander_grid,
+                           sort_times)
 
 from .conftest import uniform_stream
 
@@ -306,6 +309,123 @@ def test_sort_times_is_the_stable_argsort(t):
     got_t, got_order = sort_times(t)
     assert got_order.tolist() == order.tolist()
     assert got_t.tolist() == t[order].tolist()
+
+
+_SPAN = 2**32  # microseconds per high word
+
+
+def _rule_of(t):
+    """The high-word rule of sorted Python-int times, one event at a time:
+    the start index and high word of each run that shares one."""
+    starts, highs = [], []
+    for i, x in enumerate(t):
+        if not highs or x >> 32 != highs[-1]:
+            starts.append(i)
+            highs.append(x >> 32)
+    return starts, highs
+
+
+def _assert_holds_times(s, t):
+    """``s`` holds exactly the sorted Python-int times ``t``: as its int64
+    column, as uint32 low words and as the canonical high-word rule."""
+    assert s.t.dtype == np.int64 and not s.t.flags.writeable
+    assert s.t.tolist() == t
+    assert s.t_low.dtype == np.uint32 and not s.t_low.flags.writeable
+    assert s.t_low.tolist() == [x % _SPAN for x in t]
+    assert (s.run_starts.tolist(), s.run_highs.tolist()) == _rule_of(t)
+
+
+@st.composite
+def _spanning_times(draw):
+    """Sorted times that cross multiples of 2**32 us: values next to a
+    boundary, anywhere in the first few spans, and anywhere up to
+    2**63 - 1, so that neighbours may jump by up to 2**63 - 1; empty and
+    one-event lists included."""
+    value = st.one_of(
+        st.builds(lambda k, d: max(0, k * _SPAN + d),
+                  st.integers(0, 4), st.integers(-2, 2)),
+        st.integers(0, 5 * _SPAN), st.integers(0, 2**63 - 1),
+        st.just(2**63 - 1))
+    return sorted(draw(st.lists(value, max_size=30)))
+
+
+def _search_keys(t):
+    """Raw-time keys before, between, at and after the events and the
+    runs: each time and its neighbours, each multiple of 2**32 us in the
+    first spans and its neighbours, and keys below 0 and past int64."""
+    return sorted({-2**64, -1, 0, 2**63 - 1, 2**63, 2**64}
+                  | {x + d for x in t for d in (-1, 0, 1)}
+                  | {k * _SPAN + d for k in range(7) for d in (-1, 0, 1)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=_spanning_times(), seed=st.integers(0, 2**32 - 1),
+       offset=st.integers(-2**40, 2**40), data=st.data())
+@example(t=[], seed=0, offset=0, data=None)
+@example(t=[2**63 - 1], seed=0, offset=-5, data=None)
+@example(t=[0, 2**63 - 1], seed=0, offset=0, data=None)
+@example(t=[_SPAN - 1, _SPAN, 2 * _SPAN, 2 * _SPAN + 1], seed=0, offset=3,
+         data=None)
+def test_time_rule_matches_the_int64_column(t, seed, offset, data):
+    n = len(t)
+    rng = np.random.default_rng(seed)
+    t64 = np.array(t, dtype=np.int64)
+    # the constructor sorts a shuffled column before it builds the rule
+    given_t = rng.permutation(t64) if seed % 2 else t64
+    s = EventStream(1, given_t, rng.integers(0, 640, n),
+                    rng.integers(0, 480, n),
+                    rng.integers(0, 2, n)).with_offset_us(offset)
+    _assert_holds_times(s, t)
+    assert len(s.run_starts) <= n
+    # the int64 arithmetic of the column, wrapping and all
+    assert s.times_us().tolist() == (t64 + offset).tolist()
+    assert np.array_equal(s.times_s(), (t64 + offset) / US_PER_S)
+    assert s.extent_s() == (None if not n else ((t[0] + offset) / US_PER_S,
+                                                (t[-1] + offset) / US_PER_S))
+    keys = _search_keys(t)
+    for key in keys:
+        assert s._count_before(key) == bisect.bisect_left(t, key), key
+    pairs = ([(keys[0], keys[-1])] if data is None else
+             data.draw(st.lists(st.tuples(st.sampled_from(keys),
+                                          st.sampled_from(keys)),
+                                min_size=1, max_size=4)))
+    for k0, k1 in pairs:
+        t0_s, t1_s = k0 / US_PER_S, k1 / US_PER_S
+        i0, i1 = (bisect.bisect_left(t, int(round(x * US_PER_S)) - offset)
+                  for x in (t0_s, t1_s))
+        sub = s.slice_time_s(t0_s, t1_s)
+        _assert_holds_times(sub, t[i0:i1])
+        assert sub.ordinal_array().tolist() == list(range(i0, i1))
+        assert sub.time_offset_us == offset
+        cropped = crop_roi(sub, 200, 360)
+        keep = [i for i in range(i0, i1) if 200 <= s.v[i] <= 360]
+        _assert_holds_times(cropped, [t[i] for i in keep])
+        assert cropped.ordinal_array().tolist() == keep
+    mask = rng.random(n) < rng.random()
+    for sub, keep in ((s._subset(mask), np.flatnonzero(mask)),
+                      (crop_roi(s, 200, 360),
+                       np.flatnonzero((s.v >= 200) & (s.v <= 360)))):
+        _assert_holds_times(sub, [t[i] for i in keep])
+        assert sub.ordinal_array().tolist() == keep.tolist()
+        assert sub.times_us().tolist() == (t64[keep] + offset).tolist()
+    moved = s.with_offset_us(offset + 7)
+    assert moved.t_low is s.t_low and moved.run_highs is s.run_highs
+    assert moved.times_us().tolist() == (t64 + offset + 7).tolist()
+
+
+def test_slice_time_s_allocates_nothing_per_event():
+    # a Python-int or int64 key would make np.searchsorted cast the
+    # uint32 low words to int64, 16 MB per call here
+    s = uniform_stream(np.random.default_rng(8), 2_000_000, t_span_s=100.0)
+    windows = np.linspace(0.0, 99.0, 200)
+    tracemalloc.start()
+    try:
+        for a in windows:
+            s.slice_time_s(a, a + 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 class TestSensorLayout:

@@ -6,6 +6,7 @@ import json
 import logging
 import re
 import struct
+import time
 import tracemalloc
 import warnings
 
@@ -95,16 +96,18 @@ def _roi_files(draw):
 
 
 def _arrays(s):
-    """A stream's columns and its ``ordinal_array()``."""
-    return s.t, s.u, s.v, s.polarity, s.ordinal_array()
+    """A stream's columns, its stored times and high-word rule, and its
+    ``ordinal_array()``."""
+    return (s.t, s.t_low, s.run_starts, s.run_highs, s.u, s.v, s.polarity,
+            s.ordinal_array())
 
 
 def _assert_same_stream(a, b):
-    """Equal camera, offset, columns, dtypes and ``ordinal_array()``, and
-    read-only columns and ordinals."""
+    """Equal camera, offset, columns, stored times, high-word rule, dtypes
+    and ``ordinal_array()``, and read-only columns and ordinals."""
     assert (a.camera_id, a.time_offset_us) == (b.camera_id, b.time_offset_us)
-    for name, x, y in zip(("t", "u", "v", "polarity", "ordinals"),
-                          _arrays(a), _arrays(b)):
+    for name, x, y in zip(("t", "t_low", "run_starts", "run_highs", "u", "v",
+                           "polarity", "ordinals"), _arrays(a), _arrays(b)):
         assert x.dtype == y.dtype, name
         assert np.array_equal(x, y), name
         assert not x.flags.writeable, name
@@ -345,8 +348,8 @@ def _in_band_rows(frac, skewed):
 
 def _assert_read_holds_the_kept_columns(path, frac):
     """Reading an ``_in_band_rows(frac, ...)`` file into ``DEFAULT_ROI``
-    peaks, by ``tracemalloc``, under its four kept columns plus 8 bytes
-    per dropped row plus 4 MB."""
+    peaks, by ``tracemalloc``, under its four stored columns (times as
+    uint32 low words) plus 8 bytes per dropped row plus 4 MB."""
     tracemalloc.start()
     try:
         c = read_events(path, 1, roi=DEFAULT_ROI)
@@ -354,7 +357,7 @@ def _assert_read_holds_the_kept_columns(path, frac):
     finally:
         tracemalloc.stop()
     assert abs(len(c) / _MEMORY_ROWS - frac) < 0.05
-    kept = sum(x.nbytes for x in (c.t, c.u, c.v, c.polarity))
+    kept = sum(x.nbytes for x in (c.t_low, c.u, c.v, c.polarity))
     dropped = _MEMORY_ROWS - len(c)
     assert peak < kept + 8 * dropped + 4e6
 
@@ -407,6 +410,140 @@ class TestBinaryRoiRead:
             gc.collect()
         assert not [w for w in caught
                     if issubclass(w.category, ResourceWarning)]
+
+
+_SPAN = 2**32  # microseconds per high word
+
+
+@st.composite
+def _spanning_files(draw):
+    """(rows per block, CSV block bytes, roi, columns) of a file in time
+    order whose times cross multiples of 2**32 us, read and written in
+    blocks of a few rows: the high word changes inside blocks, at their
+    edges, across many blocks at once and next to rows outside the
+    band."""
+    block = draw(st.sampled_from([1, 2, 3, 8]))
+    csv_bytes = draw(st.sampled_from([1, 24, 100]))
+    roi = draw(_ROIS)
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    highs = rng.choice([0, 1, 2, 7, 2**31 - 1], n)
+    lows = rng.choice([0, 1, _SPAN - 1, int(rng.integers(0, _SPAN))], n)
+    t = np.sort(highs.astype(np.int64) * _SPAN + lows)
+    return block, csv_bytes, roi, (t, rng.integers(0, 640, n),
+                                   rng.integers(0, 480, n),
+                                   rng.integers(0, 256, n))
+
+
+def _stored_bytes(s):
+    """The bytes a stream holds: its four columns, its high-word rule and
+    its ordinal rule or array."""
+    held = [s.t_low, s.u, s.v, s.polarity, s.run_starts, s.run_highs, s.gaps]
+    return sum(x.nbytes for x in held) + (
+        0 if s.ordinals is None else s.ordinals.nbytes)
+
+
+class TestHighWordTimes:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_spanning_files(), fmt=st.sampled_from(["bin", "csv"]),
+           camera=st.sampled_from([1, 2]))
+    def test_reads_and_writes_times_across_high_words(
+            self, tmp_path, monkeypatch, case, fmt, camera):
+        block, csv_bytes, roi, cols = case
+        monkeypatch.setattr(ingest, "_RECORDS_PER_BLOCK", block)
+        monkeypatch.setattr(ingest, "_CSV_BLOCK_BYTES", csv_bytes)
+        monkeypatch.setattr(ingest, "_LINES_PER_BLOCK", block)
+        s = EventStream(camera, *cols)
+        p = tmp_path / f"a.{fmt}"
+        write_events(s, p, fmt)
+        if fmt == "bin":
+            _evt_file(tmp_path / "want.evt", *cols)
+            assert p.read_bytes() == (tmp_path / "want.evt").read_bytes()
+        else:
+            assert p.read_bytes() == _percent_format_csv(s)
+        _assert_same_stream(read_events(p, camera), s)
+        _assert_same_stream(read_events(p, camera, roi=roi),
+                            crop_roi(s, *roi))
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_multi_block_file_across_high_words(self, tmp_path, fmt):
+        # the high word changes at the edge of the first two write and
+        # binary read blocks, and inside the third
+        rng = np.random.default_rng(9)
+        n = 3 * _LINES_PER_BLOCK
+        t = np.sort(rng.integers(0, _SPAN - 1, n))
+        t[_LINES_PER_BLOCK - 1:] = _SPAN - 1
+        t[_LINES_PER_BLOCK:] = np.sort(rng.integers(_SPAN, 3 * _SPAN,
+                                                    n - _LINES_PER_BLOCK))
+        t[_LINES_PER_BLOCK] = _SPAN
+        cols = (t, rng.integers(0, 640, n), rng.integers(0, 480, n),
+                rng.integers(0, 256, n))
+        s = EventStream(1, *cols)
+        assert s.run_starts.tolist() == [
+            0, _LINES_PER_BLOCK, int(np.searchsorted(t, 2 * _SPAN))]
+        p = tmp_path / f"a.{fmt}"
+        write_events(s, p, fmt)
+        if fmt == "bin":
+            _evt_file(tmp_path / "want.evt", *cols)
+            assert p.read_bytes() == (tmp_path / "want.evt").read_bytes()
+        else:
+            assert p.read_bytes() == _percent_format_csv(s)
+        _assert_same_stream(read_events(p, 1), s)
+        _assert_same_stream(read_events(p, 1, roi=DEFAULT_ROI),
+                            crop_roi(s, *DEFAULT_ROI))
+
+    def test_one_run_per_event_stays_linear(self, tmp_path):
+        # every event its own high word: the rule holds n runs, and
+        # reading, slicing and subsetting still do linear work
+        n = 100_000
+        rng = np.random.default_rng(10)
+        t = (np.arange(n, dtype=np.int64) << 32) + rng.integers(0, _SPAN, n)
+        start = time.perf_counter()
+        s = EventStream(1, t, rng.integers(0, 640, n),
+                        rng.integers(0, 480, n), np.zeros(n))
+        assert len(s.run_starts) == n
+        for fmt in ("bin", "csv"):
+            write_events(s, tmp_path / f"a.{fmt}", fmt)
+            for roi in (None, DEFAULT_ROI):
+                got = read_events(tmp_path / f"a.{fmt}", 1, roi=roi)
+                assert len(got.run_starts) == len(got)
+        bounds = np.linspace(0, t[-1] / US_PER_S, 201)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            assert len(s.slice_time_s(a, b).run_starts) <= n
+        assert len(crop_roi(s, *DEFAULT_ROI).run_starts) < n
+        assert len(thin(s, 4, 0).run_starts) < n
+        assert np.array_equal(s.times_us(), t)
+        assert time.perf_counter() - start < 10.0
+
+    def test_read_into_the_roi_stores_nine_bytes_per_event(self, tmp_path):
+        # a file inside one 2**32 us span: 9 bytes per kept event (uint32
+        # low word, int16 u and v, uint8 polarity), one run of the
+        # high-word rule and one gap key per dropped row
+        rng = np.random.default_rng(11)
+        n = 50_000
+        cols = (np.sort(rng.integers(0, 10**8, n)), rng.integers(0, 640, n),
+                rng.integers(0, 480, n), rng.integers(0, 2, n))
+        for fmt in ("bin", "csv"):
+            p = tmp_path / f"a.{fmt}"
+            write_events(EventStream(1, *cols), p, fmt)
+            c = read_events(p, 1, roi=DEFAULT_ROI)
+            assert 0 < len(c) < n and c.ordinals is None
+            assert len(c.run_starts) == 1 and len(c.gaps) == n - len(c)
+            assert _stored_bytes(c) == 9 * len(c) + 16 + 8 * len(c.gaps)
+
+    def test_binary_write_memory_is_per_block(self, tmp_path):
+        # a whole-stream record array and int64 time column would be
+        # 24 MB
+        s = uniform_stream(np.random.default_rng(12), 1_000_000,
+                           t_span_s=60.0)
+        tracemalloc.start()
+        try:
+            write_events(s, tmp_path / "a.bin", "bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 def _line_rule(path):

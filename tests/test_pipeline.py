@@ -70,7 +70,8 @@ class TestPrepareRun:
         whole = pipeline.prepare_run(s1, s2, cfg)
         for got, src, ref in zip((prepared.s1, prepared.s2), read,
                                  (whole.s1, whole.s2)):
-            for name in ("t", "u", "v", "polarity", "ordinals", "gaps"):
+            for name in ("t_low", "run_starts", "run_highs", "u", "v",
+                         "polarity", "ordinals", "gaps"):
                 assert getattr(got, name) is getattr(src, name)
             for name in ("t", "u", "v", "polarity"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name))
