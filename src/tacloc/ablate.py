@@ -69,7 +69,7 @@ def thin(stream: EventStream, k: int, seed: int) -> EventStream:
     if k == 1:
         return stream
     mask = keep_mask(seed, int(stream.camera_id), stream.ordinal_array(), int(k))
-    return stream._subset(mask)
+    return stream.subset(mask)
 
 
 @dataclass(frozen=True)

@@ -74,9 +74,9 @@ def _prepare(cfg: RunConfig) -> pipeline.PreparedRun:
 
 
 def cmd_simulate(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
+    seed = cfg.seed if args.seed is None else args.seed
     spec = synth.spec_from_config(cfg.layout, cfg.schedule, cfg.sync,
-                                  cfg.camera_models, cfg.roi, cfg.seed,
-                                  cfg.synth)
+                                  cfg.camera_models, cfg.roi, seed, cfg.synth)
     log.info("simulating %d presses with seed %d", len(spec.schedule), spec.seed)
     with _stage("generate"):
         s1, s2, manifest = synth.generate(spec)
@@ -244,46 +244,41 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["debug", "info", "warning", "error"])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary):
+        # no abbreviations, so that "ablate --seed" is refused rather than
+        # read as "--seeds"
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(func=func)
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--out", required=True, help="output directory")
         # accepted and ignored: stage (a) is serial, but bench/run.py
         # still passes --threads on every command
         p.add_argument("--threads", type=int, default=1,
                        help=argparse.SUPPRESS)
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        return p
 
-    p = sub.add_parser("simulate", help="generate a synthetic recording")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
+    p = command("simulate", cmd_simulate, "generate a synthetic recording")
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the config seed")
 
-    p = sub.add_parser("localize", help="run the localization pipeline")
-    common(p)
+    p = command("localize", cmd_localize, "run the localization pipeline")
     p.add_argument("--models", help="calibrated models JSON to use")
-    p.set_defaults(func=cmd_localize)
 
-    p = sub.add_parser("calibrate", help="fit camera models on repetition 0")
-    common(p)
-    p.set_defaults(func=cmd_calibrate)
+    command("calibrate", cmd_calibrate, "fit camera models on repetition 0")
 
-    p = sub.add_parser("ablate", help="thinning sweep over reduction factors")
-    common(p)
+    p = command("ablate", cmd_ablate, "thinning sweep over reduction factors")
     p.add_argument("--models", help="calibrated models JSON to use")
     p.add_argument("--factors", type=_ints(minimum=1),
                    default="1,2,4,8,16,32,64,128,256,512,1024")
     p.add_argument("--seeds", type=_ints(), default="0,1,2,3,4")
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("latency", help="CUSUM onset-latency analysis")
-    common(p)
+    p = command("latency", cmd_latency, "CUSUM onset-latency analysis")
     threshold = p.add_mutually_exclusive_group()
     threshold.add_argument("--h", type=_positive, default=None,
                            help="fixed threshold")
     threshold.add_argument("--tune", action="store_true",
                            help="tune the threshold by ROC analysis "
                                 "(the default without --h)")
-    p.set_defaults(func=cmd_latency)
     return ap
 
 
@@ -294,9 +289,6 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        log.info("effective seed: %d", cfg.seed)
         if getattr(args, "models", None):
             cfg.camera_models = load_models(args.models, cfg.layout.side_mm)
         out_dir = Path(args.out)

@@ -161,6 +161,85 @@ def high_rule(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, high[starts]
 
 
+def _in_range_and_order(cols, t_last: int) -> bool:
+    """Whether the columns of a block of events hold only values in their
+    ``EVENT_COLUMNS`` ranges, and times in order from ``t_last`` on."""
+    t = cols[0]
+    return (all(lo <= c.min() and c.max() <= hi
+                for c, (_, lo, hi, _) in zip(cols, EVENT_COLUMNS))
+            and t_last <= t[0] and not np.any(t[1:] < t[:-1]))
+
+
+def _in_band(blocks, size: int, lo: int, hi: int) -> tuple | None:
+    """The columns, the high-word rule and the ordinal gaps of the rows
+    with ``lo <= v <= hi`` of ``(bytes read, columns)`` blocks out of
+    ``size`` bytes, read in one pass, or None when a value lies outside
+    its ``EVENT_COLUMNS`` range or the times are out of order.
+
+    The kept rows go straight into their columns, times as uint32 low
+    words, which grow in place (``ndarray.resize``, so no second copy is
+    ever held) to the count that the kept rows so far project over
+    ``size``, and shrink to the kept count at the end. The time order
+    lets a block whose last kept high word is the current run's add no
+    run. Each dropped row adds its gap key, the count of rows kept
+    before it (``EventStream``'s ``d_j - j``), to the gaps, which grow
+    in place by an eighth.
+    """
+    cols = [np.empty(0, dtype) for *_, dtype in EVENT_COLUMNS]
+    cols[0] = np.empty(0, np.uint32)
+    gaps = np.empty(0, np.int64)
+    run_starts, run_highs = [], []
+    at = n_gaps = t_last = 0
+    high = -1  # the current run's high word; no run yet
+    for read, block in blocks:
+        if not _in_range_and_order(block, t_last):
+            return None
+        t, v = block[0], block[2]
+        t_last = t[-1]
+        inside = (v >= lo) & (v <= hi)
+        keep = np.flatnonzero(inside)
+        rows = slice(None) if len(keep) == len(t) else keep
+        need = at + len(keep)
+        if need > len(cols[0]):
+            cap = max(need + need // 8, need * size // read)
+            for col in cols:
+                col.resize(cap, refcheck=False)
+        for col, values in zip(cols, block):
+            col[at:need] = values[rows]
+        if len(keep) and t[keep[-1]] >> 32 != high:
+            starts, highs = high_rule(t[rows])
+            new = highs != high  # all but a first run that goes on
+            run_starts.append(starts[new] + at)
+            run_highs.append(highs[new])
+            high = highs[-1]
+        if len(keep) < len(t):
+            drop = np.flatnonzero(~inside)
+            end = n_gaps + len(drop)
+            if end > len(gaps):
+                gaps.resize(end + end // 8, refcheck=False)
+            # the rows kept before the i-th dropped row of the block
+            np.subtract(drop, np.arange(len(drop)), out=gaps[n_gaps:end])
+            gaps[n_gaps:end] += at
+            n_gaps = end
+        at = need
+    for col in cols:
+        col.resize(at, refcheck=False)
+    gaps.resize(n_gaps, refcheck=False)
+    runs = [np.concatenate(r) if r else np.empty(0, np.int64)
+            for r in (run_starts, run_highs)]
+    return cols, runs, gaps
+
+
+def _joined(blocks) -> list:
+    """The columns of every ``(bytes read, columns)`` block, each joined
+    across the blocks; a column's blocks are let go once it is joined."""
+    pieces = [[] for _ in EVENT_COLUMNS]
+    for _, block in blocks:
+        for piece, col in zip(pieces, block):
+            piece.append(col)
+    return [np.concatenate(pieces.pop(0)) for _ in EVENT_COLUMNS]
+
+
 class EventStream:
     """Time-sorted columnar event sequence for one camera.
 
@@ -236,6 +315,28 @@ class EventStream:
                           for c, values in zip(cols[1:], args[1:]))
         self._fill(CameraId(camera_id), t.astype(np.uint32), *high_rule(t),
                    u, v, polarity, time_offset_us, None)
+
+    @classmethod
+    def from_blocks(cls, camera_id, blocks, size: int,
+                    roi: tuple[int, int] | None = None) -> "EventStream":
+        """The stream of the ``(bytes read, [t, u, v, polarity])`` blocks
+        that ``blocks()`` yields out of ``size`` bytes, or with ``roi =
+        (v_lo, v_hi)`` exactly its ``crop_roi(stream, *roi)``. Blocks in
+        time order and in range are read in one pass (``_in_band``). Any
+        others are read again from a second ``blocks()``, joined, and go
+        through the constructor, the one gate that names the first bad
+        value and sorts stably, and then through ``crop_roi``."""
+        lo, hi = (0, SENSOR_HEIGHT) if roi is None else roi
+        check_roi(lo, hi)
+        kept = _in_band(blocks(), size, lo, hi)
+        if kept is not None:
+            (t_low, *cols), runs, gaps = kept
+            return cls._from_valid(CameraId(camera_id), t_low, *runs, *cols,
+                                   0, None, 0, gaps)
+        cols = _joined(blocks())
+        stream = cls(camera_id, *cols)
+        del cols  # before the crop allocates its copies
+        return stream if roi is None else crop_roi(stream, *roi)
 
     def _fill(self, camera_id, t_low, run_starts, run_highs, u, v, polarity,
               time_offset_us, ordinals, ordinal0=0, gaps=_NO_GAPS):
@@ -357,7 +458,7 @@ class EventStream:
         live = first < np.append(first[1:], len(keep))
         return first[live], self.run_highs[live]
 
-    def _subset(self, keep) -> "EventStream":
+    def subset(self, keep) -> "EventStream":
         """The events at ``keep``, a contiguous slice or a boolean mask, in
         order."""
         if isinstance(keep, slice):
@@ -377,7 +478,7 @@ class EventStream:
         """Events with aligned time in the half-open window [t0, t1)."""
         lo = int(round(t0_s * US_PER_S)) - self.time_offset_us
         hi = int(round(t1_s * US_PER_S)) - self.time_offset_us
-        return self._subset(slice(self._count_before(lo),
+        return self.subset(slice(self._count_before(lo),
                                   self._count_before(hi)))
 
     def with_offset_us(self, offset_us: int) -> "EventStream":
@@ -432,7 +533,7 @@ def crop_roi(stream: EventStream, v_lo: int, v_hi: int) -> EventStream:
     v = stream.v
     if not len(v) or (v_lo <= v.min() and v.max() <= v_hi):
         return stream
-    return stream._subset((v >= v_lo) & (v <= v_hi))
+    return stream.subset((v >= v_lo) & (v <= v_hi))
 
 
 def event_rate_histogram(stream: EventStream, bin_s: float) -> RateSeries:

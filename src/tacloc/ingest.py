@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import DbscanParams
-from .events import (DEFAULT_ROI, EVENT_COLUMNS, SENSOR_HEIGHT, US_PER_S,
-                     CameraId, EventStream, SensorLayout, check_roi, crop_roi,
-                     event_rate_histogram, high_rule, meander_grid)
+from .events import (DEFAULT_ROI, SENSOR_HEIGHT, US_PER_S, EventStream,
+                     SensorLayout, check_roi, event_rate_histogram,
+                     meander_grid)
 from .geometry import (CameraModel, FreeParams, check_camera_box,
                        default_models)
 from .latency import CusumParams, check_window_bins
@@ -43,7 +43,7 @@ _RECORD_DTYPE = np.dtype([
     ("t", "<i8"), ("u", "<u2"), ("v", "<u2"), ("polarity", "u1"),
     ("pad", "u1", 3),
 ])
-_EVENT_FIELDS = _RECORD_DTYPE.names[:4]  # in EVENT_COLUMNS order
+_EVENT_FIELDS = _RECORD_DTYPE.names[:4]  # t, u, v, polarity
 _RECORDS_PER_BLOCK = 1 << 16  # per block of the binary reader
 
 
@@ -151,17 +151,8 @@ def read_events(path, camera_id, fmt: str | None = None,
     file's time-sorted stream.
 
     Each format is a source of column blocks (``_binary_columns``,
-    ``_csv_columns``). A file in time order whose values lie in their
-    ranges is read in one pass over its blocks (``_in_band``), which
-    keeps only the rows in the band, so neither its bytes nor its
-    full-sensor columns are ever held whole; the stream keeps its times
-    as uint32 low words and a high-word rule, and its ordinals as a rule,
-    the gaps that the dropped rows leave (see ``EventStream``), not as
-    an array. Any other file is read again
-    through the same blocks: its columns are joined and go through
-    ``EventStream``, the one gate that names its first bad value and
-    sorts it stably, and then through ``crop_roi``, whose mask gives the
-    kept events an explicit ordinal array.
+    ``_csv_columns``), from which ``EventStream.from_blocks`` builds the
+    stream.
 
     Malformed CSV lines are counted and logged; more than 1% malformed
     raises FormatError. So does a value that ``EventStream`` refuses, with
@@ -176,7 +167,6 @@ def read_events(path, camera_id, fmt: str | None = None,
         fmt = "bin" if path.suffix in (".bin", ".evt") else "csv"
     if fmt not in ("bin", "csv"):
         raise ValueError(f"unknown event format: {fmt}")
-    lo, hi = (0, SENSOR_HEIGHT) if roi is None else roi
     with open(path, "rb") as fh:
         if fmt == "bin":
             count = _binary_header(fh, path)
@@ -185,89 +175,8 @@ def read_events(path, camera_id, fmt: str | None = None,
         else:
             size = os.fstat(fh.fileno()).st_size
             blocks = partial(_csv_columns, fh, path)
-        kept = _in_band(blocks(), size, lo, hi)
-        if kept is not None:
-            (t_low, *cols), runs, gaps = kept
-            camera = _build(CameraId, str(path), camera_id)
-            return EventStream._from_valid(camera, t_low, *runs, *cols, 0,
-                                           None, 0, gaps)
-        cols = _joined(blocks())
-    stream = _build(EventStream, str(path), camera_id, *cols)
-    del cols  # before the crop allocates its copies
-    return stream if roi is None else crop_roi(stream, *roi)
-
-
-def _in_band(blocks, size: int, lo: int, hi: int) -> tuple | None:
-    """The columns, the high-word rule and the ordinal gaps of the rows
-    with ``lo <= v <= hi`` of ``(bytes read, columns)`` blocks out of
-    ``size`` bytes, read in one pass, or None when a value lies outside
-    its ``EVENT_COLUMNS`` range or the times are not in order, within a
-    block or across blocks.
-
-    The kept rows go straight into their columns, times as their uint32
-    low words (see ``EventStream``), which grow in place
-    (``ndarray.resize``, so no second copy of them is ever held) to the
-    count that the kept rows so far project over ``size``, and shrink to
-    the kept count at the end. The rule gains runs only from a block
-    whose last kept high word is not the current run's, which the time
-    order makes the one check a block needs. Each dropped row adds its
-    gap key, the count of rows kept before it (``EventStream``'s
-    ``d_j - j``), to the gaps, which grow in place by an eighth: empty
-    when every row is kept.
-    """
-    cols = [np.empty(0, dtype) for *_, dtype in EVENT_COLUMNS]
-    cols[0] = np.empty(0, np.uint32)
-    gaps = np.empty(0, np.int64)
-    run_starts, run_highs = [], []
-    at = n_gaps = t_last = 0
-    high = -1  # the current run's high word; no run yet
-    for read, block in blocks:
-        if not _in_range_and_order(block, t_last):
-            return None
-        t, v = block[0], block[2]
-        t_last = t[-1]
-        inside = (v >= lo) & (v <= hi)
-        keep = np.flatnonzero(inside)
-        rows = slice(None) if len(keep) == len(t) else keep
-        need = at + len(keep)
-        if need > len(cols[0]):
-            cap = max(need + need // 8, need * size // read)
-            for col in cols:
-                col.resize(cap, refcheck=False)
-        for col, values in zip(cols, block):
-            col[at:need] = values[rows]
-        if len(keep) and t[keep[-1]] >> 32 != high:
-            starts, highs = high_rule(t[rows])
-            new = highs != high  # all but a first run that goes on
-            run_starts.append(starts[new] + at)
-            run_highs.append(highs[new])
-            high = highs[-1]
-        if len(keep) < len(t):
-            drop = np.flatnonzero(~inside)
-            end = n_gaps + len(drop)
-            if end > len(gaps):
-                gaps.resize(end + end // 8, refcheck=False)
-            # the rows kept before the i-th dropped row of the block
-            np.subtract(drop, np.arange(len(drop)), out=gaps[n_gaps:end])
-            gaps[n_gaps:end] += at
-            n_gaps = end
-        at = need
-    for col in cols:
-        col.resize(at, refcheck=False)
-    gaps.resize(n_gaps, refcheck=False)
-    runs = [np.concatenate(r) if r else np.empty(0, np.int64)
-            for r in (run_starts, run_highs)]
-    return cols, runs, gaps
-
-
-def _joined(blocks) -> list:
-    """The columns of every ``(bytes read, columns)`` block, each joined
-    across the blocks; a column's blocks are let go once it is joined."""
-    pieces = [[] for _ in EVENT_COLUMNS]
-    for _, block in blocks:
-        for piece, col in zip(pieces, block):
-            piece.append(col)
-    return [np.concatenate(pieces.pop(0)) for _ in EVENT_COLUMNS]
+        return _build(EventStream.from_blocks, str(path), camera_id, blocks,
+                      size, roi)
 
 
 CSV_HEADER = "t_us,u,v,polarity"
@@ -307,15 +216,6 @@ def _plain_lines(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
                     prepend=0)
     # each reduced segment is a line and its newline, so none is empty
     return ~np.logical_or.reduceat(fault, starts) & (n_sep == 4)
-
-
-def _in_range_and_order(cols, t_last: int) -> bool:
-    """Whether the columns of a block of events hold only values in their
-    ``EVENT_COLUMNS`` ranges, and times in order from ``t_last`` on."""
-    t = cols[0]
-    return (all(lo <= c.min() and c.max() <= hi
-                for c, (_, lo, hi, _) in zip(cols, EVENT_COLUMNS))
-            and t_last <= t[0] and not np.any(t[1:] < t[:-1]))
 
 
 def _csv_blocks(fh):
@@ -527,7 +427,7 @@ def write_events(stream: EventStream, path, fmt: str = "bin") -> None:
             fh.write(struct.pack("<4sB3xQ", BINARY_MAGIC, BINARY_VERSION,
                                  len(stream)))
         for i in range(0, len(stream), _LINES_PER_BLOCK):
-            part = stream._subset(slice(i, i + _LINES_PER_BLOCK))
+            part = stream.subset(slice(i, i + _LINES_PER_BLOCK))
             cols = (part.t, part.u, part.v, part.polarity)
             if fmt == "csv":
                 fh.write(_csv_block(cols))
@@ -560,11 +460,13 @@ def detect_sync_taps(stream: EventStream, spec: SyncSpec = SyncSpec()) -> np.nda
     above = rates > thr
     if not np.any(above):
         raise SyncError("no rate peaks above the sync threshold")
-    # contiguous peak regions: (onset bin, peak rate), in time order
+    # contiguous peak regions: (onset bin, peak rate), in time order; the
+    # bins between and after them are at or below the threshold, so each
+    # segment's maximum is its region's
     edges = np.flatnonzero(np.diff(np.concatenate(([0], above.view(np.int8), [0]))))
-    starts, ends = edges[::2], edges[1::2]
+    starts = edges[::2]
     onsets = hist.bin_starts_s[starts]
-    peak = np.array([rates[a:b].max() for a, b in zip(starts, ends)])
+    peak = np.maximum.reduceat(rates, starts)
 
     n = spec.n_taps
     if len(onsets) < n:

@@ -109,7 +109,7 @@ def test_thinned_counts_equal_thinning_events(stream_seed, n, seed, factors,
     # thin() keeps; a small box puts many events on each pixel
     rng = np.random.default_rng(stream_seed)
     s = uniform_stream(rng, n, camera=camera, v_lo=200, v_hi=205)
-    s = s._subset(s.u < 12)
+    s = s.subset(s.u < 12)
     factors = sorted(factors)
     ws, inverse = weigh(s.u, s.v, return_inverse=True)
     tops = np.array([ablate._keep_below(k) for k in reversed(factors)],

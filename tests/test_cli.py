@@ -348,6 +348,19 @@ class TestLocalize:
         assert main(["localize", "--config", str(cfgp),
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("command",
+                             ["localize", "calibrate", "ablate", "latency"])
+    def test_seed_exit_2_before_config(self, tmp_path, capsys, command):
+        # the seed feeds only the generator, so only simulate takes it; the
+        # config does not exist: a run that loaded it would return 2
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--config", str(tmp_path / "absent.json"),
+                  "--out", str(tmp_path / "out"), "--seed", "3"])
+        assert stop.value.code == 2
+        assert ("error: unrecognized arguments: --seed 3"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_sync_key_exit_2(self, sim_dir, tmp_path, caplog):
         tmp, cfgp = sim_dir
         doc = json.loads(cfgp.read_text())

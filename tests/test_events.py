@@ -402,7 +402,7 @@ def test_time_rule_matches_the_int64_column(t, seed, offset, data):
         _assert_holds_times(cropped, [t[i] for i in keep])
         assert cropped.ordinal_array().tolist() == keep
     mask = rng.random(n) < rng.random()
-    for sub, keep in ((s._subset(mask), np.flatnonzero(mask)),
+    for sub, keep in ((s.subset(mask), np.flatnonzero(mask)),
                       (crop_roi(s, 200, 360),
                        np.flatnonzero((s.v >= 200) & (s.v <= 360)))):
         _assert_holds_times(sub, [t[i] for i in keep])
@@ -426,6 +426,37 @@ def test_slice_time_s_allocates_nothing_per_event():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def test_from_blocks_reads_any_block_source():
+    # any callable that yields (bytes read, columns) blocks is a source; a
+    # source out of time order is read a second time, through the gate
+    rng = np.random.default_rng(7)
+    n, per = 1000, 300
+    cols = [np.sort(rng.integers(0, 10**6, n)), rng.integers(0, 640, n),
+            rng.integers(0, 480, n), rng.integers(0, 256, n)]
+    for shuffled in (False, True):
+        if shuffled:
+            cols = [c[rng.permutation(n)] for c in cols]
+        calls = []
+
+        def blocks():
+            calls.append(None)
+            for i in range(0, n, per):
+                yield min(i + per, n) * 16, [c[i:i + per] for c in cols]
+
+        whole = EventStream(2, *cols)
+        for roi in (None, (200, 360)):
+            calls.clear()
+            got = EventStream.from_blocks(2, blocks, n * 16, roi)
+            want = whole if roi is None else crop_roi(whole, *roi)
+            assert len(calls) == 1 + shuffled
+            assert got.camera_id == 2 and len(got) == len(want) > 0
+            for name in ("t", "u", "v", "polarity"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert np.array_equal(got.ordinal_array(), want.ordinal_array())
+        with pytest.raises(ValueError, match="invalid ROI"):
+            EventStream.from_blocks(2, blocks, n * 16, (360, 200))
 
 
 class TestSensorLayout:

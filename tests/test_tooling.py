@@ -131,3 +131,46 @@ def test_readme_commands_parse():
     for argv in lines:
         args = cli.build_parser().parse_args(argv[1:])
         assert args.command == argv[1]
+
+
+# what an EventStream stores, and its private constructors
+_STORED = {"t_low", "run_starts", "run_highs", "ordinals", "ordinal0", "gaps"}
+_PRIVATE = {"_from_valid", "_fill", "_subset"}
+
+
+def _names(tree) -> list[tuple[int, str]]:
+    """``(line, name)`` of every attribute read, bare name and imported
+    name in a parsed module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            found.append((node.lineno, "." + node.attr))
+        elif isinstance(node, ast.Name):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names]
+    return found
+
+
+def test_only_events_knows_the_stored_layout():
+    # events.py builds every stream, so a change of how a stream stores
+    # its times or ordinals touches that one module
+    leaks = []
+    for path in sorted((ROOT / "src" / "tacloc").glob("*.py")):
+        if path.name == "events.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        leaks += [f"{path.name}:{line}: {name}"
+                  for line, name in _names(tree)
+                  if name.lstrip(".") in _PRIVATE
+                  or (name.startswith(".") and name[1:] in _STORED)]
+    assert leaks == []
+
+
+def test_ingest_leaves_the_column_ranges_to_events():
+    # ingest only turns bytes into column blocks: events checks their
+    # ranges (EVENT_COLUMNS) and builds the time rule (high_rule)
+    tree = ast.parse((ROOT / "src" / "tacloc" / "ingest.py").read_text(
+        encoding="utf-8"))
+    assert [f"ingest.py:{line}: {name}" for line, name in _names(tree)
+            if name.lstrip(".") in ("EVENT_COLUMNS", "high_rule")] == []
