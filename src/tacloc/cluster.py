@@ -105,6 +105,9 @@ MAX_SPAN_CELLS = 8_000_000
 # point sets clustered together share images of at most this many
 # first-image cells; a larger set runs alone
 _CHUNK_CELLS = 1 << 19
+# gathers over image cells run in blocks of about this many cells, so
+# their int64 indices and gathered values stay a fixed size
+_GATHER_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -218,8 +221,8 @@ def _summed_area(pu, pv, values, shape):
 def _box_sum(table, pu, pv, boxes):
     """Each point's sum over the union of ``boxes`` ``(du0, du1, dv0,
     dv1)`` shifted to (pu, pv), from a summed-area table: four gathers
-    per box, in chunks of about 2^18 cells. Every box must lie inside
-    the image."""
+    per box, in blocks of about ``_GATHER_CELLS`` cells. Every box must
+    lie inside the image."""
     h = table.shape[1]
     flat = table.ravel()
     du0, du1, dv0, dv1 = boxes.T
@@ -230,7 +233,7 @@ def _box_sum(table, pu, pv, boxes):
     k = 2 * len(boxes)
     at = pu * h + pv
     total = np.empty(len(pu), dtype=np.int64)
-    chunk = max(1, (1 << 18) // len(steps))
+    chunk = max(1, _GATHER_CELLS // len(steps))
     for i in range(0, len(at), chunk):
         g = flat[steps + at[i:i + chunk]]
         total[i:i + chunk] = g[:k].sum(axis=0) - g[k:].sum(axis=0)
@@ -252,8 +255,9 @@ def _dilate(img, r: int):
 
 
 def _gather_rows(flat, at, steps):
-    """``flat[at[i] + steps]`` for each i, in chunks of about 2^18 cells."""
-    chunk = max(1, (1 << 18) // len(steps))
+    """``flat[at[i] + steps]`` for each i, in blocks of about
+    ``_GATHER_CELLS`` cells."""
+    chunk = max(1, _GATHER_CELLS // len(steps))
     for i in range(0, len(at), chunk):
         yield i, flat[at[i:i + chunk, None] + steps]
 
@@ -274,7 +278,9 @@ def _components(n, src, dst):
 
 def _label8(img):
     """8-connected component labels of a 2-D boolean image, numbered
-    1..n in raster order of their first pixel (0 is background), and n."""
+    1..n in raster order of their first pixel (0 is background), and n.
+    The labels are int32: n stays below the image's cells, which
+    ``MAX_SPAN_CELLS`` caps."""
     w, h = img.shape
     # a zero pad column ends every run inside its row; flat indices of
     # neighboring rows are h + 1 apart
@@ -292,11 +298,11 @@ def _label8(img):
     b = np.arange(len(a)) + np.repeat(lo - (np.cumsum(n_pairs) - n_pairs), n_pairs)
     comp = _components(len(start), a, b)
     ids = np.cumsum(comp == np.arange(len(start)))[comp]
-    flat = np.zeros(w * (h + 1), dtype=np.int64)
+    flat = np.zeros(w * (h + 1), dtype=np.int32)
     flat[start] = ids
     flat[end] = -ids
-    labels = np.cumsum(flat).reshape(w, h + 1)[:, :h]
-    return labels, int(ids.max(initial=0))
+    np.cumsum(flat, out=flat)
+    return flat.reshape(w, h + 1)[:, :h], int(ids.max(initial=0))
 
 
 def _packed_unique(keys, return_inverse=True):
@@ -486,7 +492,7 @@ def _dbscan_pixel_grid(sets, params: DbscanParams):
     # border: each candidate gathers every disk offset in (d^2, du, dv)
     # order, so the first hit is the nearest core with the canonical
     # tie-break
-    label_img = np.full(shape, NOISE, dtype=np.int64)
+    label_img = np.full(shape, NOISE, dtype=np.int32)
     label_img[cu, cv] = sub[ci]
     for i, hit in _gather_rows(label_img.ravel(), bu * height + bv,
                                offs[1:, 1] * height + offs[1:, 2]):

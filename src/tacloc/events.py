@@ -550,8 +550,9 @@ def event_rate_histogram(stream: EventStream, bin_s: float) -> RateSeries:
     bin_us = max(1, int(round(bin_s * US_PER_S)))
     t = stream.times_us()
     t0 = int(t[0])
-    span = int(t[-1]) - t0
-    n_bins = span // bin_us + 1
-    idx = (t - t0) // bin_us
-    counts = np.bincount(idx, minlength=n_bins)
+    n_bins = (int(t[-1]) - t0) // bin_us + 1
+    # a fresh column: bin it in place
+    t -= t0
+    t //= bin_us
+    counts = np.bincount(t, minlength=n_bins)
     return RateSeries(t0 / US_PER_S, bin_us / US_PER_S, counts)

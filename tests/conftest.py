@@ -2,10 +2,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.database import DirectoryBasedExampleDatabase
 
 from tacloc.events import EventStream, SensorLayout, meander_grid
 from tacloc.ingest import RunConfig, make_schedule
 from tacloc.synth import SynthSpec, generate
+
+# On CI Hypothesis loads its "ci" profile, which draws the same examples
+# every run and keeps no example database. Draw at random there too and
+# keep the database, which CI caches between runs, so an example that
+# failed once is replayed first on the next run.
+if settings().derandomize and settings().database is None:
+    settings.register_profile(
+        "ci-replay", settings(), derandomize=False,
+        database=DirectoryBasedExampleDatabase(".hypothesis/examples"))
+    settings.load_profile("ci-replay")
 
 
 def small_layout(cols=5, rows=4, reps=1):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 from collections import deque
 from unittest.mock import patch
 
@@ -544,6 +545,38 @@ def test_sets_share_chunks_within_the_budgets(monkeypatch):
         assert_dominant(r, pts, PARAMS)
 
 
+def test_working_memory_follows_the_image_and_one_gather_block():
+    # the thinned sweep's sets: 20 pixels in two columns 12 apart
+    # (the burst's two blobs), so every crop has two pre-merge labels and
+    # each core gathers its half disk. Stage (a) may hold a few int32 and
+    # bool images of the first image's cells at once (16 bytes a cell)
+    # and two gather blocks of int64 indices and int32 values; nothing
+    # of the image's size may be int64, and no block may pass
+    # _GATHER_CELLS
+    rng = np.random.default_rng(3)
+    sets = []
+    for _ in range(135):
+        v = np.concatenate([np.delete(np.arange(11), rng.integers(1, 10))
+                            for _ in "ab"])
+        u = np.repeat([0, 12], 10)
+        mult = rng.integers(1, 4, len(u))
+        sets.append(weigh(np.repeat(u + 300, mult).astype(np.int16),
+                          np.repeat(v + 200, mult).astype(np.int16)))
+    assert all(ws.box == (13, 11) for ws in sets)
+    e = int(PARAMS.eps)
+    cells = sum((w + 2 * e) * (h + 2 * e) for w, h in (ws.box for ws in sets))
+    assert cells <= cluster._CHUNK_CELLS  # one run, one image
+    list(cluster.extract_centroids(sets[:1], PARAMS))  # caches the disk
+    tracemalloc.start()
+    try:
+        got = list(cluster.extract_centroids(sets, PARAMS))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.valid for r in got)
+    assert peak < 16 * cells + 24 * cluster._GATHER_CELLS
+
+
 def _nearest_lattice_vector(length):
     """Integer (a, b), 0 <= b <= a, whose norm is closest to ``length``."""
     cands = [(a, b) for a in range(int(length) + 2) for b in range(a + 1)]
@@ -611,7 +644,7 @@ def test_pixel_path_matches_brute(case):
     assert np.array_equal(dbscan(pts, p), dbscan_brute(pts, p))
 
 
-@pytest.mark.parametrize("eps", [10.0, 2.5])
+@pytest.mark.parametrize("eps", [10.0, 2.5, MAX_EPS_PX])
 def test_isolated_pixel_lattice_is_linear(eps):
     # 10,000 pixels, none 8-adjacent to another, all core: the pixel path
     # must join them without visiting pairs of 8-connected pieces
@@ -620,6 +653,25 @@ def test_isolated_pixel_lattice_is_linear(eps):
     dbscan(pts[:20], DbscanParams(eps=eps, min_samples=10))  # caches the disk
     t0 = time.perf_counter()
     labels = dbscan(pts, DbscanParams(eps=eps, min_samples=10))
+    assert time.perf_counter() - t0 < 5.0
+    assert np.all(labels == 0)
+
+
+def test_border_gather_at_max_eps_is_linear():
+    # a 5 x 5 core blob and about 2,000 non-core pixels 60-99 px away: at
+    # MAX_EPS_PX each border pixel gathers the disk's 31k offsets, so a
+    # gather block holds only about two of them. Every blob pixel has all
+    # points in its disk and is core; a ring pixel misses the far side of
+    # the ring, so it is border, and its nearest core lies within eps
+    blob = [(u, v) for u in range(-2, 3) for v in range(-2, 3)]
+    g = range(-99, 100, 3)
+    ring = [(u, v) for u in g for v in g if 60 <= math.hypot(u, v) <= 99]
+    assert len(ring) > 2000
+    pts = np.array(blob + ring, dtype=float)
+    params = DbscanParams(eps=MAX_EPS_PX, min_samples=len(pts))
+    dbscan(pts[:20], params)  # caches the disk
+    t0 = time.perf_counter()
+    labels = dbscan(pts, params)
     assert time.perf_counter() - t0 < 5.0
     assert np.all(labels == 0)
 
