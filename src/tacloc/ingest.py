@@ -180,6 +180,7 @@ def read_events(path, camera_id, fmt: str | None = None,
 
 
 CSV_HEADER = "t_us,u,v,polarity"
+_CSV_HEADER_LINE = CSV_HEADER.encode("ascii") + b"\n"
 _NL, _COMMA, _MINUS = ord("\n"), ord(","), ord("-")
 _LINES_PER_BLOCK = 1 << 16  # rows per write of either writer
 # per block of the CSV reader; the per-byte masks of _plain_lines grow
@@ -221,13 +222,15 @@ def _plain_lines(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def _csv_blocks(fh):
     """``(offset, data)`` of each block of whole lines of an open CSV file:
     about ``_CSV_BLOCK_BYTES`` bytes read from ``offset`` on and cut after
-    their last newline byte (LF or CR), so no line and no UTF-8 character
-    straddles two blocks. The last block may lack its newline. A CRLF cut
-    between its CR and its LF leaves a blank line, which the rule skips.
+    their last LF, or their last CR if they hold no LF, so no line and no
+    UTF-8 character straddles two blocks. The last block may lack its
+    newline. Only a read without LF can cut a CRLF between its CR and its
+    LF; that leaves a blank line, which the rule skips.
     """
     pieces, offset = [], 0
     while chunk := fh.read(_CSV_BLOCK_BYTES):
-        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+        # a blank line would send a CRLF file's block to the line rule
+        cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r") + 1
         if not cut:  # a line longer than a block
             pieces.append(chunk)
             continue
@@ -252,7 +255,48 @@ def _decode_error(path: Path, exc: UnicodeDecodeError,
                        f"{where}: {exc.reason}")
 
 
+def _csv_text(path: Path, offset: int, data: bytes) -> bytes:
+    """A block of whole lines at byte ``offset`` of a CSV file, checked as
+    UTF-8, with universal newlines (as text-mode reading translates them)
+    and a final newline."""
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc, offset) from None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    return data
+
+
 def _csv_rows(path: Path, offset: int, data: bytes):
+    """``(rows, malformed, total)`` of a block of whole lines at byte
+    ``offset`` of a CSV file, by the line rule (see ``_csv_line_rows``).
+
+    A block that is all plain lines of four unsigned decimals, each of 1
+    to ``_MAX_PLAIN_FIELD`` digits, after an optional exact header at
+    byte 0 (every block this module writes), is parsed in one
+    np.fromstring call; any other block goes through ``_csv_line_rows``.
+    """
+    data = _csv_text(path, offset, data)
+    body = (data[len(_CSV_HEADER_LINE):]
+            if offset == 0 and data.startswith(_CSV_HEADER_LINE) else data)
+    seps = body.translate(None, b"0123456789")
+    n = len(seps) // 4  # the line count, if the block passes
+    if seps == b",,,\n" * n:
+        # the separators alone are below "0"; a gap of 1 is an empty field
+        sep = np.flatnonzero(np.frombuffer(body, np.uint8) < ord("0"))
+        gaps = np.diff(sep, prepend=-1)
+        if not n or (gaps.min() >= 2 and gaps.max() <= _MAX_PLAIN_FIELD + 1):
+            rows = np.fromstring(body.replace(b"\n", b","), dtype=np.int64,
+                                 sep=",")
+            return rows.reshape(n, 4), 0, n
+    return _csv_line_rows(path, offset, data)
+
+
+def _csv_line_rows(path: Path, offset: int, data: bytes):
     """``(rows, malformed, total)`` of a block of whole lines at byte
     ``offset`` of a CSV file, by the line rule: its (n, 4) rows in file
     order (int64, or object when a value overflows int64), its malformed
@@ -261,20 +305,10 @@ def _csv_rows(path: Path, offset: int, data: bytes):
     Each line is stripped and blank lines are skipped; the file's first
     line may be the exact header; every other line must be four
     comma-separated fields that int() accepts, or it counts as malformed.
-    Lines of plain decimals (see ``_plain_lines``), all of a file this
-    module writes, are parsed in C by np.fromstring; the rule runs in
-    Python only on the other lines.
+    Lines of plain decimals (see ``_plain_lines``) are parsed in C by
+    np.fromstring; the rule runs in Python only on the other lines.
     """
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise _decode_error(path, exc, offset) from None
-    # universal newlines, as text-mode reading translates them
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if not data.endswith(b"\n"):
-        data += b"\n"
+    data = _csv_text(path, offset, data)
     buf = np.frombuffer(data, dtype=np.uint8)
     edges = np.concatenate(([0], np.flatnonzero(buf == _NL) + 1))
     plain = _plain_lines(buf, edges[:-1])

@@ -184,6 +184,17 @@ def _excess(series, baseline: BaselineStats, params: CusumParams):
     return series.rates - 0.5 * (mu0 + params.rate_multiplier * mu0)
 
 
+def _window_minima(s: np.ndarray, m: int) -> np.ndarray:
+    """The minimum of every m consecutive values of ``s`` (len(s) >= m),
+    in ceil(log2 m) passes that each up to double the window."""
+    w = 1  # s[i] is the minimum over values i..i+w-1
+    while w < m:
+        k = min(w, m - w)
+        s = np.minimum(s[:-k], s[k:])
+        w += k
+    return s
+
+
 def _first_alarms(excess: np.ndarray, m: int,
                   thresholds: np.ndarray) -> np.ndarray:
     """The first alarm bin of a CUSUM started at ``excess[0]``, for every
@@ -199,9 +210,7 @@ def _first_alarms(excess: np.ndarray, m: int,
     s = c - np.minimum.accumulate(np.minimum(c, 0.0))
     if len(s) < m:
         return np.full(len(thresholds), -1)
-    if m > 1:
-        s = np.lib.stride_tricks.sliding_window_view(s, m).min(axis=1)
-    envelope = np.maximum.accumulate(s)
+    envelope = np.maximum.accumulate(_window_minima(s, m))
     idx = np.searchsorted(envelope, thresholds, side="right")
     return np.where(idx < len(envelope), idx, -1)
 

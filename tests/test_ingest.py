@@ -9,6 +9,7 @@ import struct
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -797,6 +798,126 @@ class TestCsvBlockRead:
         with pytest.raises(FormatError, match=re.escape(
                 f"{p}: column t_us value -5 outside [0, {2**63 - 1}]")):
             read_events(p, 1, roi=roi)
+
+
+# fields that stop a block from being all plain decimals, or that sit at
+# the edges of the whole-block check: 18 to 25 digits, the int64 edge and
+# past it, leading zeros, empty, signed and padded fields
+_BLOCK_FIELDS = st.one_of(
+    st.sampled_from([18, 19, *range(20, 26)]).flatmap(
+        lambda n: st.text("0123456789", min_size=n, max_size=n)),
+    st.sampled_from([str(2**63 - 1), str(2**63), "9" * 18, "1" + "0" * 18]),
+    st.tuples(st.integers(1, 20), st.integers(0, 10**6)).map(
+        lambda zf: "0" * zf[0] + str(zf[1])),
+    st.just(""),
+    st.sampled_from(["-", "+", "-0", "-12", "+7", " 5", "5 ", "\t5"]))
+_BLOCK_HEADERS = ["t_us,u,v,polarity", " t_us,u,v,polarity",
+                  "t_us,u,v,polarity ", "t_us,u,v"]
+
+
+@st.composite
+def _edited_blocks(draw):
+    """``(offset, data)`` of a CSV block: plain rows plus up to four edits
+    (a field from ``_BLOCK_FIELDS``, a leading or trailing comma, 3 or 5
+    fields, a blank line, a header line anywhere, a byte that is not
+    UTF-8), LF, CRLF or CR line ends, with or without the final newline,
+    at byte 0 of its file or further on."""
+    rows = draw(st.lists(st.tuples(
+        st.integers(0, 2**40), st.integers(0, 639), st.integers(0, 479),
+        st.integers(0, 1)).map(lambda r: list(map(str, r))), max_size=40))
+    raw = b""
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(["field", "field", "comma", "fields",
+                                     "blank", "header", "not UTF-8"]))
+        at = draw(st.integers(0, len(rows)))
+        if edit in ("blank", "header"):
+            rows.insert(at, [draw(st.sampled_from(
+                ["", " "] if edit == "blank" else _BLOCK_HEADERS))])
+            continue
+        if edit == "not UTF-8":
+            raw = draw(st.sampled_from(_NOT_UTF8))
+            continue
+        row = rows[at % len(rows)] if rows else []
+        if not row:
+            continue
+        i = draw(st.integers(0, len(row) - 1))
+        if edit == "field":
+            row[i] = draw(_BLOCK_FIELDS)
+        elif edit == "comma":
+            # with a field dropped, the line keeps three commas
+            if draw(st.booleans()):
+                del row[i]
+            row.insert(draw(st.sampled_from([0, len(row)])), "")
+        else:
+            row[i:i + 1] = [] if draw(st.booleans()) else [row[i], row[i]]
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    text = newline.join(",".join(r) for r in rows)
+    if rows and draw(st.booleans()):
+        text += newline
+    data = text.encode("utf-8")
+    if raw:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + raw + data[at:]
+    return draw(st.sampled_from([0, 0, 4096])), data
+
+
+def _block_outcome(parse, offset, data):
+    """The rows with their dtype and shape, the malformed and total
+    counts, or the FormatError text, of one block parser."""
+    try:
+        rows, malformed, total = parse(Path("f.csv"), offset, data)
+    except FormatError as exc:
+        return str(exc)
+    return rows.dtype, rows.shape, rows.tolist(), malformed, total
+
+
+class TestCsvWholeBlock:
+    @settings(max_examples=500, deadline=None)
+    @given(block=_edited_blocks())
+    @example(block=(0, b"t_us,u,v,polarity\n"))
+    @example(block=(0, b"t_us,u,v,polarity\n1,2,3,4\n"))
+    @example(block=(4096, b"t_us,u,v,polarity\n1,2,3,4\n"))
+    @example(block=(0, b"%d,1,2,3\n" % (2**63 - 1)))
+    @example(block=(0, b"%d,1,2,3\n" % 2**63))
+    @example(block=(0, b"1,2,3,4\r\n\n5,6,7,8"))
+    @example(block=(0, b"1,,3,4\n"))
+    @example(block=(0, b",1,2,3\n"))
+    @example(block=(0, b"1,2,3,\n"))
+    def test_whole_block_path_equals_line_path(self, block):
+        offset, data = block
+        assert (_block_outcome(ingest._csv_rows, offset, data)
+                == _block_outcome(ingest._csv_line_rows, offset, data))
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+    def test_plain_blocks_skip_the_line_rule(self, tmp_path, monkeypatch,
+                                             newline):
+        # at this seed a read of the CRLF file ends between a CR and its LF
+        rng = np.random.default_rng(1)
+        n = 20_000
+        p = tmp_path / "a.csv"
+        write_events(EventStream(1, np.sort(rng.integers(0, 2**40, n)),
+                                 rng.integers(0, 640, n),
+                                 rng.integers(0, 480, n),
+                                 rng.integers(0, 2, n)), p, "csv")
+        raw = p.read_bytes().replace(b"\n", newline)
+        p.write_bytes(raw)
+        with open(p, "rb") as fh:
+            blocks = [data for _, data in ingest._csv_blocks(fh)]
+        # no block starts with the LF of a CRLF cut in two
+        assert len(blocks) >= 4 and not any(b.startswith(b"\n")
+                                            for b in blocks)
+        calls, line_rows = [], ingest._csv_line_rows
+        monkeypatch.setattr(ingest, "_csv_line_rows",
+                            lambda path, offset, data: calls.append(offset)
+                            or line_rows(path, offset, data))
+        plain = read_events(p, 1)
+        assert calls == []
+        lines = raw.split(newline)
+        lines[n // 2] = b"+" + lines[n // 2]
+        p.write_bytes(newline.join(lines))
+        signed = read_events(p, 1)
+        assert len(calls) == 1
+        _assert_same_stream(signed, plain)
 
 
 # values out of their column's range that a binary record can hold too

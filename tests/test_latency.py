@@ -12,7 +12,8 @@ from tacloc.latency import (BaselineStats, CusumParams, RocPoint,
                             SmoothedSeries, TuneResult, TuningError,
                             UndefinedReportError, _alarm_rates, _excess,
                             _first_alarms, _grid_onsets, _snippet_series,
-                            _tpr_at, _trial_series, baseline_stats,
+                            _tpr_at, _trial_series, _window_minima,
+                            baseline_stats,
                             bin_times, cusum_onsets, gaussian_kernel,
                             latency_report, smoothed_rate,
                             trial_background_snippets, tune_threshold)
@@ -403,8 +404,9 @@ def alarm_cases(draw):
 
     Integer rates over bin_s 0.5 against mean 1 and sd 1 make the
     statistic hit h * sd exactly for h on the half-integer grid; float
-    rates and grids cover the rest. Cooldowns run from 1 to 8 bins, both
-    shorter and longer than m.
+    rates and grids cover the rest. m runs from 1 to 12, so windows that
+    are not powers of two are checked too. Cooldowns run from 1 to 8 bins,
+    both shorter and longer than m.
     """
     bin_s = 0.5
     if draw(st.booleans()):
@@ -417,7 +419,7 @@ def alarm_cases(draw):
                              np.array(r, dtype=float) * bin_s)
               for i, r in enumerate(draw(st.lists(
                   st.lists(rate, max_size=40), min_size=1, max_size=3)))]
-    params = replace(PARAMS, min_consecutive_bins=draw(st.integers(1, 4)),
+    params = replace(PARAMS, min_consecutive_bins=draw(st.integers(1, 12)),
                      cooldown_s=bin_s * draw(st.integers(1, 8)))
     hs = draw(st.lists(h, min_size=1, max_size=8))
     return series, BaselineStats(1.0, 1.0), params, hs
@@ -445,6 +447,20 @@ def test_alarms_equal_restart_oracle(case):
             counts[i] += len(want)
     assert _alarm_rates([(s, base) for s in series], 1.0, params, hs) \
         == counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 64), data=st.data())
+def test_window_minima_equal_the_sliding_window(m, data):
+    # the doubling passes give every m-value window minimum exactly
+    n = data.draw(st.integers(m, 3 * m))
+    values = st.floats(-1e6, 1e6) if data.draw(st.booleans()) \
+        else st.integers(-3, 3).map(float)
+    s = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+    want = np.lib.stride_tricks.sliding_window_view(s, m).min(axis=1)
+    got = _window_minima(s, m)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 class TestLatencyReport:
