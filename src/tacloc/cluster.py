@@ -483,8 +483,13 @@ def _dbscan_pixel_grid(sets, params: DbscanParams):
             cross = (hit != 0) & (hit != own)
             src.append(np.broadcast_to(own, hit.shape)[cross])
             dst.append(hit[cross])
+            # so the next block is gathered without this one alive
+            del hit, cross
+        del lab_flat
         comp = _components(n_lab, np.concatenate(src) - 1,
                            np.concatenate(dst) - 1)[comp]
+    # the border pass reads none of the pre-merge images
+    del grown, lab_img
     # a cluster is numbered by the pre-merge label that roots it
     sub = np.full(len(kept), NOISE, dtype=np.int64)
     sub[ci] = comp

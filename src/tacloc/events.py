@@ -63,6 +63,8 @@ class SensorLayout:
             raise ValueError("grid points must lie within the sensor square")
         if not self.press_duration_s > 0:
             raise ValueError("press_duration_s must be positive")
+        if self.repetitions < 0:
+            raise ValueError("repetitions must not be negative")
         pts.flags.writeable = False
         object.__setattr__(self, "grid_points", pts)
 

@@ -181,42 +181,10 @@ def read_events(path, camera_id, fmt: str | None = None,
 
 CSV_HEADER = "t_us,u,v,polarity"
 _CSV_HEADER_LINE = CSV_HEADER.encode("ascii") + b"\n"
-_NL, _COMMA, _MINUS = ord("\n"), ord(","), ord("-")
+_NL, _COMMA = ord("\n"), ord(",")
 _LINES_PER_BLOCK = 1 << 16  # rows per write of either writer
-# per block of the CSV reader; the per-byte masks of _plain_lines grow
-# with it
-_CSV_BLOCK_BYTES = 1 << 16
-_MAX_PLAIN_FIELD = 18  # digits and sign; any such value fits int64
-
-
-def _plain_lines(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Which lines of ``buf`` are four plain decimals, ``-?[0-9]+`` joined
-    by commas, each at most ``_MAX_PLAIN_FIELD`` characters long.
-
-    ``buf`` holds whole lines, each ending in a newline, and ``starts``
-    the first byte of each. int() and np.fromstring read such a line the
-    same way. A byte is at fault when it is none of digit, comma, minus
-    or newline, a comma not between a digit and a field start, a minus
-    not between a field start and a digit, or a separator that ends a
-    field longer than the limit.
-    """
-    digit = (buf >= ord("0")) & (buf <= ord("9"))
-    comma = buf == _COMMA
-    minus = buf == _MINUS
-    newline = buf == _NL
-    fault = ~(digit | comma | minus | newline)
-    fault[0] |= comma[0]
-    fault[1:] |= comma[1:] & ~digit[:-1]
-    fault[:-1] |= comma[:-1] & ~(digit[1:] | minus[1:])
-    fault[1:] |= minus[1:] & ~(comma[:-1] | newline[:-1])
-    fault[:-1] |= minus[:-1] & ~digit[1:]
-    sep = np.flatnonzero(comma | newline)
-    fault[sep[np.diff(sep, prepend=-1) > _MAX_PLAIN_FIELD + 1]] = True
-    # separators per line: its commas and its newline
-    n_sep = np.diff(np.searchsorted(sep, np.append(starts[1:], len(buf))),
-                    prepend=0)
-    # each reduced segment is a line and its newline, so none is empty
-    return ~np.logical_or.reduceat(fault, starts) & (n_sep == 4)
+_CSV_BLOCK_BYTES = 1 << 16  # per block of the CSV reader
+_MAX_PLAIN_FIELD = 18  # digits; any such value fits int64
 
 
 def _csv_blocks(fh):
@@ -305,28 +273,15 @@ def _csv_line_rows(path: Path, offset: int, data: bytes):
     Each line is stripped and blank lines are skipped; the file's first
     line may be the exact header; every other line must be four
     comma-separated fields that int() accepts, or it counts as malformed.
-    Lines of plain decimals (see ``_plain_lines``) are parsed in C by
-    np.fromstring; the rule runs in Python only on the other lines.
     """
-    data = _csv_text(path, offset, data)
-    buf = np.frombuffer(data, dtype=np.uint8)
-    edges = np.concatenate(([0], np.flatnonzero(buf == _NL) + 1))
-    plain = _plain_lines(buf, edges[:-1])
-    text = (data if plain.all()
-            else buf[np.repeat(plain, np.diff(edges))].tobytes())
-    fast = np.fromstring(text.replace(b"\n", b","), dtype=np.int64,
-                         sep=",").reshape(-1, 4)
-    other = np.flatnonzero(~plain)
+    lines = _csv_text(path, offset, data).decode("utf-8").split("\n")
     # the header line is optional; a bare data row is accepted
-    if offset == 0 and len(other) and other[0] == 0 and (
-            data[:edges[1]].decode("utf-8").strip() == CSV_HEADER):
-        other = other[1:]
-
-    rows, row_lines = [], []
-    malformed = 0
-    total = len(fast)
-    for i in other.tolist():
-        line = data[edges[i]:edges[i + 1]].decode("utf-8").strip()
+    if offset == 0 and lines[0].strip() == CSV_HEADER:
+        lines = lines[1:]
+    rows = []
+    malformed = total = 0
+    for line in lines:
+        line = line.strip()
         if not line:
             continue
         total += 1
@@ -339,16 +294,12 @@ def _csv_line_rows(path: Path, offset: int, data: bytes):
             malformed += 1
             continue
         rows.append(vals)
-        row_lines.append(i)
-    if rows:
-        try:
-            rows = np.array(rows, dtype=np.int64)
-        except OverflowError:
-            # outside every column's range: the stream's check names it
-            rows = np.array(rows, dtype=object)
-        lines = np.concatenate((np.flatnonzero(plain), row_lines))
-        fast = np.concatenate((fast, rows))[np.argsort(lines)]
-    return fast, malformed, total
+    try:
+        rows = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        # outside every column's range: the stream's check names it
+        rows = np.array(rows, dtype=object)
+    return rows.reshape(-1, 4), malformed, total
 
 
 def _csv_tally(path: Path, malformed: int, total: int) -> None:
@@ -639,11 +590,16 @@ def _section(doc: dict, name: str, kinds: dict) -> dict:
     if not isinstance(sub, dict):
         raise FormatError(f"{name or 'config'} must be a JSON object")
     prefix = f"{name}." if name else ""
-    unknown = sorted(set(sub) - set(kinds))
-    if unknown:
-        raise FormatError(f"unknown key {prefix}{unknown[0]}")
+    _known(sub, prefix, kinds)
     return {k: v if kinds[k] is None else _typed(v, prefix + k, kinds[k])
             for k, v in sub.items()}
+
+
+def _known(d: dict, prefix: str, keys) -> None:
+    """Refuse a key of ``d`` outside ``keys``, at JSON path ``prefix``."""
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise FormatError(f"unknown key {prefix}{unknown[0]}")
 
 
 def _only(d: dict, name: str, keys, form: str) -> None:
@@ -663,15 +619,16 @@ def _build(make, name: str, *args, **kwargs):
 
 
 def camera_pair(cams, side_mm: float) -> tuple[CameraModel, CameraModel]:
-    """The two camera models of a ``cameras`` list, each entry giving every
-    CameraModel parameter as a number and a position inside the camera box
-    of a ``side_mm`` skin."""
+    """The two camera models of a ``cameras`` list, each entry giving
+    exactly the CameraModel parameters, as numbers, and a position inside
+    the camera box of a ``side_mm`` skin."""
     if not isinstance(cams, list) or len(cams) != 2:
         raise FormatError("cameras must list exactly 2 camera models")
     models = []
     for i, cam in enumerate(cams):
         if not isinstance(cam, dict):
             raise FormatError(f"cameras[{i}] must be a JSON object")
+        _known(cam, f"cameras[{i}].", (f.name for f in fields(CameraModel)))
         params = {}
         for f in fields(CameraModel):
             if f.name not in cam:

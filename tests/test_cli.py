@@ -120,6 +120,10 @@ BAD_INPUTS = [
                  id="cameras-missing-parameter"),
     pytest.param(None, [CAMERA, {k: v for k, v in CAMERA.items() if k != "k1"}],
                  "missing key cameras[1].k1", id="models-missing-parameter"),
+    pytest.param(lambda d: d.update(cameras=[dict(CAMERA, k2=0.5), CAMERA]),
+                 None, "unknown key cameras[0].k2", id="cameras-unknown-key"),
+    pytest.param(None, [CAMERA, dict(CAMERA, k2=0.5)],
+                 "unknown key cameras[1].k2", id="models-unknown-key"),
     *[pytest.param(lambda d, roi=roi: d.update(roi=roi), None,
                    f"roi must be two integers 0 <= lo < hi <= 480, got {text}",
                    id=f"roi-{name}")
@@ -209,6 +213,9 @@ BAD_INPUTS = [
     pytest.param(lambda d: d["layout"].update(press_duration_s=-0.5), None,
                  "layout: press_duration_s must be positive",
                  id="layout.press_duration_s-negative"),
+    pytest.param(lambda d: d["layout"].update(repetitions=-1), None,
+                 "layout: repetitions must not be negative",
+                 id="layout.repetitions-negative"),
     pytest.param(explicit_schedule(press_duration_s=0.0), None,
                  "schedule: press_duration_s must be positive",
                  id="schedule.press_duration_s-zero"),

@@ -591,7 +591,7 @@ _ODD_FIELDS = [" 7", "7 ", "\t12", "+3", "-0", "007", "1_000", "\u0661",
 @st.composite
 def _csv_documents(draw, in_order=False, min_rows=0):
     """CSV text mixing at least ``min_rows`` plain rows, in time order when
-    ``in_order``, with lines the plain-decimal test must leave to the line
+    ``in_order``, with lines the whole-block check must leave to the line
     rule."""
     plain = st.tuples(st.integers(0, 2**40), st.integers(0, 639),
                       st.integers(0, 479), st.integers(0, 1))
@@ -918,6 +918,26 @@ class TestCsvWholeBlock:
         signed = read_events(p, 1)
         assert len(calls) == 1
         _assert_same_stream(signed, plain)
+
+    def test_block_paths_keep_file_order(self, tmp_path, monkeypatch):
+        # equal timestamps keep the file order across blocks that take
+        # different parse paths: a block with a padded line takes the line
+        # rule, every other block the whole-block parse
+        monkeypatch.setattr(ingest, "_CSV_BLOCK_BYTES", 64)
+        p = tmp_path / "a.csv"
+        rows = [f" 5 , {u} ,1,0" if u % 25 == 7 else f"5,{u},1,0"
+                for u in range(200)]
+        p.write_text("t_us,u,v,polarity\n" + "\n".join(rows) + "\n")
+        with open(p, "rb") as fh:
+            blocks = list(ingest._csv_blocks(fh))
+        padded = [offset for offset, data in blocks if b" " in data]
+        assert 0 < len(padded) < len(blocks)
+        calls, line_rows = [], ingest._csv_line_rows
+        monkeypatch.setattr(ingest, "_csv_line_rows",
+                            lambda path, offset, data: calls.append(offset)
+                            or line_rows(path, offset, data))
+        assert read_events(p, 1).u.tolist() == list(range(200))
+        assert calls == padded
 
 
 # values out of their column's range that a binary record can hold too
