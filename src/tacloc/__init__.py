@@ -9,14 +9,13 @@ test oracle.
 """
 
 from .ablate import AblationSweep, run_sweep, thin
-from .cluster import ClusterResult, DbscanParams, dbscan, dbscan_brute, \
-    exclude_press, extract_centroid
+from .cluster import (ClusterResult, DbscanParams, dbscan, exclude_press,
+                      extract_centroid)
 from .events import (CameraId, EventStream, RateSeries, SensorLayout,
                      crop_roi, event_rate_histogram, meander_grid)
 from .geometry import (CameraModel, CalibrationResult, FreeParams,
-                       Triangulation, calibrate, default_models,
-                       pixel_to_bearing, project_points,
-                       triangulate, triangulate_many)
+                       calibrate, default_models, pixel_to_bearing,
+                       project_points, triangulate, triangulate_many)
 from .ingest import (PressSchedule, RunConfig, SyncSpec, align_streams,
                      detect_sync_taps, load_config, make_schedule,
                      read_events, write_events)

@@ -1,7 +1,7 @@
 """DBSCAN over per-trial pixel coordinates, dominant-cluster centroids,
 and the both-camera press exclusion rule.
 
-Clustering semantics (shared by ``dbscan`` and ``dbscan_brute``):
+Clustering semantics:
 
 * A point is core when the number of points within ``eps`` (Euclidean,
   counting the point itself and any coincident duplicates) is at least
@@ -31,8 +31,8 @@ clusters one set and maps the pixel labels back to its points;
 ``extract_centroids`` clusters many, and runs of consecutive sets share
 one pass in chunks of at most ``_CHUNK_CELLS`` first-image cells (a set
 over the budget runs alone, as ``dbscan`` runs its one set).
-``dbscan_brute`` is the independent O(n^2) reference used in tests; it
-takes any float points.
+The tests check the path against an independent O(n^2) reference,
+``dbscan_brute`` in ``tests/oracles.py``.
 
 The path has no Python loop over sets, components or points, in the
 spirit of de Berg, Gunawan & Roeloffzen (2017): merge what is surely
@@ -589,53 +589,6 @@ def dbscan(points, params: DbscanParams) -> np.ndarray:
     rank = np.full(len(first_core) + 1, NOISE, dtype=np.int64)
     rank[found[np.argsort(first_core[found])]] = np.arange(len(found))
     return rank[labels][inverse]
-
-
-def dbscan_brute(points, params: DbscanParams) -> np.ndarray:
-    """Reference DBSCAN from the full pairwise distance matrix.
-
-    Implements the exact same semantics as :func:`dbscan` without any
-    spatial index or duplicate compression; intended for testing on
-    small inputs (O(n^2) memory).
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    n = pts.shape[0]
-    eps2 = params.eps * params.eps
-    dx = pts[:, 0][:, None] - pts[:, 0][None, :]
-    dy = pts[:, 1][:, None] - pts[:, 1][None, :]
-    d2 = dx * dx + dy * dy
-    within = d2 <= eps2
-    core = within.sum(axis=1) >= params.min_samples
-
-    labels = np.full(n, NOISE, dtype=np.int64)
-    cluster = 0
-    for i in range(n):
-        if not core[i] or labels[i] != NOISE:
-            continue
-        # flood fill over cores reachable from i
-        stack = [i]
-        labels[i] = cluster
-        while stack:
-            j = stack.pop()
-            for k in np.flatnonzero(within[j] & core):
-                if labels[k] == NOISE:
-                    labels[k] = cluster
-                    stack.append(int(k))
-        cluster += 1
-
-    coord_rank = np.empty(n, dtype=np.int64)
-    coord_rank[np.lexsort((pts[:, 1], pts[:, 0]))] = np.arange(n)
-    for i in np.flatnonzero(~core):
-        reach = within[i] & core
-        if not np.any(reach):
-            continue
-        cand = np.flatnonzero(reach)
-        best_d = d2[i, cand].min()
-        tied = cand[d2[i, cand] == best_d]
-        labels[i] = labels[tied[np.argmin(coord_rank[tied])]]
-    return labels
 
 
 def extract_centroids(sets, params: DbscanParams):

@@ -25,10 +25,6 @@ class GeometryError(ValueError):
     pass
 
 
-class DegenerateGeometryError(GeometryError):
-    """Rays are too close to parallel to intersect reliably."""
-
-
 class CalibrationError(RuntimeError):
     pass
 
@@ -56,10 +52,6 @@ class CameraModel:
             raise ValueError("focal_px must be positive")
         if abs(self.skew_rad) >= math.pi / 4:
             raise ValueError("skew_rad out of range (+-pi/4)")
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x_mm, self.y_mm], dtype=np.float64)
 
     def axis_rad(self) -> float:
         return self.orientation_rad + self.skew_rad
@@ -90,13 +82,6 @@ def default_models(side_mm: float = 100.0) -> tuple[CameraModel, CameraModel]:
         CameraModel(0.0, 0.0, math.atan2(c, c)),
         CameraModel(side_mm, 0.0, math.atan2(c, -c)),
     )
-
-
-@dataclass(frozen=True)
-class Triangulation:
-    x_mm: float
-    y_mm: float
-    condition: float  # |sin(bearing difference)|
 
 
 def pixel_to_bearing(model: CameraModel, u) -> np.ndarray | float:
@@ -158,29 +143,6 @@ def project_points(model: CameraModel, points) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ok, u, np.nan), ok
 
 
-def triangulate(m1: CameraModel, u1: float, m2: CameraModel, u2: float) -> Triangulation:
-    """Intersect the two camera rays defined by pixel columns u1, u2."""
-    th1 = pixel_to_bearing(m1, float(u1))
-    th2 = pixel_to_bearing(m2, float(u2))
-    est, cond = _intersect(m1.position, th1, m2.position, th2)
-    if cond < DEGENERACY_MIN_SIN:
-        raise DegenerateGeometryError(
-            f"rays nearly parallel (|sin| = {cond:.3e})")
-    return Triangulation(float(est[0]), float(est[1]), float(cond))
-
-
-def _intersect(p1, th1, p2, th2):
-    d1 = np.array([math.cos(th1), math.sin(th1)])
-    d2 = np.array([math.cos(th2), math.sin(th2)])
-    b = p2 - p1
-    det = d2[0] * d1[1] - d1[0] * d2[1]
-    cond = abs(det)  # equals |sin(th2 - th1)|
-    if cond == 0.0:
-        return np.array([math.nan, math.nan]), 0.0
-    t1 = (d2[0] * b[1] - d2[1] * b[0]) / det
-    return p1 + t1 * d1, cond
-
-
 def triangulate_many(m1: CameraModel, u1, m2: CameraModel, u2):
     """Vectorized ray intersection.
 
@@ -201,6 +163,15 @@ def triangulate_many(m1: CameraModel, u1, m2: CameraModel, u2):
     est = np.stack([m1.x_mm + t1 * c1, m1.y_mm + t1 * s1], axis=1)
     est[~valid] = np.nan
     return est, cond, valid
+
+
+def triangulate(m1: CameraModel, u1: float, m2: CameraModel,
+                u2: float) -> tuple[float, float]:
+    """``(x_mm, y_mm)`` where the rays through pixel columns u1 and u2
+    meet: one pair of :func:`triangulate_many`, so nan for nearly
+    parallel rays."""
+    est, _, _ = triangulate_many(m1, [u1], m2, [u2])
+    return float(est[0, 0]), float(est[0, 1])
 
 
 @dataclass(frozen=True)

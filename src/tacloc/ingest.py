@@ -657,6 +657,10 @@ def _layout_from_dict(d: dict) -> SensorLayout:
         args["grid_points"] = _pairs(d["grid_points_mm"],
                                      "layout.grid_points_mm")
     elif any(k in d for k in _MEANDER_KEYS):
+        for key in ("grid_cols", "grid_rows"):
+            if d.get(key, 1) < 1:
+                raise FormatError(f"layout.{key} must be at least 1, "
+                                  f"got {d[key]}")
         meander = _given(d, grid_cols="cols", grid_rows="rows",
                          grid_spacing_mm="spacing_mm")
         if "grid_origin_mm" in d:
@@ -669,6 +673,9 @@ def _layout_from_dict(d: dict) -> SensorLayout:
 def _schedule_from_dict(d: dict, layout: SensorLayout) -> PressSchedule:
     if not any(k in d for k in _SCHEDULE_ARRAYS):
         _only(d, "schedule", _GENERATOR_KINDS, "a generator schedule")
+        if d.get("repetitions", 0) < 0:
+            raise FormatError("schedule.repetitions must not be negative, "
+                              f"got {d['repetitions']}")
         return _build(make_schedule, "schedule", layout, **d)
     _only(d, "schedule", _SCHEDULE_ARRAYS + ("press_duration_s",),
           "an explicit schedule")

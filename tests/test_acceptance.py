@@ -17,7 +17,7 @@ import pytest
 from tacloc import pipeline
 from tacloc.ablate import run_sweep, thin
 from tacloc.cli import main as cli_main
-from tacloc.cluster import DbscanParams, dbscan, dbscan_brute
+from tacloc.cluster import DbscanParams, dbscan
 from tacloc.events import EventStream, SensorLayout
 from tacloc.geometry import project_points, triangulate_many
 from tacloc.ingest import RunConfig, make_schedule
@@ -26,6 +26,7 @@ from tacloc.latency import (CusumParams, baseline_stats, cusum_onsets,
 from tacloc.segment import segment_by_schedule
 from tacloc.synth import SynthSpec, generate
 
+from .oracles import dbscan_brute
 from .test_geometry import random_model
 from .test_cluster import membership_sets, random_point_set
 

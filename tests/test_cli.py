@@ -153,6 +153,13 @@ BAD_INPUTS = [
     pytest.param(lambda d: d["layout"].update(grid_origin_mm=3), None,
                  "layout.grid_origin_mm must be a list of 2 numbers, got 3",
                  id="layout.grid_origin_mm-scalar"),
+    *[pytest.param(lambda d, k=key, v=value: d["layout"].update({k: v}),
+                   None, f"layout.{key} must be at least 1, got {value}",
+                   id=f"layout.{key}-{value}")
+      for key in ("grid_cols", "grid_rows") for value in (0, -1)],
+    pytest.param(lambda d: d["schedule"].update(repetitions=-1), None,
+                 "schedule.repetitions must not be negative, got -1",
+                 id="schedule.repetitions-negative"),
     pytest.param(lambda d: d.update(sync={"n_taps": "3"}), None,
                  'sync.n_taps must be an integer, got "3"',
                  id="sync.n_taps-string"),

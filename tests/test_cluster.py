@@ -15,10 +15,10 @@ from tacloc import cluster
 from tacloc.cluster import (MAX_EPS_PX, MAX_SPAN_CELLS, MIN_EPS_PX, NOISE,
                             DbscanParams, _density_bound, _label8,
                             _packed_unique, _tile_pixels, dbscan,
-                            dbscan_brute, exclude_press, extract_centroid,
-                            weigh)
+                            exclude_press, extract_centroid, weigh)
 
 from .conftest import reference_dominant
+from .oracles import dbscan_brute
 
 PARAMS = DbscanParams(eps=10.0, min_samples=10)
 

@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tacloc.geometry import (CalibrationError, CameraModel,
-                             DegenerateGeometryError, FreeParams,
-                             GeometryError, calibrate, default_models,
-                             pixel_to_bearing, project_points, triangulate,
-                             triangulate_many)
+from tacloc.geometry import (DEGENERACY_MIN_SIN, CalibrationError,
+                             CameraModel, FreeParams, GeometryError,
+                             calibrate, default_models, pixel_to_bearing,
+                             project_points, triangulate, triangulate_many)
+
+from .oracles import DegenerateGeometryError, triangulate_scalar
 
 
 def project(model, p):
@@ -89,14 +90,21 @@ class TestProjection:
         assert np.isnan(u[1])
 
 
+def triangulate_one(m1, u1, m2, u2):
+    """The flow path, ``triangulate_many``, on one pair of pixel columns:
+    (estimate, condition, valid)."""
+    est, cond, valid = triangulate_many(m1, [u1], m2, [u2])
+    return est[0], cond[0], valid[0]
+
+
 class TestTriangulate:
     def test_symmetric_configuration(self):
         m1, m2 = default_models()
         u1 = project(m1, (50.0, 50.0))
         u2 = project(m2, (50.0, 50.0))
-        tri = triangulate(m1, u1, m2, u2)
-        assert tri.x_mm == pytest.approx(50.0, abs=1e-9)
-        assert tri.y_mm == pytest.approx(50.0, abs=1e-9)
+        est, _, valid = triangulate_one(m1, u1, m2, u2)
+        assert valid
+        assert est == pytest.approx([50.0, 50.0], abs=1e-9)
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(2)
@@ -104,11 +112,11 @@ class TestTriangulate:
         m2 = random_model(rng, 2)
         p = (37.0, 62.0)
         u1, u2 = project(m1, p), project(m2, p)
-        a = triangulate(m1, u1, m2, u2)
-        b = triangulate(m2, u2, m1, u1)
-        assert a.x_mm == pytest.approx(b.x_mm, abs=1e-9)
-        assert a.y_mm == pytest.approx(b.y_mm, abs=1e-9)
-        assert a.condition == pytest.approx(b.condition, abs=1e-12)
+        a, cond_a, valid_a = triangulate_one(m1, u1, m2, u2)
+        b, cond_b, valid_b = triangulate_one(m2, u2, m1, u1)
+        assert valid_a and valid_b
+        assert a == pytest.approx(b, abs=1e-9)
+        assert cond_a == pytest.approx(cond_b, abs=1e-12)
 
     def test_projection_round_trip(self):
         rng = np.random.default_rng(3)
@@ -120,26 +128,31 @@ class TestTriangulate:
             u1, u2 = project(m1, p), project(m2, p)
             if math.isnan(u1) or math.isnan(u2):
                 continue
-            try:
-                tri = triangulate(m1, u1, m2, u2)
-            except DegenerateGeometryError:
+            est, _, valid = triangulate_one(m1, u1, m2, u2)
+            if not valid:
                 continue
-            assert np.hypot(tri.x_mm - p[0], tri.y_mm - p[1]) < 1e-6
+            assert np.hypot(*(est - p)) < 1e-6
             done += 1
 
     def test_parallel_rays_degenerate(self):
         m1 = CameraModel(0, 0, math.pi / 2)
         m2 = CameraModel(100, 0, math.pi / 2)
         u = 319.5
+        est, cond, valid = triangulate_one(m1, u, m2, u)
+        assert not valid
+        assert cond < DEGENERACY_MIN_SIN
+        assert np.isnan(est).all()
+        assert np.isnan(triangulate(m1, u, m2, u)).all()
         with pytest.raises(DegenerateGeometryError):
-            triangulate(m1, u, m2, u)
+            triangulate_scalar(m1, u, m2, u)
 
     def test_out_of_bounds_point_not_raised(self):
         m1, m2 = default_models()
         p = (50.0, 140.0)
         u1, u2 = project(m1, p), project(m2, p)
-        tri = triangulate(m1, u1, m2, u2)
-        assert tri.y_mm == pytest.approx(140.0, abs=1e-6)
+        est, _, valid = triangulate_one(m1, u1, m2, u2)
+        assert valid
+        assert est[1] == pytest.approx(140.0, abs=1e-6)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(4)
@@ -152,9 +165,22 @@ class TestTriangulate:
         for i in range(50):
             if not (ok1[i] and ok2[i] and valid[i]):
                 continue
-            tri = triangulate(m1, float(u1[i]), m2, float(u2[i]))
+            tri = triangulate_scalar(m1, float(u1[i]), m2, float(u2[i]))
             assert est[i, 0] == pytest.approx(tri.x_mm, abs=1e-12)
             assert est[i, 1] == pytest.approx(tri.y_mm, abs=1e-12)
+            assert cond[i] == pytest.approx(tri.condition, abs=1e-15)
+
+    def test_triangulate_is_one_pair_of_triangulate_many(self):
+        rng = np.random.default_rng(10)
+        m1 = random_model(rng, 1)
+        m2 = random_model(rng, 2)
+        u1 = np.append(rng.uniform(0, 639, 30), 319.5)
+        u2 = np.append(rng.uniform(0, 639, 30), 319.5)
+        m2_parallel = CameraModel(m1.x_mm + 50, m1.y_mm, m1.axis_rad())
+        for m in (m2, m2_parallel):
+            est, _, _ = triangulate_many(m1, u1, m, u2)
+            got = [triangulate(m1, a, m, b) for a, b in zip(u1, u2)]
+            assert np.array_equal(got, est, equal_nan=True)
 
 
 def observations(models, points, noise_px=0.0, rng=None):

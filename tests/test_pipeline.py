@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from tacloc import cluster, ingest, pipeline
-from tacloc.cluster import DbscanParams, dbscan_brute
-from tacloc.geometry import (DegenerateGeometryError, default_models,
-                             project_points, triangulate)
+from tacloc.cluster import DbscanParams
+from tacloc.geometry import default_models, project_points
 from tacloc.ingest import RunConfig, make_schedule
 from tacloc.segment import press_events
 from tacloc.synth import SynthSpec, generate
 
 from .conftest import reference_dominant, small_layout
+from .oracles import DegenerateGeometryError, dbscan_brute, triangulate_scalar
 
 
 @pytest.fixture(scope="module")
@@ -135,12 +135,12 @@ class TestTriangulateTrials:
             reason=("",) * (n - 1) + (cluster_reason,))
         out = pipeline.triangulate_trials(table, models)
         for i in range(n - 2):
-            tri = triangulate(models[0], u[i, 0], models[1], u[i, 1])
+            tri = triangulate_scalar(models[0], u[i, 0], models[1], u[i, 1])
             assert out.valid[i] and out.reason[i] == ""
             assert out.est_mm[i] == pytest.approx([tri.x_mm, tri.y_mm],
                                                   abs=1e-12)
         with pytest.raises(DegenerateGeometryError):
-            triangulate(models[0], u[-2, 0], models[1], u[-2, 1])
+            triangulate_scalar(models[0], u[-2, 0], models[1], u[-2, 1])
         assert not out.valid[-2]
         assert out.reason[-2] == "degenerate triangulation"
         assert np.isnan(out.est_mm[-2]).all()
@@ -181,7 +181,7 @@ def test_probed_area():
 def _reference_table(trials, models, params):
     """The TrialTable columns of ``trials``, one trial and camera at a time:
     ``dbscan_brute`` on the press events, the dominant-cluster rule, and
-    scalar ``triangulate``."""
+    ``triangulate_scalar``."""
     cols = {"centroid_u": [], "cluster_size": [], "est_mm": [], "valid": [],
             "reason": []}
     for trial in trials:
@@ -206,7 +206,8 @@ def _reference_table(trials, models, params):
             reason = "no prominent cluster: " + ", ".join(failing)
         else:
             try:
-                tri = triangulate(models[0], cents[0], models[1], cents[1])
+                tri = triangulate_scalar(models[0], cents[0], models[1],
+                                         cents[1])
                 est = (tri.x_mm, tri.y_mm)
             except DegenerateGeometryError:
                 reason = "degenerate triangulation"

@@ -174,3 +174,22 @@ def test_ingest_leaves_the_column_ranges_to_events():
         encoding="utf-8"))
     assert [f"ingest.py:{line}: {name}" for line, name in _names(tree)
             if name.lstrip(".") in ("EVENT_COLUMNS", "high_rule")] == []
+
+
+def test_every_definition_is_run_or_documented():
+    # src/ holds what a flow runs: a top-level function or class that no
+    # other code of the program names is either a README library entry
+    # point or an oracle that belongs in the tests
+    defined, named = [], set()
+    for path in sorted((ROOT / "src" / "tacloc").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(node, "name", None)
+            if own is not None:
+                defined.append((path.name, own))
+            named |= {name.lstrip(".") for _, name in _names(node)} - {own}
+    readme = README.read_text(encoding="utf-8")
+    assert [f"{module}: {name}" for module, name in defined
+            if name not in named
+            and not re.search(rf"\b{re.escape(name)}\b", readme)] == []
